@@ -34,7 +34,7 @@ pub use bbb::Bbb;
 pub use cp::Cp;
 pub use gossip::MinimWithGossip;
 pub use instrument::{Instrumented, StrategyStats};
-pub use minim::{gather_recode_inputs, plan_recode, Minim, KEEP_WEIGHT};
+pub use minim::{gather_recode_inputs, plan_recode, Minim, RecodePlanner, KEEP_WEIGHT};
 
 use minim_geom::Point;
 use minim_graph::{conflict, Color, NodeId};

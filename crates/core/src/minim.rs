@@ -12,6 +12,14 @@
 //!   holder of every retainable old color (Thm 4.1.8 — minimality) and
 //!   maximize the number of matched vertices among such matchings
 //!   (Thm 4.1.9 — optimal-among-minimal max color index).
+//!
+//!   [`RecodePlanner`] runs both halves. The gather (steps 1–2) builds
+//!   each member's external constraints as a color bitmask, walking
+//!   each of the set's receivers once; the solve (steps 3–5) takes the
+//!   all-keep fast path or hands dense weight rows derived from those
+//!   masks to `minim_matching::DenseHungarian`. [`gather_recode_inputs`]
+//!   and [`plan_recode`] are list-shaped wrappers over the same code,
+//!   for the distributed joiner in `minim-proto`.
 //! * `RecodeOnPowIncrease` (§4.2): all new constraints involve the
 //!   initiating node, so at most **it** must change; it takes the
 //!   lowest color satisfying its exact constraints.
@@ -27,9 +35,10 @@ use crate::{
 use minim_geom::Point;
 use minim_graph::conflict;
 use minim_graph::{Color, NodeId};
-use minim_matching::{max_weight_matching, WeightedBipartite};
+use minim_matching::DenseHungarian;
 use minim_net::event::{AppliedEvent, PowerDirection};
 use minim_net::{Network, NodeConfig, TopologyDelta};
+use std::cell::RefCell;
 
 /// Weight of a "keep your old color" edge in the matching instance.
 /// The paper fixes 3: the smallest integer that survives the swap
@@ -81,51 +90,13 @@ impl Minim {
     /// All reads stay within two graph hops of the recode set (the
     /// members' external constraints), i.e. within the event's
     /// neighborhood — the `BatchLocality::Neighborhood` contract.
+    ///
+    /// Runs this thread's [`RecodePlanner`], so executor workers
+    /// planning concurrently each reuse their own scratch.
     fn plan_matching(&self, net: &Network, delta: &TopologyDelta) -> ColorPlan {
-        let n = delta.node();
-        let assignment = net.assignment();
-        let set = delta.recode_set(); // sorted, includes n
-
-        // Fast path (the common case in dense networks): if the old
-        // colors across the whole set — `n` included when it holds one
-        // — are pairwise distinct, every non-`n` member can keep its
-        // color (Lemma 4.1.6 — the event adds no constraints between
-        // them and non-set nodes), and only `n` needs attention:
-        //
-        // * colored `n` whose color avoids its constraints → all keep;
-        // * uncolored `n` (a join) → lowest color avoiding its
-        //   constraints, which span both the set members (all CA1
-        //   partners of `n`) and `n`'s external partners;
-        // * colored `n` with a clash → fall through to the full
-        //   matching: the optimum may shift a *member* off its color
-        //   instead of pushing `n` to a fresh one.
-        //
-        // This mirrors `plan_recode`'s own fast path exactly, so the
-        // distributed protocol (which reconstructs inputs from messages
-        // and calls `plan_recode`) computes identical assignments.
-        let mut set_colors: Vec<Color> = set.iter().filter_map(|&u| assignment.get(u)).collect();
-        set_colors.sort_unstable();
-        let distinct = set_colors.windows(2).all(|w| w[0] != w[1]);
-        if distinct && self.keep_weight > 1 {
-            let n_constraints = conflict::constraint_colors(net.graph(), assignment, n);
-            match assignment.get(n) {
-                Some(c) => {
-                    if n_constraints.binary_search(&c).is_err() {
-                        // Nothing clashes: zero recodings.
-                        return Vec::new();
-                    }
-                    // External clash: full matching below.
-                }
-                None => {
-                    // `constraint_colors` returns sorted + deduplicated.
-                    return vec![(n, Color::lowest_excluding_sorted(&n_constraints))];
-                }
-            }
-        }
-
-        let (old, forbidden) = gather_recode_inputs(net, &set);
-        let plan = plan_recode(&old, &forbidden, self.keep_weight);
-        set.into_iter().zip(plan).collect()
+        let mut plan = ColorPlan::new();
+        with_planner(|p| p.plan_into(net, delta, self.keep_weight, &mut plan));
+        plan
     }
 
     /// Plans `RecodeOnPowIncrease` (or nothing for decreases) without
@@ -173,35 +144,364 @@ impl Minim {
     }
 }
 
+/// Per-node-slot marks of one gather; a field equal to the planner's
+/// current epoch is set, any other value is clear.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stamp {
+    /// The node is a recode-set member.
+    member: u32,
+    /// The node's receiver mask is built, at row `row`.
+    receiver: u32,
+    row: u32,
+}
+
+/// Minim's join/move planner (Fig 3 / Fig 8) with its scratch: the
+/// code behind every [`Minim`] join/move plan, [`gather_recode_inputs`]
+/// and [`plan_recode`].
+///
+/// * **Steps 1–2, the gather.** Membership is stamped by node slot, so
+///   "is `p` outside the set" is one load. Each distinct receiver `w`
+///   of the set gets one color bitmask, built once: the OR of the
+///   colors of `w`'s in-neighbors outside the set (the CA2 partners
+///   that meet at `w`). A member's forbidden mask is the OR of its
+///   receivers' masks plus the colors of its own in/out neighbors
+///   outside the set (CA1). Masks are `max_color / 64 + 1` words
+///   wide, stored as one flat `members × words` matrix.
+/// * **Steps 3–5, the solve.** The all-keep fast path, or the
+///   weight-`keep_weight` / weight-1 instance written as dense rows
+///   into a reused [`DenseHungarian`] — bit-identical to
+///   `max_weight_matching` over the equivalent `WeightedBipartite`.
+///
+/// Every buffer is kept across calls, so a warm planner allocates
+/// nothing. [`Minim`] keeps one per thread; callers that plan in a
+/// loop may own one.
+#[derive(Debug, Clone, Default)]
+pub struct RecodePlanner {
+    /// The recode set being planned, sorted.
+    set: Vec<NodeId>,
+    /// Old color per member.
+    old: Vec<Option<Color>>,
+    /// Mask width in 64-bit words; bit `k` stands for color `k`.
+    words: usize,
+    /// `set.len() × words` external-constraint masks.
+    forbidden: Vec<u64>,
+    /// One mask per distinct receiver, in first-visit order.
+    receivers: Vec<u64>,
+    /// The set members' old colors, as one mask.
+    kept: Vec<u64>,
+    stamps: Vec<Stamp>,
+    epoch: u32,
+    kernel: DenseHungarian,
+    /// The solve's output, one color per member.
+    colors: Vec<Color>,
+}
+
+/// The calling thread's planner. `plan_batched` takes `&self` and runs
+/// on executor worker threads, so the scratch cannot live in [`Minim`].
+fn with_planner<R>(f: impl FnOnce(&mut RecodePlanner) -> R) -> R {
+    thread_local! {
+        static PLANNER: RefCell<RecodePlanner> = RefCell::new(RecodePlanner::default());
+    }
+    PLANNER.with(|p| f(&mut p.borrow_mut()))
+}
+
+fn set_bit(mask: &mut [u64], c: Color) {
+    let k = c.index() as usize;
+    mask[k / 64] |= 1 << (k % 64);
+}
+
+fn has_bit(mask: &[u64], c: Color) -> bool {
+    let k = c.index() as usize;
+    mask[k / 64] & (1 << (k % 64)) != 0
+}
+
+/// The lowest color in neither `a` nor `b` — `Color::lowest_excluding`
+/// over two masks of equal width.
+fn lowest_free(a: &[u64], b: &[u64]) -> Color {
+    for (w, (x, y)) in a.iter().zip(b).enumerate() {
+        // Bit 0 stands for no color: codes start at 1.
+        let taken = x | y | u64::from(w == 0);
+        if taken != u64::MAX {
+            return Color::new(w as u32 * 64 + (!taken).trailing_zeros());
+        }
+    }
+    Color::new(a.len() as u32 * 64)
+}
+
+impl RecodePlanner {
+    /// Plans `RecodeOnJoin` / `RecodeOnMove` for the event `delta`
+    /// describes, on the post-event topology in `net`, into `plan`
+    /// (cleared first): exactly the writes [`Minim`] with this
+    /// `keep_weight` commits. A plan of more than one write comes from
+    /// the matching.
+    pub fn plan_into(
+        &mut self,
+        net: &Network,
+        delta: &TopologyDelta,
+        keep_weight: i64,
+        plan: &mut ColorPlan,
+    ) {
+        plan.clear();
+        let n = delta.node();
+        delta.recode_set_into(&mut self.set);
+        self.begin(net);
+
+        // Fast path (the common case in dense networks): if the old
+        // colors across the whole set — `n` included when it holds one
+        // — are pairwise distinct, every non-`n` member can keep its
+        // color (Lemma 4.1.6 — the event adds no constraints between
+        // them and non-set nodes), and only `n` needs attention:
+        //
+        // * colored `n` whose color avoids its constraints → all keep;
+        // * uncolored `n` (a join) → lowest color avoiding its
+        //   constraints, which span both the set members (all CA1
+        //   partners of `n`) and `n`'s external partners;
+        // * colored `n` with a clash → fall through to the full
+        //   matching: the optimum may shift a *member* off its color
+        //   instead of pushing `n` to a fresh one.
+        //
+        // Distinct colors mean no member shares `n`'s, so a clash can
+        // only be external: `n`'s own row decides. This mirrors the
+        // solve's fast path exactly, so the distributed protocol
+        // (which reconstructs inputs from messages and calls
+        // `plan_recode`) computes identical assignments.
+        if self.keep_mask() && keep_weight > 1 {
+            let i = self
+                .set
+                .binary_search(&n)
+                .expect("the recode set holds its node");
+            self.fill_rows(net, i..i + 1);
+            let row = &self.forbidden[i * self.words..(i + 1) * self.words];
+            match self.old[i] {
+                Some(c) if !has_bit(row, c) => return,
+                Some(_) => {}
+                None => return plan.push((n, lowest_free(row, &self.kept))),
+            }
+        }
+
+        self.fill_rows(net, 0..self.set.len());
+        self.solve(keep_weight);
+        plan.extend(self.set.iter().copied().zip(self.colors.iter().copied()));
+    }
+
+    /// Steps 1–2 alone for `set`: each member's old color and external
+    /// constraint mask.
+    fn gather(&mut self, net: &Network, set: &[NodeId]) {
+        self.set.clear();
+        self.set.extend_from_slice(set);
+        self.begin(net);
+        self.fill_rows(net, 0..set.len());
+    }
+
+    /// Starts a gather over `self.set`: a fresh epoch, the members
+    /// stamped, their old colors read, and the masks sized to the
+    /// network's largest color.
+    fn begin(&mut self, net: &Network) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(Stamp::default());
+            self.epoch = 1;
+        }
+        self.words = net.max_color_index() as usize / 64 + 1;
+        self.forbidden.clear();
+        self.forbidden.resize(self.set.len() * self.words, 0);
+        self.receivers.clear();
+        self.old.clear();
+        for &u in &self.set {
+            self.old.push(net.assignment().get(u));
+            let slot = u.index();
+            if slot >= self.stamps.len() {
+                self.stamps.resize(slot + 1, Stamp::default());
+            }
+            self.stamps[slot].member = self.epoch;
+        }
+    }
+
+    /// Writes the forbidden masks of members `rows` (Fig 3 steps 1–2):
+    /// first the masks of their receivers not yet built this epoch,
+    /// then each member's row.
+    fn fill_rows(&mut self, net: &Network, rows: std::ops::Range<usize>) {
+        let (g, a) = (net.graph(), net.assignment());
+        let (words, epoch) = (self.words, self.epoch);
+        let RecodePlanner {
+            set,
+            forbidden,
+            receivers,
+            stamps,
+            ..
+        } = self;
+        let outside =
+            |stamps: &[Stamp], x: NodeId| stamps.get(x.index()).is_none_or(|s| s.member != epoch);
+        for &u in &set[rows.clone()] {
+            for &w in g.out_neighbors(u) {
+                if w.index() >= stamps.len() {
+                    stamps.resize(w.index() + 1, Stamp::default());
+                }
+                let stamp = &mut stamps[w.index()];
+                if stamp.receiver == epoch {
+                    continue;
+                }
+                stamp.receiver = epoch;
+                let start = receivers.len();
+                stamp.row = (start / words) as u32;
+                receivers.resize(start + words, 0);
+                let mask = &mut receivers[start..];
+                for &x in g.in_neighbors(w) {
+                    if let Some(c) = a.get(x).filter(|_| outside(stamps, x)) {
+                        set_bit(mask, c);
+                    }
+                }
+            }
+        }
+        for i in rows {
+            let u = set[i];
+            let row = &mut forbidden[i * words..(i + 1) * words];
+            row.fill(0);
+            for &w in g.out_neighbors(u) {
+                let r = stamps[w.index()].row as usize * words;
+                for (d, s) in row.iter_mut().zip(&receivers[r..r + words]) {
+                    *d |= s;
+                }
+            }
+            for &x in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
+                if let Some(c) = a.get(x).filter(|_| outside(stamps, x)) {
+                    set_bit(row, c);
+                }
+            }
+        }
+    }
+
+    /// Loads the solve's inputs from explicit lists — the
+    /// [`plan_recode`] entry.
+    fn load(&mut self, old: &[Option<Color>], forbidden: &[Vec<u32>]) {
+        let max = old
+            .iter()
+            .flatten()
+            .map(|c| c.index())
+            .chain(forbidden.iter().flatten().copied())
+            .max()
+            .unwrap_or(0);
+        self.words = max as usize / 64 + 1;
+        self.old.clear();
+        self.old.extend_from_slice(old);
+        self.forbidden.clear();
+        self.forbidden.resize(old.len() * self.words, 0);
+        for (row, f) in self.forbidden.chunks_mut(self.words).zip(forbidden) {
+            for &k in f {
+                set_bit(row, Color::new(k));
+            }
+        }
+    }
+
+    /// Fills `kept` with the members' old colors; whether those are
+    /// pairwise distinct.
+    fn keep_mask(&mut self) -> bool {
+        self.kept.clear();
+        self.kept.resize(self.words, 0);
+        let mut distinct = true;
+        for &c in self.old.iter().flatten() {
+            distinct &= !has_bit(&self.kept, c);
+            set_bit(&mut self.kept, c);
+        }
+        distinct
+    }
+
+    /// Fig 3 / Fig 8 steps 3–5 over `old` and the forbidden masks: one
+    /// color per member into `colors`. See [`plan_recode`].
+    fn solve(&mut self, keep_weight: i64) {
+        assert!(keep_weight >= 1, "keep weight must be >= 1");
+        let words = self.words;
+        let distinct = self.keep_mask();
+        let RecodePlanner {
+            old,
+            forbidden,
+            kept,
+            kernel,
+            colors,
+            ..
+        } = self;
+        let row = |i: usize| &forbidden[i * words..(i + 1) * words];
+        colors.clear();
+
+        // Fast path: when all old colors are pairwise distinct,
+        // externally consistent, and at most one member (the joiner)
+        // is uncolored, the all-keep plan is a maximum-weight matching
+        // for any positive keep weight: it retains every retainable
+        // class and has maximum cardinality. The joiner takes the
+        // lowest color avoiding the kept colors and its own
+        // constraints — the optimal-among-minimal pick. Gated on
+        // `keep_weight > 1` so the weight-blind ablation arm exercises
+        // the matching's own (weight-indifferent) picks.
+        if keep_weight > 1 {
+            let nones = old.iter().filter(|o| o.is_none()).count();
+            let consistent = (0..old.len()).all(|i| old[i].is_none_or(|c| !has_bit(row(i), c)));
+            if distinct && nones <= 1 && consistent {
+                colors.extend(
+                    (0..old.len()).map(|i| old[i].unwrap_or_else(|| lowest_free(row(i), kept))),
+                );
+                return;
+            }
+        }
+
+        // `max`: the largest color among old colors and constraints.
+        let mut max = old.iter().flatten().map(|c| c.index()).max().unwrap_or(0);
+        for mask in forbidden.chunks(words) {
+            if let Some(w) = mask.iter().rposition(|&x| x != 0) {
+                max = max.max(w as u32 * 64 + 63 - mask[w].leading_zeros());
+            }
+        }
+
+        // Members × colors `1..=max`: weight `keep_weight` on the old
+        // color, 1 on any other allowed color, 0 (no edge) on a
+        // forbidden one.
+        let cols = max as usize;
+        let weights = kernel.reset(old.len(), cols);
+        for (i, wrow) in weights.chunks_mut(cols.max(1)).enumerate() {
+            let mask = row(i);
+            for (k, w) in (1..=max).zip(wrow.iter_mut()) {
+                let c = Color::new(k);
+                if !has_bit(mask, c) {
+                    *w = if old[i] == Some(c) { keep_weight } else { 1 };
+                }
+            }
+        }
+
+        // Unmatched members take fresh colors `max+1, max+2, …` in set
+        // order.
+        let mut fresh = max;
+        colors.extend(kernel.solve().iter().map(|pair| match *pair {
+            Some(r) => Color::new(r as u32 + 1),
+            None => {
+                fresh += 1;
+                Color::new(fresh)
+            }
+        }));
+    }
+}
+
 /// Collects, for each member of the (sorted) recode `set`, its old
 /// color and its *external constraints* — the colors of its CA1/CA2
 /// conflict partners outside the set (Fig 3 steps 1–2). Returned
 /// forbidden lists are sorted and deduplicated.
 ///
-/// Exposed so the distributed protocol layer (`minim-proto`) can
-/// cross-check the inputs it reconstructs from messages against the
-/// global-state view.
+/// A list-shaped view of [`RecodePlanner`]'s gather, exposed so the
+/// distributed protocol layer (`minim-proto`) can cross-check the
+/// inputs it reconstructs from messages against the global-state view.
 pub fn gather_recode_inputs(net: &Network, set: &[NodeId]) -> (Vec<Option<Color>>, Vec<Vec<u32>>) {
-    let mut old = Vec::with_capacity(set.len());
-    let mut forbidden = Vec::with_capacity(set.len());
-    // One conflict-partner buffer reused across the whole set — the
-    // per-member set+Vec allocations of `conflicts_of` were the
-    // dominant heap traffic of a recode plan.
-    let mut partners: Vec<NodeId> = Vec::new();
-    for &u in set {
-        old.push(net.assignment().get(u));
-        conflict::conflicts_of_into(net.graph(), u, &mut partners);
-        let mut ext: Vec<u32> = partners
-            .iter()
-            .filter(|p| set.binary_search(p).is_err())
-            .filter_map(|&p| net.assignment().get(p))
-            .map(|c| c.index())
+    with_planner(|p| {
+        p.gather(net, set);
+        let forbidden = p
+            .forbidden
+            .chunks(p.words)
+            .map(|mask| {
+                (0..mask.len() * 64)
+                    .filter(|&k| mask[k / 64] & (1 << (k % 64)) != 0)
+                    .map(|k| k as u32)
+                    .collect()
+            })
             .collect();
-        ext.sort_unstable();
-        ext.dedup();
-        forbidden.push(ext);
-    }
-    (old, forbidden)
+        (p.old.clone(), forbidden)
+    })
 }
 
 /// The matching core of Fig 3 / Fig 8, steps 3–5: given each set
@@ -215,9 +515,10 @@ pub fn gather_recode_inputs(net: &Network, set: &[NodeId]) -> (Vec<Option<Color>
 /// assigns them "randomly"; a deterministic order is an equally valid
 /// tie-break and keeps runs reproducible).
 ///
-/// This function is pure — the distributed joiner (`minim-proto`) runs
-/// it on message-reconstructed inputs and necessarily computes the
-/// same plan as the centralized strategy.
+/// A list-shaped entry to [`RecodePlanner`]'s solve. This function is
+/// pure — the distributed joiner (`minim-proto`) runs it on
+/// message-reconstructed inputs and necessarily computes the same plan
+/// as the centralized strategy.
 ///
 /// ```
 /// use minim_core::{plan_recode, KEEP_WEIGHT};
@@ -233,76 +534,11 @@ pub fn gather_recode_inputs(net: &Network, set: &[NodeId]) -> (Vec<Option<Color>
 /// ```
 pub fn plan_recode(old: &[Option<Color>], forbidden: &[Vec<u32>], keep_weight: i64) -> Vec<Color> {
     assert_eq!(old.len(), forbidden.len(), "parallel input arrays");
-
-    // Fast path: when all old colors are pairwise distinct, externally
-    // consistent, and at most one member (the joiner) is uncolored,
-    // the all-keep plan is a maximum-weight matching for any positive
-    // keep weight: it retains every retainable class and has maximum
-    // cardinality. The joiner takes the lowest color avoiding the kept
-    // colors and its own constraints — the optimal-among-minimal pick.
-    // Gated on `keep_weight > 1` so the weight-blind ablation arm
-    // exercises the Hungarian solver's own (weight-indifferent) picks.
-    if keep_weight > 1 {
-        let mut kept: Vec<u32> = old.iter().flatten().map(|c| c.index()).collect();
-        kept.sort_unstable();
-        let distinct = kept.windows(2).all(|w| w[0] != w[1]);
-        let nones = old.iter().filter(|o| o.is_none()).count();
-        let consistent = old
-            .iter()
-            .zip(forbidden)
-            .all(|(o, f)| o.is_none_or(|c| f.binary_search(&c.index()).is_err()));
-        if distinct && nones <= 1 && consistent {
-            return old
-                .iter()
-                .enumerate()
-                .map(|(i, o)| match o {
-                    Some(c) => *c,
-                    None => Color::lowest_excluding(
-                        kept.iter()
-                            .chain(forbidden[i].iter())
-                            .map(|&k| Color::new(k)),
-                    ),
-                })
-                .collect();
-        }
-    }
-
-    let mut max = 0u32;
-    for c in old.iter().flatten() {
-        max = max.max(c.index());
-    }
-    for f in forbidden {
-        debug_assert!(
-            f.windows(2).all(|w| w[0] < w[1]),
-            "forbidden must be sorted+dedup"
-        );
-        if let Some(&m) = f.last() {
-            max = max.max(m);
-        }
-    }
-
-    let mut bg = WeightedBipartite::new(old.len(), max as usize);
-    for i in 0..old.len() {
-        let old_idx = old[i].map(Color::index);
-        for k in 1..=max {
-            if forbidden[i].binary_search(&k).is_err() {
-                let w = if old_idx == Some(k) { keep_weight } else { 1 };
-                bg.add_edge(i, (k - 1) as usize, w);
-            }
-        }
-    }
-    let matching = max_weight_matching(&bg);
-
-    let mut fresh = max;
-    (0..old.len())
-        .map(|i| match matching.pairs[i] {
-            Some(r) => Color::new(r as u32 + 1),
-            None => {
-                fresh += 1;
-                Color::new(fresh)
-            }
-        })
-        .collect()
+    with_planner(|p| {
+        p.load(old, forbidden);
+        p.solve(keep_weight);
+        p.colors.clone()
+    })
 }
 
 impl RecodingStrategy for Minim {

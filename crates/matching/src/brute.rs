@@ -1,10 +1,8 @@
 //! Exhaustive matching oracles.
 //!
-//! Exponential-time reference implementations used by the property
-//! tests (`hungarian`, `hopcroft_karp`) and by the
-//! optimality-among-minimal verification in `tests/optimality.rs`,
-//! where the paper's Theorem 4.1.9 is checked against *all* recodings
-//! on small networks. Only feasible for a handful of left vertices.
+//! Exponential-time reference implementations used by this crate's
+//! property tests (`hungarian`, `hopcroft_karp`). Only feasible for a
+//! handful of left vertices.
 
 use crate::{Matching, WeightedBipartite};
 

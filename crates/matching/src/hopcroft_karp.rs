@@ -1,10 +1,7 @@
 //! Hopcroft–Karp maximum-cardinality bipartite matching, `O(E √V)`.
 //!
 //! Weight-blind: used to cross-check the Hungarian solver (uniform
-//! weights) and as the "cardinality-only" arm of the matching-policy
-//! ablation (`minim-bench::ablation_matching`), which quantifies how
-//! much of Minim's behaviour comes from the weight-3 keep-edges versus
-//! mere cardinality maximization.
+//! weights give equal cardinalities).
 
 use crate::{Matching, WeightedBipartite};
 use std::collections::VecDeque;

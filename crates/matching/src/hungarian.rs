@@ -124,6 +124,149 @@ pub fn max_weight_matching(g: &WeightedBipartite) -> Matching {
     result
 }
 
+/// The production form of [`max_weight_matching`]: the same e-maxx
+/// loop over a dense, row-major weight matrix, with every buffer kept
+/// across phases and calls.
+///
+/// The recode planner fills a fresh `rows × cols` matrix per instance
+/// ([`DenseHungarian::reset`]), then [`DenseHungarian::solve`]s it.
+/// The matrix replaces [`WeightedBipartite`]'s binary-searched
+/// adjacency lists; nothing else changes. Rows and columns are scanned
+/// in the same order, a column still wins only on a strictly smaller
+/// reduced cost (so the lowest index wins a tie), and each row still
+/// gets one zero-cost dummy column. The result is therefore
+/// bit-identical to [`max_weight_matching`] on the same weights — the
+/// property `tests/planner_equivalence.rs` pins.
+#[derive(Debug, Clone, Default)]
+pub struct DenseHungarian {
+    rows: usize,
+    cols: usize,
+    /// Row-major `rows × cols` weights; 0 marks a non-edge.
+    weight: Vec<i64>,
+    u: Vec<i64>,
+    v: Vec<i64>,
+    p: Vec<usize>,
+    way: Vec<usize>,
+    minv: Vec<i64>,
+    used: Vec<bool>,
+    pairs: Vec<Option<usize>>,
+}
+
+impl DenseHungarian {
+    /// Sizes the instance to `rows × cols` with no edges and returns
+    /// its row-major weight matrix for the caller to fill. A weight of
+    /// 0 is a non-edge; edges must weigh more than 0.
+    pub fn reset(&mut self, rows: usize, cols: usize) -> &mut [i64] {
+        self.rows = rows;
+        self.cols = cols;
+        self.weight.clear();
+        self.weight.resize(rows * cols, 0);
+        &mut self.weight
+    }
+
+    /// Solves the instance last set up by [`DenseHungarian::reset`]:
+    /// per row, the column it is matched to, if any. The same
+    /// maximum-weight matching [`max_weight_matching`] returns.
+    #[allow(clippy::needless_range_loop)] // dual updates are index-coupled across u/v/p
+    pub fn solve(&mut self) -> &[Option<usize>] {
+        let (n, rc) = (self.rows, self.cols);
+        let m = rc + n; // real columns + one dummy column per row
+        debug_assert!(self.weight.iter().all(|&w| w >= 0), "weights are >= 0");
+        self.pairs.clear();
+        self.pairs.resize(n, None);
+        if n == 0 {
+            return &self.pairs;
+        }
+        let DenseHungarian {
+            weight,
+            u,
+            v,
+            p,
+            way,
+            minv,
+            used,
+            ..
+        } = self;
+        u.clear();
+        u.resize(n + 1, 0);
+        for buf in [&mut *v, &mut *minv] {
+            buf.clear();
+            buf.resize(m + 1, 0);
+        }
+        for buf in [&mut *p, &mut *way] {
+            buf.clear();
+            buf.resize(m + 1, 0);
+        }
+        used.resize(m + 1, false);
+
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0usize;
+            minv.fill(INF);
+            used.fill(false);
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let ui = u[i0];
+                let row = &weight[(i0 - 1) * rc..i0 * rc];
+                let mut delta = INF;
+                let mut j1 = 0usize;
+                // The oracle's single `1..=m` scan, split at the real /
+                // dummy boundary: real columns cost −weight, dummies 0.
+                let mut relax = |j: usize, cost: i64| {
+                    if used[j] {
+                        return;
+                    }
+                    let cur = cost - ui - v[j];
+                    if cur < minv[j] {
+                        minv[j] = cur;
+                        way[j] = j0;
+                    }
+                    if minv[j] < delta {
+                        delta = minv[j];
+                        j1 = j;
+                    }
+                };
+                for (j, &w) in (1..=rc).zip(row) {
+                    relax(j, -w);
+                }
+                for j in rc + 1..=m {
+                    relax(j, 0);
+                }
+                debug_assert!(delta < INF, "augmentation must always succeed (dummies)");
+                for j in 0..=m {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
+                }
+            }
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+
+        for j in 1..=rc {
+            let i = p[j];
+            if i != 0 && weight[(i - 1) * rc + j - 1] > 0 {
+                self.pairs[i - 1] = Some(j - 1);
+            }
+        }
+        &self.pairs
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +410,34 @@ mod tests {
             prop_assert!(fast.validate(&g).is_ok());
             let slow = brute::brute_force_max_weight(&g);
             prop_assert_eq!(fast.weight, slow.weight);
+        }
+
+        /// The dense kernel returns exactly the oracle's pairs — tie
+        /// breaks included — while one kernel is reused across
+        /// differently shaped instances.
+        #[test]
+        fn dense_kernel_is_bit_identical_to_oracle(
+            shapes in proptest::collection::vec(
+                (0usize..7, 0usize..7, proptest::collection::vec(0i64..4, 49..50)),
+                1..4,
+            )
+        ) {
+            let mut kernel = DenseHungarian::default();
+            for (l, r, weights) in shapes {
+                let mut g = WeightedBipartite::new(l, r);
+                let dense = kernel.reset(l, r);
+                for a in 0..l {
+                    for b in 0..r {
+                        let w = weights[a * 7 + b];
+                        dense[a * r + b] = w;
+                        if w > 0 {
+                            g.add_edge(a, b, w);
+                        }
+                    }
+                }
+                let oracle = max_weight_matching(&g);
+                prop_assert_eq!(kernel.solve(), &oracle.pairs[..]);
+            }
         }
 
         /// With uniform weights, max-weight == max-cardinality (scaled).

@@ -9,28 +9,31 @@
 //! the matching algorithm as a black box (\[14\], Galil's survey); this
 //! crate *is* that black box:
 //!
-//! * [`WeightedBipartite`] — the instance representation.
-//! * [`max_weight_matching`] — exact maximum-weight bipartite matching
-//!   via the Hungarian algorithm with dual potentials, `O(L² · R)`;
-//!   vertices may remain unmatched (the matching need not be perfect).
+//! * [`DenseHungarian`] — the kernel the recode planner runs: the
+//!   Hungarian algorithm with dual potentials, `O(L² · R)`, over a
+//!   dense weight matrix the caller fills, with every buffer reused
+//!   across calls. Vertices may remain unmatched (the matching need
+//!   not be perfect).
+//! * [`WeightedBipartite`] + [`max_weight_matching`] — the same
+//!   algorithm over sparse adjacency lists: the reference the kernel
+//!   is tested against, bit for bit.
 //! * [`hopcroft_karp()`] — maximum-*cardinality* matching in `O(E √V)`;
-//!   used for cross-checks and the weight-blind ablation.
-//! * [`auction_matching`] — an independent maximum-weight solver
-//!   (Bertsekas' auction); the property tests demand it agrees with
-//!   the Hungarian solver, cross-validating both.
-//! * [`brute`] — exhaustive oracles for small instances, used by the
-//!   property tests and the optimality-among-minimal experiments.
+//!   used for cross-checks.
+//!
+//! `minim-core` builds the instances: it gathers each recode-set
+//! member's forbidden colors as bitmasks and derives the weight rows
+//! from them (Fig 3 / Fig 8 steps 1–2); this crate solves them (steps
+//! 3–5).
 
 #![deny(missing_docs)]
 
-pub mod auction;
-pub mod brute;
+#[cfg(test)]
+mod brute;
 pub mod hopcroft_karp;
 pub mod hungarian;
 
-pub use auction::auction_matching;
 pub use hopcroft_karp::hopcroft_karp;
-pub use hungarian::max_weight_matching;
+pub use hungarian::{max_weight_matching, DenseHungarian};
 
 /// A weighted bipartite graph with `left` and `right` vertex classes.
 ///

@@ -169,12 +169,21 @@ impl TopologyDelta {
     /// `RecodeOnMove` re-plan (Thm 4.1.8's minimal set). Derived from
     /// the delta alone.
     pub fn recode_set(&self) -> Vec<NodeId> {
-        let mut v = self.partitions().in_union();
-        match v.binary_search(&self.node) {
-            Ok(_) => {}
-            Err(i) => v.insert(i, self.node),
-        }
+        let mut v = Vec::new();
+        self.recode_set_into(&mut v);
         v
+    }
+
+    /// [`TopologyDelta::recode_set`] into a reusable buffer: `out` is
+    /// cleared and filled, sorted. Allocation-free once `out` is warm.
+    pub fn recode_set_into(&self, out: &mut Vec<NodeId>) {
+        // `1n ∪ 2n` is exactly the node's in-neighbor list (Fig 2);
+        // the node is never its own in-neighbor.
+        out.clear();
+        let at = self.in_after.partition_point(|&x| x < self.node);
+        out.extend_from_slice(&self.in_after[..at]);
+        out.push(self.node);
+        out.extend_from_slice(&self.in_after[at..]);
     }
 
     /// The receivers the node *newly* transmits into: `w` for each

@@ -23,11 +23,16 @@
 //! is differential — an identical workload costs exactly the same
 //! allocation count with observability recording as with it disabled.
 //!
+//! The last phase pins the recode planner (Minim's join/move plan, Fig
+//! 3 / Fig 8): a warm `RecodePlanner` gathering constraint masks and
+//! solving the matching on a dense arena reuses all of its scratch.
+//!
 //! The check uses a counting global allocator (this integration test
 //! is its own binary, so the allocator sees only this file's tests;
 //! keep it to ONE `#[test]` so no concurrent test thread can bleed
 //! allocations into the measurement window).
 
+use minim_core::{Minim, RecodePlanner, RecodingStrategy, KEEP_WEIGHT};
 use minim_geom::{Point, Segment};
 use minim_graph::NodeId;
 use minim_net::event::Event;
@@ -326,5 +331,61 @@ fn steady_state_rewire_allocates_nothing() {
         instrumented, silent,
         "observability must add zero allocations to journal cycles \
          (recording: {instrumented}, disabled: {silent})"
+    );
+
+    // --- Phase 6: the recode planner's gather and matching kernel. ---
+    // A Minim-colored dense arena, then a joiner placed where its
+    // in-neighbors share colors, so the plan must go through the full
+    // gather and the Hungarian kernel rather than the fast path.
+    // Planning is read-only, so replanning the same event is the
+    // steady state.
+    let mut dense = Network::new(25.0);
+    let mut minim = Minim::default();
+    for i in 0..144u32 {
+        let pos = Point::new(f64::from(i % 12) * 6.0, f64::from(i / 12) * 6.0);
+        let range = 12.0 + f64::from(i * 7 % 9);
+        minim.apply(
+            &mut dense,
+            &Event::Join {
+                cfg: NodeConfig::new(pos, range),
+            },
+        );
+    }
+    let mut planner = RecodePlanner::default();
+    let mut plan = Vec::new();
+    let joiner = dense.next_id();
+    let delta = (0..400u32)
+        .find_map(|k| {
+            let pos = Point::new(f64::from(k % 20) * 3.3 + 1.1, f64::from(k / 20) * 3.3 + 1.7);
+            let delta = dense.insert_node(joiner, NodeConfig::new(pos, 15.0));
+            planner.plan_into(&dense, &delta, KEEP_WEIGHT, &mut plan);
+            if plan.len() > 1 {
+                return Some(delta);
+            }
+            dense.remove_node(joiner);
+            None
+        })
+        .expect("some join position reaches the matching");
+    for _ in 0..12 {
+        planner.plan_into(&dense, &delta, KEEP_WEIGHT, &mut plan);
+    }
+
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..25 {
+        planner.plan_into(&dense, &delta, KEEP_WEIGHT, &mut plan);
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+
+    assert!(
+        plan.len() > 1,
+        "the measured plan must come from the matching, got {} writes",
+        plan.len()
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "warm recode planning (gather + matching kernel) must be \
+         allocation-free, saw {} allocations over 25 plans",
+        after - before
     );
 }
