@@ -5,7 +5,7 @@
 //!
 //! | Bench | Measures |
 //! |---|---|
-//! | `matching` | the Hungarian / Hopcroft–Karp kernels on join-sized instances |
+//! | `matching` | the recode planner's Hungarian kernel on join-sized instances |
 //! | `coloring` | the global heuristics on conflict graphs of §5 networks |
 //! | `strategies` | per-event recode latency (join/move/power) per strategy |
 //! | `figures` | one full replicate of each figure workload (Fig 10/11/12) |

@@ -1,6 +1,6 @@
 //! Hopcroft–Karp maximum-cardinality bipartite matching, `O(E √V)`.
 //!
-//! Weight-blind: used to cross-check the Hungarian solver (uniform
+//! Weight-blind, test-only: cross-checks the Hungarian solver (uniform
 //! weights give equal cardinalities).
 
 use crate::{Matching, WeightedBipartite};

@@ -450,7 +450,7 @@ mod tests {
                 g.add_edge(a, b, 1);
             }
             let mw = max_weight_matching(&g);
-            let mc = crate::hopcroft_karp(&g);
+            let mc = crate::hopcroft_karp::hopcroft_karp(&g);
             prop_assert_eq!(mw.weight as usize, mc.cardinality());
             prop_assert_eq!(mw.cardinality(), mc.cardinality());
         }

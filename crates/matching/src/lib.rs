@@ -17,8 +17,11 @@
 //! * [`WeightedBipartite`] + [`max_weight_matching`] — the same
 //!   algorithm over sparse adjacency lists: the reference the kernel
 //!   is tested against, bit for bit.
-//! * [`hopcroft_karp()`] — maximum-*cardinality* matching in `O(E √V)`;
-//!   used for cross-checks.
+//!
+//! Two test-only oracles back the property tests: exhaustive search
+//! (`brute`) and Hopcroft–Karp maximum-*cardinality* matching
+//! (`hopcroft_karp`), which the Hungarian must agree with on uniform
+//! weights.
 //!
 //! `minim-core` builds the instances: it gathers each recode-set
 //! member's forbidden colors as bitmasks and derives the weight rows
@@ -29,10 +32,10 @@
 
 #[cfg(test)]
 mod brute;
-pub mod hopcroft_karp;
+#[cfg(test)]
+mod hopcroft_karp;
 pub mod hungarian;
 
-pub use hopcroft_karp::hopcroft_karp;
 pub use hungarian::{max_weight_matching, DenseHungarian};
 
 /// A weighted bipartite graph with `left` and `right` vertex classes.

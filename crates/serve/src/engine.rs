@@ -47,6 +47,7 @@
 use std::io;
 
 use minim_core::{RecodingStrategy, StrategyKind};
+use minim_geom::Point;
 use minim_net::event::{AppliedEvent, Event};
 use minim_net::Network;
 
@@ -419,12 +420,32 @@ impl Engine {
         }
     }
 
-    /// Rejects events that reference absent nodes *before* they reach
-    /// the journal, so a buggy caller can't poison the log with frames
-    /// that will panic on replay.
+    /// Rejects events that reference absent nodes, carry non-finite
+    /// coordinates, or carry a non-finite or negative range *before*
+    /// they reach the journal, so a buggy caller can't poison the log
+    /// with frames that will not decode or will panic on replay.
     fn check_event(&self, event: &Event) -> Result<(), EngineError> {
+        let invalid = |what: &str| {
+            Err(EngineError::InvalidEvent {
+                detail: format!("{event:?} has {what}"),
+            })
+        };
+        let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+        let valid_range = |r: f64| r.is_finite() && r >= 0.0;
         let node = match event {
-            Event::Join { .. } => return Ok(()),
+            Event::Join { cfg } => {
+                if !finite(&cfg.pos) {
+                    return invalid("a non-finite position");
+                }
+                if !valid_range(cfg.range) {
+                    return invalid("a non-finite or negative range");
+                }
+                return Ok(());
+            }
+            Event::Move { to, .. } if !finite(to) => return invalid("a non-finite position"),
+            Event::SetRange { range, .. } if !valid_range(*range) => {
+                return invalid("a non-finite or negative range")
+            }
             Event::Leave { node } | Event::Move { node, .. } | Event::SetRange { node, .. } => {
                 *node
             }
@@ -682,6 +703,90 @@ mod tests {
         // Nothing reached the journal.
         let mut probe = fs.clone();
         assert!(!probe.exists(&wal_name(0)));
+    }
+
+    #[test]
+    fn non_finite_or_negative_inputs_are_rejected_before_journaling() {
+        let fs = MemFs::new();
+        let mut eng = Engine::open_with(Box::new(fs.clone()), opts()).unwrap();
+        let bad_join = |x: f64, y: f64, range: f64| Event::Join {
+            cfg: NodeConfig {
+                pos: Point::new(x, y),
+                range,
+            },
+        };
+        let rejected = [
+            bad_join(f64::NAN, 1.0, 5.0),
+            bad_join(1.0, f64::INFINITY, 5.0),
+            bad_join(1.0, 1.0, f64::NAN),
+            bad_join(1.0, 1.0, -1.0),
+            bad_join(1.0, 1.0, f64::INFINITY),
+        ];
+        for event in &rejected {
+            let err = eng.apply(event).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidEvent { .. }), "{err}");
+        }
+        let mut probe = fs.clone();
+        assert!(!probe.exists(&wal_name(0)), "a rejected join was journaled");
+
+        let a = eng.apply(&join(0.0, 0.0, 5.0)).unwrap().node();
+        let rejected = [
+            Event::Move {
+                node: a,
+                to: Point::new(f64::NEG_INFINITY, 0.0),
+            },
+            Event::Move {
+                node: a,
+                to: Point::new(0.0, f64::NAN),
+            },
+            Event::SetRange {
+                node: a,
+                range: -0.5,
+            },
+            Event::SetRange {
+                node: a,
+                range: f64::NAN,
+            },
+        ];
+        for event in &rejected {
+            let err = eng.apply(event).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidEvent { .. }), "{err}");
+        }
+        assert!(!eng.is_quarantined());
+        assert_eq!(eng.events_applied(), 1);
+    }
+
+    /// Regression: a NaN join used to pass the boundary, get journaled
+    /// as an undecodable frame, and make recovery truncate it together
+    /// with every acknowledged event after it.
+    #[test]
+    fn nan_join_does_not_cost_later_acknowledged_events() {
+        let fs = MemFs::new();
+        let sync1 = EngineOptions {
+            sync_every: 1,
+            ..opts()
+        };
+        let mut eng = Engine::open_with(Box::new(fs.clone()), sync1).unwrap();
+        let nan_join = Event::Join {
+            cfg: NodeConfig::new(Point::new(f64::NAN, 1.0), 5.0),
+        };
+        assert!(matches!(
+            eng.apply(&nan_join),
+            Err(EngineError::InvalidEvent { .. })
+        ));
+        for i in 0..3 {
+            eng.apply(&join(f64::from(i) * 3.0, 1.0, 5.0)).unwrap();
+        }
+        let digest = eng.net().state_digest();
+        drop(eng);
+
+        let eng2 = Engine::open_with(Box::new(fs), sync1).unwrap();
+        let r = eng2.recovery_report();
+        assert_eq!(r.corrupt_frames, 0);
+        assert_eq!(r.bytes_truncated, 0);
+        assert_eq!(r.events_total, 3);
+        assert_eq!(eng2.net().node_count(), 3);
+        assert_eq!(eng2.net().state_digest(), digest);
     }
 
     #[test]
