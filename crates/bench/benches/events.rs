@@ -4,20 +4,15 @@
 //! four event families (join / move / churn / power-raise) at
 //! N ∈ {1k, 4k, 10k}, each measured **flat-vs-stratified** (the
 //! legacy single-tier spatial index vs. the range-stratified
-//! reverse-reach index) and **sequential-vs-batched** (the sharded
-//! executor at 8 workers). A `lighthouse` micro-preset — one max-range
+//! reverse-reach index). A `lighthouse` micro-preset — one max-range
 //! node among thousands of short-range joiners — isolates the tier
 //! win: under the flat index the lighthouse's watermark inflates every
 //! later join's reverse-reach scan to its radius; the stratified index
 //! keeps the short tier's scans short and must deliver ≥ 2× join
-//! throughput at N = 4k. A `resident-vs-replan` arm (schema v2) runs
-//! metropolis churn in slices through the per-slice replanning batched
-//! executor and the persistent spatial-ownership resident executor,
-//! asserting bit-identity and a healthy shard structure (shard count
-//! > 1, bounded border-event fraction) and recording the speedup.
+//! throughput at N = 4k.
 //!
-//! A `profile-overhead` arm (schema v3) times the metropolis churn
-//! preset with the minim-obs registry recording vs runtime-disabled —
+//! A `profile-overhead` arm times the metropolis churn preset with
+//! the minim-obs registry recording vs runtime-disabled —
 //! the observability spine must cost under 3% throughput — and embeds
 //! the instrumented run's `minim-trace/1` document in the artifact so
 //! CI can validate the trace schema end to end.
@@ -33,18 +28,12 @@ use minim_net::event::{apply_topology, Event};
 use minim_net::workload::{
     MixWorkload, MovementWorkload, Placement, PowerRaiseWorkload, RangeDist,
 };
-use minim_net::{BatchScratch, Network, NodeConfig};
+use minim_net::{Network, NodeConfig};
 use minim_sim::json::Json;
-use minim_sim::runner::{
-    run_events, run_events_batched, run_events_batched_with, ResidentExecutor, ShardHealth,
-    ValidationMode,
-};
+use minim_sim::runner::run_events;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-
-/// Workers for the batched arm.
-const WORKERS: usize = 8;
 
 /// Spatial cell hint for every network (the metropolis value).
 const CELL_HINT: f64 = 30.5;
@@ -160,17 +149,13 @@ fn build_workloads(n: usize, seed: u64, flat: bool) -> Vec<Workload> {
 
 /// Median-of-`reps` wall-clock for applying `events` to a clone of
 /// `base` through a fresh Minim strategy.
-fn time_run(w: &Workload, batched: bool, reps: usize) -> f64 {
+fn time_run(w: &Workload, reps: usize) -> f64 {
     let mut times: Vec<f64> = (0..reps)
         .map(|_| {
             let mut net = w.base.clone();
             let mut s = Minim::default();
             let t = Instant::now();
-            if batched {
-                run_events_batched(&mut s, &mut net, &w.events, ValidationMode::Off, WORKERS);
-            } else {
-                run_events(&mut s, &mut net, &w.events);
-            }
+            run_events(&mut s, &mut net, &w.events);
             t.elapsed().as_secs_f64()
         })
         .collect();
@@ -230,27 +215,23 @@ fn main() {
         for flat in [true, false] {
             let index = if flat { "flat" } else { "stratified" };
             for w in build_workloads(n, seed, flat) {
-                for batched in [false, true] {
-                    let execution = if batched { "batched" } else { "sequential" };
-                    let secs = time_run(&w, batched, reps);
-                    let eps = w.events.len() as f64 / secs;
-                    println!(
-                        "events/{}/N={n}: {index:>10} {execution:>10} {:>9.0} events/s ({} events, {:.3}s)",
-                        w.name,
-                        eps,
-                        w.events.len(),
-                        secs,
-                    );
-                    results.push(Json::obj(vec![
-                        ("workload", Json::Str(w.name.to_string())),
-                        ("n", Json::Num(n as f64)),
-                        ("index", Json::Str(index.to_string())),
-                        ("execution", Json::Str(execution.to_string())),
-                        ("events", Json::Num(w.events.len() as f64)),
-                        ("seconds", Json::Num(secs)),
-                        ("events_per_sec", Json::Num(eps)),
-                    ]));
-                }
+                let secs = time_run(&w, reps);
+                let eps = w.events.len() as f64 / secs;
+                println!(
+                    "events/{}/N={n}: {index:>10} {:>9.0} events/s ({} events, {:.3}s)",
+                    w.name,
+                    eps,
+                    w.events.len(),
+                    secs,
+                );
+                results.push(Json::obj(vec![
+                    ("workload", Json::Str(w.name.to_string())),
+                    ("n", Json::Num(n as f64)),
+                    ("index", Json::Str(index.to_string())),
+                    ("events", Json::Num(w.events.len() as f64)),
+                    ("seconds", Json::Num(secs)),
+                    ("events_per_sec", Json::Num(eps)),
+                ]));
             }
         }
     }
@@ -266,7 +247,7 @@ fn main() {
                 base: fresh(flat),
                 events: events.clone(),
             };
-            let secs = time_run(&w, false, reps);
+            let secs = time_run(&w, reps);
             events.len() as f64 / secs
         };
         let flat_eps = arm(true);
@@ -283,128 +264,6 @@ fn main() {
             ("flat_events_per_sec", Json::Num(flat_eps)),
             ("stratified_events_per_sec", Json::Num(strat_eps)),
             ("speedup", Json::Num(speedup)),
-        ]));
-    }
-
-    // Resident vs replan: metropolis churn in slices, the per-slice
-    // replanning batched executor (warm `BatchScratch`, so it pays
-    // planning work but not planning allocations) against the
-    // persistent spatial-ownership resident executor. Same event
-    // slices, same strategy — the arms must be bit-identical; the
-    // resident arm additionally reports its shard structure.
-    let mut resident_vs_replan: Vec<Json> = Vec::new();
-    {
-        let n = 4_000usize;
-        let n_slices = 20usize;
-        let per_slice = 200usize;
-        let base = base_net(n, seed, false);
-        let (placement, _) = metro_placement(seed);
-        let mix = MixWorkload {
-            steps: n_slices * per_slice,
-            join_prob: 0.3,
-            leave_prob: 0.3,
-            maxdisp: 60.0,
-            placement,
-            ranges: RangeDist::paper(),
-        };
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xC4A2);
-        let mut ghost = base.clone();
-        let mut events = Vec::with_capacity(n_slices * per_slice);
-        for _ in 0..n_slices * per_slice {
-            let e = mix.next_event(&ghost, &mut rng);
-            apply_topology(&mut ghost, &e);
-            events.push(e);
-        }
-        let slices: Vec<&[Event]> = events.chunks(per_slice).collect();
-        let reps = 3usize;
-
-        let run_replan = || {
-            let mut net = base.clone();
-            let mut s = Minim::default();
-            let mut scratch = BatchScratch::default();
-            let t = Instant::now();
-            for slice in &slices {
-                run_events_batched_with(
-                    &mut s,
-                    &mut net,
-                    slice,
-                    ValidationMode::Off,
-                    WORKERS,
-                    &mut scratch,
-                );
-            }
-            (t.elapsed().as_secs_f64(), net)
-        };
-        let run_resident = || {
-            let mut net = base.clone();
-            let mut s = Minim::default();
-            let mut exec = ResidentExecutor::new(WORKERS);
-            let mut health = ShardHealth::default();
-            let t = Instant::now();
-            for slice in &slices {
-                let m = exec.run(&mut s, &mut net, slice, ValidationMode::Off);
-                if let Some(h) = &m.shard_health {
-                    health.absorb(h);
-                }
-            }
-            (t.elapsed().as_secs_f64(), net, health)
-        };
-
-        let mut replan_times = Vec::with_capacity(reps);
-        let mut resident_times = Vec::with_capacity(reps);
-        let mut replan_net = None;
-        let mut resident_out = None;
-        for _ in 0..reps {
-            let (secs, net) = run_replan();
-            replan_times.push(secs);
-            replan_net = Some(net);
-            let (secs, net, health) = run_resident();
-            resident_times.push(secs);
-            resident_out = Some((net, health));
-        }
-        let (resident_net, health) = resident_out.expect("reps >= 1");
-        let replan_net = replan_net.expect("reps >= 1");
-        assert_eq!(
-            resident_net.snapshot_assignment(),
-            replan_net.snapshot_assignment(),
-            "resident arm must be bit-identical to the replanning arm"
-        );
-        assert_eq!(resident_net.describe(), replan_net.describe());
-        assert!(
-            health.shards > 1,
-            "metropolis churn must split across shards, got {}",
-            health.shards
-        );
-        assert!(
-            health.border_fraction() < 0.5,
-            "border-event fraction must stay bounded, got {:.3}",
-            health.border_fraction()
-        );
-        replan_times.sort_by(f64::total_cmp);
-        resident_times.sort_by(f64::total_cmp);
-        let replan_secs = replan_times[reps / 2];
-        let resident_secs = resident_times[reps / 2];
-        let replan_eps = events.len() as f64 / replan_secs;
-        let resident_eps = events.len() as f64 / resident_secs;
-        let speedup = resident_eps / replan_eps;
-        println!(
-            "resident-vs-replan/N={n}: replan {replan_eps:>9.0} events/s | resident {resident_eps:>9.0} events/s | speedup {speedup:.2}x | {} shards, border {:.3}",
-            health.shards,
-            health.border_fraction(),
-        );
-        if cores > 1 && speedup < 1.0 {
-            eprintln!("WARNING: resident executor slower than per-slice replanning at N={n}");
-        }
-        resident_vs_replan.push(Json::obj(vec![
-            ("n", Json::Num(n as f64)),
-            ("slices", Json::Num(n_slices as f64)),
-            ("events", Json::Num(events.len() as f64)),
-            ("replan_events_per_sec", Json::Num(replan_eps)),
-            ("resident_events_per_sec", Json::Num(resident_eps)),
-            ("speedup", Json::Num(speedup)),
-            ("shards", Json::Num(health.shards as f64)),
-            ("widest_shard", Json::Num(health.widest_shard as f64)),
-            ("border_fraction", Json::Num(health.border_fraction())),
         ]));
     }
 
@@ -479,12 +338,10 @@ fn main() {
     }
 
     let doc = Json::obj(vec![
-        ("schema", Json::Str("minim-bench-events/3".to_string())),
+        ("schema", Json::Str("minim-bench-events/4".to_string())),
         ("cores", Json::Num(cores as f64)),
-        ("batch_workers", Json::Num(WORKERS as f64)),
         ("results", Json::Arr(results)),
         ("lighthouse", Json::Arr(lighthouse)),
-        ("resident-vs-replan", Json::Arr(resident_vs_replan)),
         ("profile-overhead", Json::Arr(profile_overhead)),
         ("trace", trace_doc),
     ]);

@@ -30,7 +30,6 @@ fn bench_sweep_throughput(c: &mut Criterion) {
                 runs: 8,
                 seed: 0xBE7C,
                 workers,
-                ..ExperimentConfig::quick()
             };
             group.bench_with_input(BenchmarkId::new(&spec.name, workers), &cfg, |b, cfg| {
                 b.iter(|| black_box(scenario.run(cfg)))

@@ -8,7 +8,6 @@
 //! minim-lab list
 //! minim-lab show <preset>
 //! minim-lab run <preset | spec.json> [--runs K] [--seed S] [--workers W]
-//!                                    [--batched P] [--resident P]
 //!                                    [--format table|json|csv|all]
 //!                                    [--out DIR] [--metrics-out FILE]
 //!                                    [--quiet]
@@ -20,22 +19,15 @@
 //! * `show` — a preset's JSON, which doubles as a spec-file template:
 //!   `minim-lab show clustered-churn > my.json`, edit, `run my.json`.
 //! * `run` — executes the sweep, streaming per-point progress to
-//!   stderr. `--runs/--seed/--workers` override the spec's defaults;
-//!   `--batched P` switches each replicate to the wave-parallel
-//!   batched executor with `P` planning threads (bit-identical
-//!   results); `--resident P` instead keeps a persistent
-//!   spatial-ownership executor alive across a replicate's slices —
-//!   still bit-identical, and the knob for sustained-churn presets
-//!   like `metropolis`, whose shard health (shard count, border-event
-//!   fraction, events/sec) is printed with the summary; `--format`
-//!   picks the stdout rendering (default `table`); `--out DIR`
+//!   stderr. `--runs/--seed/--workers` override the spec's defaults
+//!   (`--workers` sizes the replicate fan-out; each replicate runs its
+//!   events sequentially); `--format` picks the stdout rendering (default `table`); `--out DIR`
 //!   additionally writes `<name>.json` and `<name>.csv`;
 //!   `--metrics-out FILE` resets the minim-obs registry before the
 //!   sweep and afterwards writes the full `minim-trace/1` document
 //!   (counters, gauges, latency histograms, span profile tree) to
 //!   `FILE`, with a one-screen metrics summary printed alongside the
-//!   tables. This replaces the old `MINIM_BATCH_DEBUG` eprintln hook:
-//!   the batched/resident phase timings now land on spans.
+//!   tables.
 //! * `serve-replay` — opens (or creates) a durable engine directory:
 //!   recovery replays the journal, prints the [`RecoveryReport`], and
 //!   with `--gen N` feeds `N` fresh churn events through the
@@ -47,7 +39,7 @@
 //! [`RecoveryReport`]: minim_serve::RecoveryReport
 
 use minim_sim::scenario::{Scenario, ScenarioSpec, SweepProgress, SweepResult};
-use minim_sim::{ascii_plot, presets, Execution};
+use minim_sim::{ascii_plot, presets};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -56,7 +48,7 @@ fn usage() -> ! {
         "minim-lab — declarative scenario lab\n\n\
          USAGE:\n  minim-lab list\n  minim-lab show <preset>\n  \
          minim-lab run <preset | spec.json> [--runs K] [--seed S] [--workers W]\n\
-         \u{20}                                  [--batched P] [--resident P] [--format table|json|csv|all]\n\
+         \u{20}                                  [--format table|json|csv|all]\n\
          \u{20}                                  [--out DIR] [--metrics-out FILE] [--quiet]\n  \
          minim-lab serve-replay <dir> [--gen N] [--seed S] [--strategy Minim|CP|BBB] [--snapshot-every K]\n\n\
          Presets: see `minim-lab list`. A spec file is the JSON printed by `show`."
@@ -116,8 +108,6 @@ struct RunArgs {
     runs: Option<usize>,
     seed: Option<u64>,
     workers: Option<usize>,
-    batched: Option<usize>,
-    resident: Option<usize>,
     format: String,
     out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
@@ -130,8 +120,6 @@ fn parse_run_args(argv: &[String]) -> RunArgs {
         runs: None,
         seed: None,
         workers: None,
-        batched: None,
-        resident: None,
         format: "table".into(),
         out: None,
         metrics_out: None,
@@ -169,24 +157,6 @@ fn parse_run_args(argv: &[String]) -> RunArgs {
                         .ok()
                         .filter(|&n: &usize| n > 0)
                         .unwrap_or_else(|| die("--workers needs a positive integer")),
-                )
-            }
-            "--batched" => {
-                args.batched = Some(
-                    parse_next(&mut i, "--batched")
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| die("--batched needs a positive worker count")),
-                )
-            }
-            "--resident" => {
-                args.resident = Some(
-                    parse_next(&mut i, "--resident")
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .unwrap_or_else(|| die("--resident needs a positive worker count")),
                 )
             }
             "--format" => {
@@ -243,12 +213,6 @@ fn cmd_run(argv: &[String]) -> ExitCode {
     if let Some(workers) = args.workers {
         cfg.workers = workers;
     }
-    if let Some(planners) = args.batched {
-        cfg.execution = Execution::Batched { workers: planners };
-    }
-    if let Some(workers) = args.resident {
-        cfg.execution = Execution::Resident { workers };
-    }
     let scenario = Scenario::new(spec).unwrap_or_else(|e| die(&e.to_string()));
     if !args.quiet {
         eprintln!(
@@ -290,15 +254,6 @@ fn emit(args: &RunArgs, result: &SweepResult) -> ExitCode {
                 result.runs,
                 result.wall_clock
             );
-            if let Some(h) = &result.shard_health {
-                println!(
-                    "shards: {} active, widest {}, border fraction {:.3}, {:.0} events/s",
-                    h.shards,
-                    h.widest_shard,
-                    h.border_fraction(),
-                    h.events_per_sec
-                );
-            }
             print!("{}", metrics_summary(result));
             if args.format == "all" {
                 println!("{}", result.to_json_string());

@@ -37,8 +37,8 @@
 //! deterministic.
 
 use crate::{
-    commit_plan, debug_assert_locally_valid, range_direction, BatchLocality, ColorPlan,
-    EventEffect, RecodeOutcome, RecodingStrategy,
+    commit_plan, debug_assert_locally_valid, range_direction, ColorPlan, EventEffect,
+    RecodeOutcome, RecodingStrategy,
 };
 use minim_geom::Point;
 use minim_graph::{conflict, hops};
@@ -113,8 +113,7 @@ impl Cp {
     /// view, then reselects in descending identity order with the
     /// lowest-available rule. The network itself is untouched — the
     /// interleaved read-after-write the protocol needs happens on the
-    /// view overlay, which is what lets many CP plans run concurrently
-    /// in batched execution.
+    /// view overlay, so planning stays a pure read of the network.
     fn reselect_plan(
         &self,
         net: &Network,
@@ -258,11 +257,6 @@ impl Cp {
 impl RecodingStrategy for Cp {
     fn name(&self) -> &'static str {
         "CP"
-    }
-
-    /// CP's rule set is explicitly 2-hop local (§3), so it batches.
-    fn batch_locality(&self) -> BatchLocality {
-        BatchLocality::Neighborhood
     }
 
     fn plan_batched(

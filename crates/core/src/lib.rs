@@ -80,21 +80,6 @@ pub struct EventEffect {
     pub outcome: RecodeOutcome,
 }
 
-/// How far one event's handling can reach into the network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchLocality {
-    /// Every read and write stays within the event's spatial
-    /// neighborhood (bounded graph hops from the initiator), so
-    /// spatially disjoint events commute and their plans may run
-    /// concurrently. Minim and CP qualify — this is the paper's
-    /// locality claim.
-    Neighborhood,
-    /// Handling may touch arbitrary state (BBB recolors the whole
-    /// network; instrumentation wrappers accumulate global counters).
-    /// Batched execution degrades to sequential for such strategies.
-    Global,
-}
-
 /// The color writes one event's planning decided on, in application
 /// order. Committing a plan (see [`commit_plan`]) sets each pair on
 /// the real assignment; writes that match the node's current color are
@@ -176,40 +161,27 @@ pub trait RecodingStrategy {
         self.on_set_range_delta(net, id, range).outcome
     }
 
-    /// How far this strategy's event handling reaches. Strategies
-    /// whose reads and writes stay within the event's neighborhood
-    /// return [`BatchLocality::Neighborhood`] and implement
-    /// [`RecodingStrategy::plan_batched`]; the conservative default
-    /// ([`BatchLocality::Global`]) makes batched execution fall back
-    /// to the sequential path.
-    fn batch_locality(&self) -> BatchLocality {
-        BatchLocality::Global
-    }
-
-    /// Plans the color writes for an event whose **topology has
-    /// already been applied** to `net` (yielding `delta`), without
-    /// mutating anything — the parallel-safe phase of batched
-    /// execution.
+    /// The pure planning half of the handler: plans the color writes
+    /// for an event whose **topology has already been applied** to
+    /// `net` (yielding `delta`), without mutating anything.
     ///
-    /// Contract (for [`BatchLocality::Neighborhood`] strategies): the
-    /// plan must depend only on state within the event's neighborhood,
-    /// and committing it via [`commit_plan`] must leave the network in
-    /// exactly the state the sequential `on_*_delta` handler would
-    /// have produced. Minim and CP implement their sequential handlers
-    /// *through* this method, so the equivalence holds by
-    /// construction.
+    /// Contract: the plan depends only on state within the event's
+    /// neighborhood (the paper's locality claim), and committing it
+    /// via [`commit_plan`] leaves the network in exactly the state the
+    /// `on_*_delta` handler would have produced. Minim and CP
+    /// implement their handlers *through* this method, so the
+    /// equivalence holds by construction.
     ///
     /// # Panics
-    /// The default implementation panics: global strategies have no
-    /// batch plan, and the executor must not call this after checking
-    /// [`RecodingStrategy::batch_locality`].
+    /// The default implementation panics: strategies that recolor
+    /// globally (BBB) have no local plan.
     fn plan_batched(
         &self,
         _net: &Network,
         _applied: &AppliedEvent,
         _delta: &TopologyDelta,
     ) -> ColorPlan {
-        unreachable!("plan_batched requires batch_locality() == Neighborhood")
+        unreachable!("this strategy has no local plan")
     }
 
     /// Applies an [`Event`], returning both the topology delta and the
@@ -295,9 +267,9 @@ impl StrategyKind {
     /// sub-figures 10(c,f), 11(c), 12(a,d)).
     pub const DISTRIBUTED: [StrategyKind; 2] = [StrategyKind::Minim, StrategyKind::Cp];
 
-    /// Instantiates the strategy. The trait object is `Send + Sync`
-    /// so the batched executor can share it across planning workers.
-    pub fn build(self) -> Box<dyn RecodingStrategy + Send + Sync> {
+    /// Instantiates the strategy. The trait object is `Send` so a
+    /// replicate or an engine can own it on any thread.
+    pub fn build(self) -> Box<dyn RecodingStrategy + Send> {
         match self {
             StrategyKind::Minim => Box::new(Minim::default()),
             StrategyKind::Cp => Box::new(Cp::default()),

@@ -29,8 +29,8 @@
 //! construction and is tested below.
 
 use crate::{
-    commit_plan, debug_assert_locally_valid, range_direction, BatchLocality, ColorPlan,
-    EventEffect, RecodeOutcome, RecodingStrategy,
+    commit_plan, debug_assert_locally_valid, range_direction, ColorPlan, EventEffect,
+    RecodeOutcome, RecodingStrategy,
 };
 use minim_geom::Point;
 use minim_graph::conflict;
@@ -77,8 +77,7 @@ impl Minim {
     /// `n` may or may not hold an old color.
     ///
     /// Thin wrapper: [`Minim::plan_matching`] decides, [`commit_plan`]
-    /// applies — the same decomposition batched execution uses, so
-    /// sequential and batched runs agree by construction.
+    /// applies.
     fn matching_recode(&self, net: &mut Network, delta: &TopologyDelta) -> RecodeOutcome {
         let plan = self.plan_matching(net, delta);
         let outcome = commit_plan(net, &plan);
@@ -89,10 +88,9 @@ impl Minim {
     /// Plans the join/move recoding **without mutating the network**.
     /// All reads stay within two graph hops of the recode set (the
     /// members' external constraints), i.e. within the event's
-    /// neighborhood — the `BatchLocality::Neighborhood` contract.
+    /// neighborhood, as the paper's locality claim says.
     ///
-    /// Runs this thread's [`RecodePlanner`], so executor workers
-    /// planning concurrently each reuse their own scratch.
+    /// Runs this thread's [`RecodePlanner`], reusing its scratch.
     fn plan_matching(&self, net: &Network, delta: &TopologyDelta) -> ColorPlan {
         let mut plan = ColorPlan::new();
         with_planner(|p| p.plan_into(net, delta, self.keep_weight, &mut plan));
@@ -196,8 +194,8 @@ pub struct RecodePlanner {
     colors: Vec<Color>,
 }
 
-/// The calling thread's planner. `plan_batched` takes `&self` and runs
-/// on executor worker threads, so the scratch cannot live in [`Minim`].
+/// The calling thread's planner. `plan_batched` takes `&self`, so the
+/// scratch cannot live in [`Minim`] without interior mutability.
 fn with_planner<R>(f: impl FnOnce(&mut RecodePlanner) -> R) -> R {
     thread_local! {
         static PLANNER: RefCell<RecodePlanner> = RefCell::new(RecodePlanner::default());
@@ -544,12 +542,6 @@ pub fn plan_recode(old: &[Option<Color>], forbidden: &[Vec<u32>], keep_weight: i
 impl RecodingStrategy for Minim {
     fn name(&self) -> &'static str {
         "Minim"
-    }
-
-    /// Minim is the paper's locality result made code: every handler
-    /// reads and writes within the event's neighborhood.
-    fn batch_locality(&self) -> BatchLocality {
-        BatchLocality::Neighborhood
     }
 
     fn plan_batched(

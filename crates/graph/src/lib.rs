@@ -25,8 +25,7 @@
 //! * [`ugraph`] — a dense undirected graph view used by the coloring
 //!   heuristics (`minim-coloring`) and by clique lower bounds.
 //! * [`unionfind`] — a deterministic (min-root-wins) disjoint-set
-//!   forest, shared by `minim-net`'s batch sharding and
-//!   `minim-power`'s island-parallel relaxation.
+//!   forest, used by `minim-power`'s island-parallel relaxation.
 
 #![deny(missing_docs)]
 

@@ -1,14 +1,11 @@
 //! Deterministic union-find (disjoint-set forest) over dense indices.
 //!
-//! Two independent subsystems partition work into conflict-free groups
-//! with the same little structure: `minim-net`'s `BatchPlan` merges
-//! events whose claimed grid cells overlap into shards, and
-//! `minim-power`'s island scheduler merges worklist rows connected
-//! through the transposed interference index into independently
-//! relaxable islands. Both need the *same* determinism guarantee: the
-//! root of a component must not depend on union order, so group
-//! identities (shard ids, island ids) are reproducible across runs and
-//! worker counts.
+//! `minim-power`'s island scheduler partitions its relaxation worklist
+//! into conflict-free groups with this structure: it merges worklist
+//! rows connected through the transposed interference index into
+//! independently relaxable islands. It needs a determinism guarantee:
+//! the root of a component must not depend on union order, so island
+//! ids are reproducible across runs and worker counts.
 //!
 //! [`UnionFind`] pins that down by always attaching the larger root
 //! index under the smaller (min-root-wins): the root of a component is

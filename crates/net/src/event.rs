@@ -107,11 +107,9 @@ pub fn apply_topology(net: &mut Network, event: &Event) -> AppliedEvent {
 /// [`apply_topology`] keeping the [`crate::TopologyDelta`] and
 /// optionally pinning the id a join allocates.
 ///
-/// The batch executor applies a wave's events out of original order;
-/// passing each join's sequentially pre-assigned id (from
-/// [`Network::peek_next_id`](crate::Network::peek_next_id) accounting)
-/// keeps id allocation — and therefore every downstream color decision
-/// — bit-identical to sequential execution. `join_id` is ignored for
+/// `None` allocates the join's id with
+/// [`Network::next_id`](crate::Network::next_id); `Some(id)` inserts
+/// under a caller-chosen id instead. `join_id` is ignored for
 /// non-join events.
 ///
 /// # Panics

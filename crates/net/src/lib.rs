@@ -49,20 +49,13 @@ use minim_geom::{Point, Rect, Segment, SegmentGrid, StratifiedGrid};
 use minim_graph::conflict;
 use minim_graph::{Assignment, Color, DiGraph, NodeId};
 
-pub mod batch;
-pub mod shardmap;
-pub use batch::{BatchPlan, BatchScratch};
-pub use shardmap::{Disposition, ShardMap, SliceRoute};
-
 /// Structural digest of a [`Network`]: node count, id watermark, edge
 /// count, max color index. Cheap (`O(1)`) to compute.
 ///
-/// Two uses share this definition: the resident executor's reseed
-/// check (detecting that someone mutated the network outside the
-/// executor between runs) and `minim-serve`'s recovery verification
-/// (a restored snapshot must fingerprint-match what was persisted).
-/// It is deliberately *not* a full state hash — see
-/// [`Network::state_digest`] for the strong form.
+/// `minim-serve`'s recovery verification uses it: a restored snapshot
+/// must fingerprint-match what was persisted. It is deliberately *not*
+/// a full state hash — see [`Network::state_digest`] for the strong
+/// form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkFingerprint {
     /// Present node count.
@@ -260,25 +253,6 @@ impl Network {
         }
     }
 
-    /// An empty network with this network's spatial-index
-    /// configuration (cell hint, flat/stratified mode) and obstacles,
-    /// but no nodes. Shard execution builds its private subnetworks
-    /// with this so both arms of a flat-vs-stratified comparison keep
-    /// their index mode through batching.
-    pub fn fresh_like(&self) -> Network {
-        let hint = self.cell_size_hint();
-        let grid = if self.grid.is_flat() {
-            StratifiedGrid::new_flat(hint)
-        } else {
-            StratifiedGrid::new(hint)
-        };
-        let mut net = Network::with_grid(grid, hint);
-        for wall in self.obstacles.walls() {
-            net.obstacles.insert(*wall);
-        }
-        net
-    }
-
     /// Adds an opaque wall (§2's non-free-space generalization) and
     /// rewires every node's links. Obstacles only *remove* edges, i.e.
     /// only remove constraints, so a valid assignment stays valid.
@@ -343,9 +317,8 @@ impl Network {
     }
 
     /// The id the next [`Network::next_id`] call would return, without
-    /// allocating it. Batch planning pre-assigns join ids with this so
-    /// out-of-order (wave) application allocates the same ids as
-    /// sequential execution.
+    /// allocating it. Callers that must know a join's id before
+    /// applying it (event generators, snapshot encoding) read it here.
     pub fn peek_next_id(&self) -> NodeId {
         NodeId(self.next_id)
     }
@@ -354,16 +327,14 @@ impl Network {
     /// **derived from range-tier occupancy** (the scan radius of the
     /// highest occupied tier; at most 2× the true maximum). Unlike the
     /// old monotone watermark it *tightens* when long-range nodes
-    /// shrink or leave — so batch planning's conservative claim radii
-    /// shrink with it, widening the attainable shard parallelism. In a
-    /// [`Network::new_flat`] network this is the legacy monotone
-    /// watermark.
+    /// shrink or leave. In a [`Network::new_flat`] network this is the
+    /// legacy monotone watermark.
     pub fn range_bound(&self) -> f64 {
         self.grid.range_bound()
     }
 
-    /// The spatial-index cell size this network was built with. Shard
-    /// execution sizes its per-shard subnetworks with the same hint.
+    /// The spatial-index cell size this network was built with.
+    /// Snapshots record it so a restore rebuilds the same index.
     pub fn cell_size_hint(&self) -> f64 {
         self.grid.base_cell()
     }
@@ -729,9 +700,8 @@ impl Network {
         self.next_id = self.next_id.max(next);
     }
 
-    /// The structural fingerprint: `O(1)`, shared by the resident
-    /// executor's reseed check and `minim-serve`'s recovery
-    /// verification.
+    /// The structural fingerprint: `O(1)`, used by `minim-serve`'s
+    /// recovery verification.
     pub fn fingerprint(&self) -> NetworkFingerprint {
         NetworkFingerprint {
             nodes: self.node_count(),
@@ -1175,8 +1145,8 @@ mod tests {
     /// Regression for the watermark bug: `max_range_bound` never
     /// shrank after `set_range` lowered a node's range or `remove_node`
     /// deleted the longest-range node, so one lighthouse permanently
-    /// inflated every later reverse-reach scan (and every batch claim
-    /// radius). The bound is now derived from range-tier occupancy.
+    /// inflated every later reverse-reach scan. The bound is now
+    /// derived from range-tier occupancy.
     #[test]
     fn range_bound_shrinks_when_lighthouse_leaves() {
         let mut net = Network::new(25.0);

@@ -81,7 +81,7 @@ macro_rules! counter {
     };
 }
 
-/// Sets a gauge: `gauge!("resident.shards", shards as f64)`.
+/// Sets a gauge: `gauge!("power.settle.links", links as f64)`.
 #[macro_export]
 macro_rules! gauge {
     ($name:expr, $v:expr) => {
@@ -103,7 +103,7 @@ macro_rules! observe_ns {
 }
 
 /// Opens a span over the enclosing scope:
-/// `let _span = minim_obs::span!("resident.route");`. Evaluates to a
+/// `let _span = minim_obs::span!("serve.apply");`. Evaluates to a
 /// [`SpanGuard`] that records on drop.
 #[macro_export]
 macro_rules! span {

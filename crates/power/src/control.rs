@@ -545,8 +545,7 @@ pub fn relax(
 /// `j → hearers(j)` (a row only enters the worklist when a row it
 /// hears changes power). Islands are the connected components of that
 /// closure under the same relation, computed with a min-root
-/// [`UnionFind`] (the `BatchPlan` claim-cell idiom, one level down
-/// the stack):
+/// [`UnionFind`]:
 ///
 /// * every **write** of an island's run lands on one of its own rows;
 /// * every **read** of a row outside the island is of a *frozen*

@@ -28,19 +28,25 @@
 //! [`Engine::open`] loads the newest decodable snapshot (each is
 //! CRC-framed *and* self-verifies its fingerprint on rebuild), then
 //! replays the journal suffix through the strategy. The first bad
-//! frame — torn tail or bit rot — truncates the segment at the last
-//! valid boundary; the [`RecoveryReport`] says exactly how many events
-//! were replayed and how many bytes were cut. Because PRs 1–8 proved
+//! frame — torn tail or bit rot caught by the CRC — truncates the
+//! segment at the last valid boundary; the [`RecoveryReport`] says
+//! exactly how many events were replayed and how many bytes were cut.
+//! A frame whose CRC holds but whose payload does not decode is
+//! corruption or a codec bug, not a torn write, and acknowledged
+//! frames may follow it: recovery replays the prefix before it, keeps
+//! every byte on disk, and opens in read-only quarantine with a reason
+//! naming the segment and byte offset. Because PRs 1–8 proved
 //! the strategies bit-deterministic, replaying the same prefix
 //! reproduces the pre-crash state *exactly* — recovery is not
 //! approximate, and the tests assert it with whole-state digests.
 //!
 //! ## Quarantine
 //!
-//! After any write-path failure (failed append, fsync, rotation) the
-//! engine degrades to **read-only quarantine**: state accessors keep
-//! working, every mutation returns [`EngineError::Quarantined`], and
-//! the reason is preserved. This is the post-`fsync`-failure posture:
+//! After any write-path failure (failed append, fsync, rotation), or
+//! when recovery meets an undecodable frame, the engine degrades to
+//! **read-only quarantine**: state accessors keep working, every
+//! mutation returns [`EngineError::Quarantined`], and the reason is
+//! preserved. This is the post-`fsync`-failure posture:
 //! once the kernel has failed a flush, the only honest options are
 //! stop-and-reopen or silent risk, and the engine picks the former.
 
@@ -153,8 +159,9 @@ pub struct RecoveryReport {
     pub frames_replayed: u64,
     /// Journal bytes discarded past the last valid frame boundary.
     pub bytes_truncated: u64,
-    /// Structurally complete frames dropped for failing their CRC or
-    /// payload decode (torn tails count only toward `bytes_truncated`).
+    /// Structurally complete frames that failed their CRC (dropped) or
+    /// their payload decode (kept on disk, engine quarantined). Torn
+    /// tails count only toward `bytes_truncated`.
     pub corrupt_frames: u64,
     /// Total events reflected in the recovered state (snapshot base +
     /// replayed suffix). Recovered state ≡ a fresh engine fed exactly
@@ -184,7 +191,7 @@ fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
 pub struct Engine {
     fs: Box<dyn FaultFs>,
     net: Network,
-    strategy: Box<dyn RecodingStrategy + Send + Sync>,
+    strategy: Box<dyn RecodingStrategy + Send>,
     strategy_kind: StrategyKind,
     opts: EngineOptions,
     /// Live segment number; appends go to `wal-<seq>`.
@@ -271,9 +278,12 @@ impl Engine {
         let mut halted = false;
         for &w in wals.iter().filter(|&&w| w >= base_seq) {
             if halted {
-                // Unreachable continuation past a damaged segment: the
-                // events in it depend on state we truncated away.
-                let _ = fs.remove(&wal_name(w));
+                // Past a truncated segment: the events in it depend
+                // on state we cut away. Past an undecodable frame, the
+                // bytes stay on disk for inspection.
+                if quarantine.is_none() {
+                    let _ = fs.remove(&wal_name(w));
+                }
                 continue;
             }
             seq = w;
@@ -285,9 +295,10 @@ impl Engine {
 
             // Replay the valid prefix, watching for frames whose CRC
             // holds but whose payload doesn't decode (writer bug or
-            // CRC-colliding rot): those truncate too.
+            // CRC-colliding rot). Such a frame is not a torn write:
+            // the frames after it were acknowledged, so nothing is
+            // cut. Recovery stops there and opens read-only.
             let mut offset = 0usize;
-            let mut bad_payload = false;
             for payload in &scanned.frames {
                 match codec::decode_event(&String::from_utf8_lossy(payload)) {
                     Ok(event) => {
@@ -296,24 +307,25 @@ impl Engine {
                         report.frames_replayed += 1;
                         offset += FRAME_HEADER + payload.len();
                     }
-                    Err(_) => {
-                        bad_payload = true;
+                    Err(e) => {
+                        report.corrupt_frames += 1;
+                        quarantine =
+                            Some(format!("undecodable frame in {name} at byte {offset}: {e}"));
+                        halted = true;
                         break;
                     }
                 }
             }
+            if halted {
+                continue;
+            }
 
-            let cut_at = if bad_payload {
-                offset
-            } else {
-                scanned.valid_len
-            };
-            if bad_payload || scanned.is_damaged() {
-                report.bytes_truncated += (bytes.len() - cut_at) as u64;
-                if bad_payload || scanned.end == ScanEnd::CorruptFrame {
+            if scanned.is_damaged() {
+                report.bytes_truncated += scanned.bytes_truncated as u64;
+                if scanned.end == ScanEnd::CorruptFrame {
                     report.corrupt_frames += 1;
                 }
-                if let Err(source) = fs.truncate(&name, cut_at as u64) {
+                if let Err(source) = fs.truncate(&name, scanned.valid_len as u64) {
                     quarantine = Some(format!("recovery truncate failed: {source}"));
                 }
                 halted = true;
@@ -323,12 +335,15 @@ impl Engine {
 
         // Stale generations below the base are leftovers of an
         // interrupted rotation; clear them (best-effort — recovery
-        // tolerates them either way).
-        for &w in wals.iter().filter(|&&w| w < base_seq) {
-            let _ = fs.remove(&wal_name(w));
-        }
-        for &s in snaps.iter().filter(|&&s| s != base_seq) {
-            let _ = fs.remove(&snap_name(s));
+        // tolerates them either way). A quarantined open writes
+        // nothing.
+        if quarantine.is_none() {
+            for &w in wals.iter().filter(|&&w| w < base_seq) {
+                let _ = fs.remove(&wal_name(w));
+            }
+            for &s in snaps.iter().filter(|&&s| s != base_seq) {
+                let _ = fs.remove(&snap_name(s));
+            }
         }
 
         Ok(Engine {

@@ -2,7 +2,7 @@
 //!
 //! Everything upstream of this crate is deterministic by proof: the
 //! strategies in `minim-core` produce bit-identical state for a given
-//! event stream (the resident/batched equivalence suites pin this).
+//! event stream (the delta and planner equivalence suites pin this).
 //! `minim-serve` turns that determinism into **crash safety**: if
 //! every applied event is durably journaled first, then any crash
 //! leaves a valid prefix of the stream on disk, and replaying that

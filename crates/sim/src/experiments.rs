@@ -529,7 +529,6 @@ mod tests {
             runs: 3,
             seed: 42,
             workers: 2,
-            execution: crate::runner::Execution::Sequential,
         }
     }
 
@@ -560,7 +559,6 @@ mod tests {
             runs: 12,
             seed: 42,
             workers: 4,
-            execution: crate::runner::Execution::Sequential,
         };
         let figs = fig10_vs_n(&cfg, &[40, 80]);
         assert_eq!(figs.colors.rows.len(), 2);
@@ -591,7 +589,6 @@ mod tests {
                 runs: 3,
                 seed: 7,
                 workers: 1,
-                execution: crate::runner::Execution::Sequential,
             },
             &[15],
         );
@@ -600,7 +597,6 @@ mod tests {
                 runs: 3,
                 seed: 7,
                 workers: 8,
-                execution: crate::runner::Execution::Sequential,
             },
             &[15],
         );

@@ -49,7 +49,7 @@ pub mod trace;
 pub use compare::{paired_compare, PairedComparison};
 pub use metrics::{Stats, Table};
 pub use plot::ascii_plot;
-pub use runner::{run_events, run_events_batched, Execution, ResidentExecutor, ShardHealth};
+pub use runner::run_events;
 pub use scenario::{
     ExperimentConfig, Measure, PhaseSpec, Scenario, ScenarioSpec, SweepAxis, SweepResult,
     TopologyFamily,

@@ -142,16 +142,11 @@ pub fn corridor_joins() -> ScenarioSpec {
 /// length) dotted with dense, well-separated Poisson-clustered hot
 /// spots, joins in the thousands, then a **sustained-churn phase**
 /// (interleaved joins, leaves, and moves on the standing population).
-/// This is the workload the dense-slab storage and the sharded
-/// executors exist for — run it with `Execution::Batched { workers }`
-/// (`minim-lab run metropolis --batched 8`) for per-slice sharding, or
-/// `Execution::Resident { workers }` (`--resident 8`) to keep
-/// persistent spatial-ownership shards alive across the churn, both
-/// bit-identical to sequential execution. The churn phase is what
-/// actually exercises the resident executor's steady state: slice
-/// after slice against standing shard subnetworks, with the lab
-/// reporting shard health (`shards`, `widest`, border fraction,
-/// events/sec) from the run.
+/// Each replicate runs its events sequentially; with few, huge
+/// replicates, `minim-lab run metropolis --runs 1 --workers 2` is the
+/// usual invocation. Sharding one replicate's events across threads
+/// was tried and lost to sequential on this workload (see "Intra-
+/// replicate executors (removed)" in `docs/ARCHITECTURE.md`).
 ///
 /// BBB is excluded: recoloring the entire network at every one of
 /// thousands of events is O(N²·deg) per replicate and adds nothing to

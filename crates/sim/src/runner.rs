@@ -11,18 +11,15 @@
 //! the control arm: the `delta` bench in `crates/bench` measures the
 //! two against each other on the Fig 10 join sweep.
 
-use crate::par::parallel_map;
-use minim_core::{commit_plan, BatchLocality, RecodeOutcome, RecodingStrategy};
-use minim_geom::Point;
+use minim_core::RecodingStrategy;
 use minim_graph::conflict;
-use minim_net::event::{apply_topology, apply_topology_delta, Event};
+use minim_net::event::{apply_topology, Event};
 use minim_net::workload::MovementWorkload;
-use minim_net::{BatchPlan, BatchScratch, Disposition, Network, NodeConfig, ShardMap, SliceRoute};
+use minim_net::Network;
 use rand::Rng;
-use std::sync::Mutex;
 
 /// Accumulated §5 metrics for one phase of a run.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseMetrics {
     /// Total recodings performed during the phase.
     pub recodings: usize,
@@ -31,89 +28,6 @@ pub struct PhaseMetrics {
     /// Total digraph edge insertions + removals over the phase — the
     /// summed per-event `Δ`, read off the topology deltas.
     pub edge_churn: usize,
-    /// Partition-quality counters when the phase ran on the resident
-    /// executor; `None` on every other path. Excluded from `==` (like
-    /// the lab's wall-clock fields) so resident and sequential runs of
-    /// the same stream compare metric-identical.
-    pub shard_health: Option<ShardHealth>,
-}
-
-impl PartialEq for PhaseMetrics {
-    fn eq(&self, other: &Self) -> bool {
-        self.recodings == other.recodings
-            && self.max_color == other.max_color
-            && self.edge_churn == other.edge_churn
-    }
-}
-
-/// Partition-quality counters of one resident run ([`Execution::
-/// Resident`]): how many ownership shards are live, how big the
-/// largest resident subnetwork is, and how much of the stream had to
-/// serialize through the border pass. Everything except the
-/// throughput is derived from routing and topology alone — never from
-/// thread scheduling — so the counters are **workers-invariant**
-/// (pinned by `tests/resident_equivalence.rs`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardHealth {
-    /// Shards owning at least one grid cell.
-    pub shards: u32,
-    /// Node count of the largest resident subnetwork at phase end.
-    pub widest_shard: u32,
-    /// Events that crossed a shard frontier (ran serialized).
-    pub border_events: usize,
-    /// Total events executed on the resident path.
-    pub events: usize,
-    /// Resident-path throughput (0 when unmeasurably fast). Excluded
-    /// from `==` — timing is machine noise, not partition quality.
-    pub events_per_sec: f64,
-}
-
-impl ShardHealth {
-    /// Fraction of the stream serialized through the border pass —
-    /// the resident executor's parallelism ceiling.
-    pub fn border_fraction(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.border_events as f64 / self.events as f64
-        }
-    }
-
-    /// Folds another run's counters into this one (counters sum,
-    /// structure maxes, throughput duration-weight-averages) — how the
-    /// lab accumulates health across the rounds of a phase.
-    ///
-    /// The merged rate is total events over total wall-clock, with
-    /// each side's wall-clock recovered as `events / events_per_sec`.
-    /// Weighting the *rates* by event counts instead would skew
-    /// whenever rounds run unequal wall-clock: a fast burst with many
-    /// events would outvote a slow round that dominated real time.
-    /// Sides with an unmeasurable rate (`events_per_sec == 0`)
-    /// contribute no time and no events to the quotient.
-    pub fn absorb(&mut self, other: &ShardHealth) {
-        let mut timed_events = 0.0f64;
-        let mut secs = 0.0f64;
-        for h in [&*self, other] {
-            if h.events_per_sec > 0.0 && h.events > 0 {
-                timed_events += h.events as f64;
-                secs += h.events as f64 / h.events_per_sec;
-            }
-        }
-        self.events_per_sec = if secs > 0.0 { timed_events / secs } else { 0.0 };
-        self.shards = self.shards.max(other.shards);
-        self.widest_shard = self.widest_shard.max(other.widest_shard);
-        self.border_events += other.border_events;
-        self.events += other.events;
-    }
-}
-
-impl PartialEq for ShardHealth {
-    fn eq(&self, other: &Self) -> bool {
-        self.shards == other.shards
-            && self.widest_shard == other.widest_shard
-            && self.border_events == other.border_events
-            && self.events == other.events
-    }
 }
 
 /// How (and whether) the event loop checks CA1/CA2 after each event.
@@ -180,678 +94,6 @@ pub fn run_events_validated(
         recodings,
         max_color: net.max_color_index(),
         edge_churn,
-        shard_health: None,
-    }
-}
-
-/// How a scenario executes its per-replicate event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Execution {
-    /// One event at a time, in order — [`run_events`].
-    #[default]
-    Sequential,
-    /// Conflict-free waves with concurrent recode planning —
-    /// [`run_events_batched`] with the given worker count. Pinned
-    /// bit-identical to [`Execution::Sequential`]; worthwhile for
-    /// large-N single scenarios (the `metropolis` preset), where one
-    /// replicate is itself the bottleneck.
-    Batched {
-        /// Planning worker threads per replicate.
-        workers: usize,
-    },
-    /// Persistent spatial-ownership shards — a [`ResidentExecutor`]
-    /// kept alive across slices, so steady-state churn routes events
-    /// to long-lived resident subnetworks in `O(events)` instead of
-    /// re-planning and re-extracting `O(N)` state per slice. Pinned
-    /// bit-identical to [`Execution::Sequential`]
-    /// (`tests/resident_equivalence.rs`).
-    Resident {
-        /// Wave worker threads per replicate.
-        workers: usize,
-    },
-}
-
-/// What one shard's isolated execution reports back for the merge.
-struct ShardRun {
-    /// The shard's subnetwork after all of its events ran.
-    sub: Network,
-    /// Recodings performed across the shard's events.
-    recodings: usize,
-    /// Summed per-event edge churn.
-    edge_churn: usize,
-}
-
-/// Executes one shard's events end-to-end on its private subnetwork:
-/// topology (with pinned join ids), recode planning through the same
-/// `plan_batched` path the sequential handlers use, commit, and
-/// optional delta validation.
-fn run_shard(
-    strategy: &(dyn RecodingStrategy + Sync),
-    mut sub: Network,
-    events: &[Event],
-    shard: &[usize],
-    plan: &BatchPlan,
-    mode: ValidationMode,
-) -> ShardRun {
-    let mut recodings = 0usize;
-    let mut edge_churn = 0usize;
-    for &i in shard {
-        let (applied, delta) = apply_topology_delta(&mut sub, &events[i], plan.join_id(i));
-        let color_plan = strategy.plan_batched(&sub, &applied, &delta);
-        let outcome = commit_plan(&mut sub, &color_plan);
-        recodings += outcome.recodings();
-        edge_churn += delta.edge_churn();
-        if mode == ValidationMode::Delta {
-            let seeds = minim_core::validation_seeds(&delta, &outcome);
-            if let Err(v) = conflict::validate_delta(sub.graph(), sub.assignment(), &seeds) {
-                panic!("event {applied:?} left a CA1/CA2 violation: {v}");
-            }
-        }
-    }
-    ShardRun {
-        sub,
-        recodings,
-        edge_churn,
-    }
-}
-
-/// [`run_events`] with intra-scenario parallelism — the sharded batch
-/// executor. [`BatchPlan`] partitions `events` into spatially
-/// independent shards; each shard then executes **end-to-end**
-/// (topology, recode planning, commit, validation) on a private
-/// subnetwork holding exactly the nodes inside the shard's claimed
-/// region, with all shards running concurrently on `workers` threads.
-/// Afterwards the main network is brought up to date: the event
-/// topology is replayed in original order (cheap — `O(Δ)` per event)
-/// and each shard's final colors are copied back (shards write
-/// disjoint node sets, so the merge order is immaterial).
-///
-/// **Bit-identical to [`run_events_validated`]** for every strategy:
-/// the shard partition is conservative (everything a shard's events
-/// read or write lies inside its claimed region, and distinct shards'
-/// regions are disjoint), events keep their relative order within a
-/// shard, join ids are pre-assigned in sequential order, and the
-/// batchable strategies' sequential handlers run through the same
-/// `plan_batched` + `commit_plan` decomposition the shards use.
-/// Strategies that declare [`BatchLocality::Global`] (BBB,
-/// instrumentation wrappers), [`ValidationMode::Full`] runs, worker
-/// counts ≤ 1, and single-shard plans (spatially inseparable batches,
-/// e.g. global movement rounds) all fall back to the sequential path —
-/// correctness never depends on the caller picking the right mode.
-///
-/// # Panics
-/// Panics on the first event whose aftermath violates CA1/CA2 (when
-/// validating), like the sequential runner.
-pub fn run_events_batched(
-    strategy: &mut (dyn RecodingStrategy + Sync),
-    net: &mut Network,
-    events: &[Event],
-    mode: ValidationMode,
-    workers: usize,
-) -> PhaseMetrics {
-    run_events_batched_with(
-        strategy,
-        net,
-        events,
-        mode,
-        workers,
-        &mut BatchScratch::default(),
-    )
-}
-
-/// [`run_events_batched`] with caller-held planning buffers: repeated
-/// slices recycle the union-find, shard vectors, and claim maps
-/// through `scratch` instead of reallocating them per slice (the
-/// legacy-path half of the allocation discipline;
-/// `tests/alloc_smoke.rs` pins the planner side). The `events` bench's
-/// `resident-vs-replan` arm runs the replan arm through this so the
-/// comparison isolates the *architecture* (persistent shards vs
-/// per-slice replanning), not allocator noise.
-pub fn run_events_batched_with(
-    strategy: &mut (dyn RecodingStrategy + Sync),
-    net: &mut Network,
-    events: &[Event],
-    mode: ValidationMode,
-    workers: usize,
-    scratch: &mut BatchScratch,
-) -> PhaseMetrics {
-    if workers <= 1
-        || events.len() <= 1
-        || strategy.batch_locality() == BatchLocality::Global
-        || mode == ValidationMode::Full
-    {
-        return run_events_validated(strategy, net, events, mode);
-    }
-    // Phase timings land on minim-obs spans (`batch.plan` /
-    // `batch.extract` / `batch.shards` / `batch.merge`) — run the lab
-    // with `--metrics-out` to see the profile tree.
-    let plan = {
-        let _span = minim_obs::span!("batch.plan");
-        BatchPlan::new_with(scratch, net, events)
-    };
-    if plan.shard_count() <= 1 {
-        plan.recycle(scratch);
-        return run_events_validated(strategy, net, events, mode);
-    }
-    let strategy: &(dyn RecodingStrategy + Sync) = strategy;
-
-    // Populate each shard's subnetwork with the present nodes inside
-    // its claimed region (configuration + color). Everything a shard
-    // reads or writes lives there; nodes outside every claim are
-    // untouched by the whole batch.
-    // `fresh_like` preserves the cell hint, the flat/stratified index
-    // mode, and the obstacle set, so shards execute with the same
-    // index behavior as the parent network.
-    let extract_span = minim_obs::span!("batch.extract");
-    let mut subs: Vec<Network> = (0..plan.shard_count()).map(|_| net.fresh_like()).collect();
-    for id in net.iter_nodes().collect::<Vec<_>>() {
-        let cfg = net.config(id).expect("listed node has a config");
-        if let Some(s) = plan.shard_of_point(&cfg.pos) {
-            subs[s].insert_node(id, cfg);
-            if let Some(c) = net.assignment().get(id) {
-                subs[s].set_color(id, c);
-            }
-        }
-    }
-
-    // Run every shard concurrently. Each job takes ownership of its
-    // subnetwork; the shared state (strategy, events, plan) is
-    // read-only.
-    let jobs: Vec<(usize, Mutex<Option<Network>>)> = subs
-        .drain(..)
-        .map(|sub| Mutex::new(Some(sub)))
-        .enumerate()
-        .collect();
-    drop(extract_span);
-    let results = {
-        let _span = minim_obs::span!("batch.shards");
-        parallel_map(&jobs, workers, |(s, slot)| {
-            let sub = slot
-                .lock()
-                .expect("subnet slot poisoned")
-                .take()
-                .expect("each shard job runs exactly once");
-            run_shard(strategy, sub, events, &plan.shards()[*s], &plan, mode)
-        })
-    };
-
-    // Merge: replay the topology on the main network in original event
-    // order (identical deltas — each shard's subgraph is faithful),
-    // then copy back each shard's colors. Shards write disjoint node
-    // sets; unrecoded nodes are rewritten with their existing color.
-    let merge_span = minim_obs::span!("batch.merge");
-    for (i, e) in events.iter().enumerate() {
-        apply_topology_delta(net, e, plan.join_id(i));
-    }
-    let mut recodings = 0usize;
-    let mut edge_churn = 0usize;
-    for r in &results {
-        recodings += r.recodings;
-        edge_churn += r.edge_churn;
-        for (n, c) in r.sub.assignment().iter() {
-            net.assignment_mut().set(n, c);
-        }
-    }
-    drop(merge_span);
-    plan.recycle(scratch);
-    PhaseMetrics {
-        recodings,
-        max_color: net.max_color_index(),
-        edge_churn,
-        shard_health: None,
-    }
-}
-
-/// Default resident shard count. Deliberately a constant rather than
-/// the worker count: routing, annexation, and every [`ShardHealth`]
-/// counter depend only on the shard set, so fixing it keeps the whole
-/// resident data flow — and its health telemetry — bit-identical
-/// across worker counts. Waves still scale to however many workers
-/// the caller brings (shards are dealt across threads).
-pub const DEFAULT_RESIDENT_SHARDS: usize = 8;
-
-/// The tentpole of the resident path: long-lived spatial-ownership
-/// shards that survive across event slices.
-///
-/// Where [`run_events_batched`] re-plans shards and re-extracts
-/// subnetworks from scratch on **every** slice (`O(N)` per slice just
-/// to start), a `ResidentExecutor` seeds a persistent
-/// [`ShardMap`] once and keeps one **resident subnetwork per shard**
-/// — configurations, colors, spatial index, and recycled rewire
-/// scratch — alive between [`ResidentExecutor::run`] calls. Each
-/// slice is only *routed* (`O(events · claim cells)`): interior
-/// events run concurrently on their shard's resident state in waves,
-/// frontier-crossing events serialize through a border pass on the
-/// main network with the touched replicas refreshed in `O(Δ)`, and
-/// the main network is kept current by an `O(Δ)`-per-event replay.
-/// Steady-state churn therefore never touches `O(N)` state.
-///
-/// **Bit-identical to sequential execution.** The wave/border
-/// schedule is conflict-serializable to the original event order
-/// (`minim_net::shardmap` module docs give the argument), each
-/// replica is a faithful restriction of the main network to its owned
-/// region (the refresh rules in `refresh_after_border` maintain
-/// exactly that invariant), and join ids are pre-assigned in routing
-/// order — so every event observes the same local state it would have
-/// seen sequentially. `tests/resident_equivalence.rs` pins this
-/// across strategies × workers × adversarial frontier-crossing
-/// streams.
-///
-/// The executor assumes it owns the network between runs: structural
-/// drift from outside mutation (node/edge/id/color-watermark changes)
-/// is detected by a fingerprint and triggers a transparent reseed;
-/// callers that recolor nodes without changing any of those four
-/// numbers must create a fresh executor. Runs that fall back to the
-/// sequential path (≤ 1 worker, ≤ 1 event, globally-coupled
-/// strategies, full validation) drop the shard state for the same
-/// reason.
-pub struct ResidentExecutor {
-    workers: usize,
-    shards: usize,
-    state: Option<ResidentState>,
-}
-
-/// The persistent state: the ownership map, one resident subnetwork
-/// per shard, and recycled routing/queue buffers.
-struct ResidentState {
-    map: ShardMap,
-    /// `Mutex<Option<..>>` so wave jobs can take their shard's
-    /// subnetwork by value across `parallel_map` and hand it back —
-    /// the same idiom as the per-slice executor, but the networks
-    /// live here across slices instead of being rebuilt.
-    subs: Vec<Mutex<Option<Network>>>,
-    route: SliceRoute,
-    /// Per-shard queued event indices of the wave being accumulated.
-    queues: Vec<Vec<usize>>,
-    fingerprint: minim_net::NetworkFingerprint,
-}
-
-impl ResidentState {
-    /// Seeds the ownership map from the current population and builds
-    /// each shard's resident subnetwork: exactly the present nodes in
-    /// its owned cells, with configuration and color — the
-    /// region-faithfulness invariant every later refresh maintains.
-    fn seed(net: &Network, shards: usize) -> ResidentState {
-        let map = ShardMap::seed(net, shards);
-        let mut subs: Vec<Network> = (0..map.shard_count()).map(|_| net.fresh_like()).collect();
-        for id in net.iter_nodes() {
-            let cfg = net.config(id).expect("listed node has a config");
-            let s = map
-                .owner_of(&cfg.pos)
-                .expect("every populated cell is owned after seeding") as usize;
-            let d = subs[s].insert_node(id, cfg);
-            subs[s].recycle_delta(d);
-            if let Some(c) = net.assignment().get(id) {
-                subs[s].set_color(id, c);
-            }
-        }
-        ResidentState {
-            queues: vec![Vec::new(); map.shard_count()],
-            subs: subs.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-            map,
-            route: SliceRoute::default(),
-            fingerprint: net.fingerprint(),
-        }
-    }
-
-    /// The shard whose region contains `p`. Callers only ask about
-    /// positions inside the current slice's claim footprint, which
-    /// routing has fully annexed — so the cell is always owned.
-    fn owner_shard(&self, p: &Point) -> usize {
-        self.map
-            .owner_of(p)
-            .expect("refresh positions lie in the routed claim footprint") as usize
-    }
-
-    /// Exclusive access to shard `s`'s resident subnetwork (only valid
-    /// between waves).
-    fn sub_mut(&mut self, s: usize) -> &mut Network {
-        self.subs[s]
-            .get_mut()
-            .expect("shard slot poisoned")
-            .as_mut()
-            .expect("resident subnetwork is home between waves")
-    }
-
-    /// Runs the accumulated interior waves (all queued events precede
-    /// `replay` in slice order), merges them into the main network,
-    /// and clears the queues. Returns `(recodings, edge_churn)`.
-    ///
-    /// Wave jobs run one shard each, concurrently: topology with
-    /// pinned join ids, recode planning via the same `plan_batched`
-    /// decomposition the sequential handlers use, commit, optional
-    /// delta validation — all against the shard's resident
-    /// subnetwork, which stays resident (and allocation-recycled)
-    /// afterwards. The merge replays the events' topology on the main
-    /// network in original order (`O(Δ)` each) and applies each
-    /// shard's recoded colors — per-event *changes* only, never a full
-    /// assignment copy, which is what keeps the merge `O(Δ)` instead
-    /// of `O(population)`.
-    fn flush_wave(
-        &mut self,
-        strategy: &(dyn RecodingStrategy + Sync),
-        net: &mut Network,
-        events: &[Event],
-        replay: std::ops::Range<usize>,
-        workers: usize,
-        mode: ValidationMode,
-    ) -> (usize, usize) {
-        let jobs: Vec<usize> = (0..self.queues.len())
-            .filter(|&s| !self.queues[s].is_empty())
-            .collect();
-        if jobs.is_empty() {
-            return (0, 0);
-        }
-        let results = {
-            let _span = minim_obs::span!("resident.interior_wave");
-            let subs = &self.subs;
-            let queues = &self.queues;
-            let route = &self.route;
-            parallel_map(&jobs, workers, |&s| {
-                let mut sub = subs[s]
-                    .lock()
-                    .expect("shard slot poisoned")
-                    .take()
-                    .expect("each shard runs in one wave job at a time");
-                let mut recodings = 0usize;
-                let mut edge_churn = 0usize;
-                // Per-event color *changes*, in event order. A leave
-                // records an explicit unset: within a shard a later
-                // leave must override an earlier recode of the same
-                // node during the merge (last-write-wins), exactly as
-                // it does sequentially.
-                let mut writes: Vec<(minim_graph::NodeId, Option<minim_graph::Color>)> = Vec::new();
-                for &i in &queues[s] {
-                    if let Event::Leave { node } = &events[i] {
-                        writes.push((*node, None));
-                    }
-                    let (applied, delta) =
-                        apply_topology_delta(&mut sub, &events[i], route.join_ids[i]);
-                    let color_plan = strategy.plan_batched(&sub, &applied, &delta);
-                    let outcome = commit_plan(&mut sub, &color_plan);
-                    recodings += outcome.recodings();
-                    edge_churn += delta.edge_churn();
-                    if mode == ValidationMode::Delta {
-                        let seeds = minim_core::validation_seeds(&delta, &outcome);
-                        if let Err(v) =
-                            conflict::validate_delta(sub.graph(), sub.assignment(), &seeds)
-                        {
-                            panic!("event {applied:?} left a CA1/CA2 violation: {v}");
-                        }
-                    }
-                    writes.extend(outcome.recoded.iter().map(|&(n, _, c)| (n, Some(c))));
-                    sub.recycle_delta(delta);
-                }
-                *subs[s].lock().expect("shard slot poisoned") = Some(sub);
-                (recodings, edge_churn, writes)
-            })
-        };
-
-        // Bring the main network up to date: replay topology in
-        // original order (all events in `replay` are interior — any
-        // border event would have flushed first), then apply the
-        // shards' color changes (disjoint node sets; within a shard
-        // the writes are already in event order, so last-write-wins
-        // matches sequential).
-        let _span = minim_obs::span!("resident.merge");
-        for i in replay {
-            let (_, delta) = apply_topology_delta(net, &events[i], self.route.join_ids[i]);
-            net.recycle_delta(delta);
-        }
-        for q in &mut self.queues {
-            q.clear();
-        }
-        let mut recodings = 0usize;
-        let mut edge_churn = 0usize;
-        for (r, c, writes) in results {
-            recodings += r;
-            edge_churn += c;
-            for (n, color) in writes {
-                match color {
-                    Some(color) => {
-                        net.assignment_mut().set(n, color);
-                    }
-                    None => {
-                        net.assignment_mut().unset(n);
-                    }
-                }
-            }
-        }
-        (recodings, edge_churn)
-    }
-
-    /// Re-establishes region-faithfulness after a border event ran on
-    /// the main network: the initiator's topology change is mirrored
-    /// into the replica(s) owning its old/new cells, and every recoded
-    /// color is written through to its owner's replica. All other
-    /// replica state is untouched — a border event's edge changes are
-    /// incident to the initiator, and an edge belongs to a replica's
-    /// induced subgraph only when *both* endpoints live there, so
-    /// replicas not housing the initiator see no topology change.
-    fn refresh_after_border(
-        &mut self,
-        net: &Network,
-        event: &Event,
-        join_id: Option<minim_graph::NodeId>,
-        prior: Option<NodeConfig>,
-        outcome: &RecodeOutcome,
-    ) {
-        match event {
-            Event::Join { cfg } => {
-                let id = join_id.expect("joins carry a pre-assigned id");
-                let s = self.owner_shard(&cfg.pos);
-                let sub = self.sub_mut(s);
-                let d = sub.insert_node(id, *cfg);
-                sub.recycle_delta(d);
-                // The joiner's first color arrives via `recoded` below.
-            }
-            Event::Leave { node } => {
-                let p = prior.expect("leave initiator was present").pos;
-                let s = self.owner_shard(&p);
-                let sub = self.sub_mut(s);
-                let d = sub.remove_node(*node);
-                sub.recycle_delta(d);
-            }
-            Event::Move { node, to } => {
-                let from = prior.expect("move initiator was present").pos;
-                let s_from = self.owner_shard(&from);
-                let s_to = self.owner_shard(to);
-                if s_from == s_to {
-                    let sub = self.sub_mut(s_from);
-                    let d = sub.move_node(*node, *to);
-                    sub.recycle_delta(d);
-                } else {
-                    // Migrate the resident copy across the frontier,
-                    // color and all.
-                    let sub = self.sub_mut(s_from);
-                    let d = sub.remove_node(*node);
-                    sub.recycle_delta(d);
-                    let cfg = net.config(*node).expect("move initiator is present");
-                    let color = net.assignment().get(*node);
-                    let sub = self.sub_mut(s_to);
-                    let d = sub.insert_node(*node, cfg);
-                    sub.recycle_delta(d);
-                    if let Some(c) = color {
-                        sub.set_color(*node, c);
-                    }
-                }
-            }
-            Event::SetRange { node, range } => {
-                let p = prior.expect("set-range initiator was present").pos;
-                let s = self.owner_shard(&p);
-                let sub = self.sub_mut(s);
-                let d = sub.set_range(*node, *range);
-                sub.recycle_delta(d);
-            }
-        }
-        for &(n, _, c) in &outcome.recoded {
-            let p = net.config(n).expect("recoded nodes are present").pos;
-            let s = self.owner_shard(&p);
-            self.sub_mut(s).set_color(n, c);
-        }
-    }
-
-    /// Largest resident subnetwork, in nodes.
-    fn widest_shard(&mut self) -> u32 {
-        (0..self.subs.len())
-            .map(|s| self.sub_mut(s).node_count() as u32)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-impl ResidentExecutor {
-    /// An executor with [`DEFAULT_RESIDENT_SHARDS`] ownership shards
-    /// and `workers` wave threads.
-    pub fn new(workers: usize) -> ResidentExecutor {
-        ResidentExecutor::with_shards(workers, DEFAULT_RESIDENT_SHARDS)
-    }
-
-    /// An executor with an explicit shard count (tests and tuning; the
-    /// shard count never affects results, only available parallelism).
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn with_shards(workers: usize, shards: usize) -> ResidentExecutor {
-        assert!(shards >= 1, "resident executor needs at least one shard");
-        ResidentExecutor {
-            workers,
-            shards,
-            state: None,
-        }
-    }
-
-    /// The wave worker count this executor runs with.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs one event slice on the resident path — the drop-in
-    /// replacement for [`run_events_batched`] that keeps shard state
-    /// alive across calls. Falls back to [`run_events_validated`]
-    /// (dropping the shard state) under the same conditions as the
-    /// per-slice executor.
-    ///
-    /// # Panics
-    /// Panics on the first event whose aftermath violates CA1/CA2
-    /// (when validating), like the sequential runner.
-    pub fn run(
-        &mut self,
-        strategy: &mut (dyn RecodingStrategy + Sync),
-        net: &mut Network,
-        events: &[Event],
-        mode: ValidationMode,
-    ) -> PhaseMetrics {
-        if self.workers <= 1
-            || events.len() <= 1
-            || strategy.batch_locality() == BatchLocality::Global
-            || mode == ValidationMode::Full
-        {
-            // The sequential path mutates the network without
-            // updating the replicas; drop them rather than leaving a
-            // guaranteed-stale (fingerprint-failing) state around.
-            self.state = None;
-            return run_events_validated(strategy, net, events, mode);
-        }
-        let _slice_span = minim_obs::span!("resident.slice");
-        let t0 = std::time::Instant::now();
-        let workers = self.workers;
-        let fp = net.fingerprint();
-        let state = match &mut self.state {
-            Some(s) if s.fingerprint == fp => s,
-            _ => {
-                self.state = Some(ResidentState::seed(net, self.shards));
-                self.state.as_mut().expect("just seeded")
-            }
-        };
-        let strategy: &(dyn RecodingStrategy + Sync) = strategy;
-
-        {
-            let _span = minim_obs::span!("resident.route");
-            state.map.route(net, events, &mut state.route);
-        }
-        let mut recodings = 0usize;
-        let mut edge_churn = 0usize;
-        let mut wave_start = 0usize;
-        for i in 0..events.len() {
-            match state.route.disposition[i] {
-                Disposition::Interior(s) => state.queues[s as usize].push(i),
-                Disposition::Border { .. } => {
-                    // Barrier: every earlier interior event lands
-                    // before the frontier crossing runs.
-                    let (r, c) =
-                        state.flush_wave(strategy, net, events, wave_start..i, workers, mode);
-                    recodings += r;
-                    edge_churn += c;
-                    wave_start = i + 1;
-
-                    // The border event itself runs sequentially on
-                    // the main network — same plan/commit
-                    // decomposition as the wave path.
-                    let _span = minim_obs::span!("resident.border_barrier");
-                    let e = &events[i];
-                    let join_id = state.route.join_ids[i];
-                    let prior = match e {
-                        Event::Leave { node }
-                        | Event::Move { node, .. }
-                        | Event::SetRange { node, .. } => net.config(*node),
-                        Event::Join { .. } => None,
-                    };
-                    let (applied, delta) = apply_topology_delta(net, e, join_id);
-                    let color_plan = strategy.plan_batched(net, &applied, &delta);
-                    let outcome = commit_plan(net, &color_plan);
-                    recodings += outcome.recodings();
-                    edge_churn += delta.edge_churn();
-                    if mode == ValidationMode::Delta {
-                        let seeds = minim_core::validation_seeds(&delta, &outcome);
-                        if let Err(v) =
-                            conflict::validate_delta(net.graph(), net.assignment(), &seeds)
-                        {
-                            panic!("event {applied:?} left a CA1/CA2 violation: {v}");
-                        }
-                    }
-                    state.refresh_after_border(net, e, join_id, prior, &outcome);
-                    net.recycle_delta(delta);
-                }
-            }
-        }
-        let (r, c) = state.flush_wave(
-            strategy,
-            net,
-            events,
-            wave_start..events.len(),
-            workers,
-            mode,
-        );
-        recodings += r;
-        edge_churn += c;
-        state.fingerprint = net.fingerprint();
-
-        let elapsed = t0.elapsed().as_secs_f64();
-        let health = ShardHealth {
-            shards: state.map.active_shards(),
-            widest_shard: state.widest_shard(),
-            border_events: state.route.border_events,
-            events: events.len(),
-            events_per_sec: if elapsed > 0.0 {
-                events.len() as f64 / elapsed
-            } else {
-                0.0
-            },
-        };
-        // Re-express the slice's health in the registry so shard
-        // quality shows up next to every other subsystem's metrics.
-        minim_obs::counter!("resident.events", health.events as u64);
-        minim_obs::counter!("resident.border_events", health.border_events as u64);
-        minim_obs::gauge!("resident.shards", health.shards as f64);
-        minim_obs::gauge!("resident.widest_shard", health.widest_shard as f64);
-        minim_obs::gauge!("resident.events_per_sec", health.events_per_sec);
-        PhaseMetrics {
-            recodings,
-            max_color: net.max_color_index(),
-            edge_churn,
-            shard_health: Some(health),
-        }
     }
 }
 
@@ -888,56 +130,6 @@ mod tests {
     use minim_net::workload::JoinWorkload;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn shard_health_absorb_is_duration_weighted() {
-        // Hand-computed oracle: side A ran 100 events at 100 ev/s
-        // (1.0 s of wall-clock), side B ran 300 events at 1200 ev/s
-        // (0.25 s). Merged rate = 400 events / 1.25 s = 320 ev/s.
-        // The old event-count weighting of the *rates* would claim
-        // (100·100 + 1200·300) / 400 = 925 ev/s — dominated by the
-        // burst that barely contributed wall-clock.
-        let mut a = ShardHealth {
-            shards: 4,
-            widest_shard: 50,
-            border_events: 3,
-            events: 100,
-            events_per_sec: 100.0,
-        };
-        let b = ShardHealth {
-            shards: 6,
-            widest_shard: 40,
-            border_events: 7,
-            events: 300,
-            events_per_sec: 1200.0,
-        };
-        a.absorb(&b);
-        assert_eq!(a.events, 400);
-        assert_eq!(a.border_events, 10);
-        assert_eq!(a.shards, 6);
-        assert_eq!(a.widest_shard, 50);
-        assert!(
-            (a.events_per_sec - 320.0).abs() < 1e-9,
-            "{}",
-            a.events_per_sec
-        );
-
-        // An unmeasurable side contributes counters but neither time
-        // nor events to the rate.
-        let c = ShardHealth {
-            events: 1000,
-            events_per_sec: 0.0,
-            ..ShardHealth::default()
-        };
-        a.absorb(&c);
-        assert_eq!(a.events, 1400);
-        assert!((a.events_per_sec - 320.0).abs() < 1e-9);
-
-        // Two unmeasured sides merge to an unmeasured rate.
-        let mut d = ShardHealth::default();
-        d.absorb(&ShardHealth::default());
-        assert_eq!(d.events_per_sec, 0.0);
-    }
 
     #[test]
     fn run_events_counts_recodings() {
@@ -1036,82 +228,6 @@ mod tests {
         let events = JoinWorkload::paper(5).generate(&mut rng);
         let mut net = Network::new(25.0);
         run_events_validated(&mut Sloppy, &mut net, &events, ValidationMode::Delta);
-    }
-
-    #[test]
-    fn batched_matches_sequential_on_joins() {
-        for kind in StrategyKind::ALL {
-            let mut rng = StdRng::seed_from_u64(21);
-            let events = JoinWorkload::paper(60).generate(&mut rng);
-            let mut seq_net = Network::new(25.0);
-            let mut s = kind.build();
-            let seq = run_events(&mut *s, &mut seq_net, &events);
-            for workers in [1usize, 4, 8] {
-                let mut net = Network::new(25.0);
-                let mut s = kind.build();
-                let got =
-                    run_events_batched(&mut *s, &mut net, &events, ValidationMode::Off, workers);
-                assert_eq!(got, seq, "{kind:?} at {workers} workers");
-                assert_eq!(net.snapshot_assignment(), seq_net.snapshot_assignment());
-                assert_eq!(net.describe(), seq_net.describe());
-            }
-        }
-    }
-
-    #[test]
-    fn resident_matches_sequential_across_slices() {
-        for kind in StrategyKind::ALL {
-            let mut rng = StdRng::seed_from_u64(21);
-            let events = JoinWorkload::paper(60).generate(&mut rng);
-            let mut seq_net = Network::new(25.0);
-            let mut s = kind.build();
-            let seq = run_events(&mut *s, &mut seq_net, &events);
-            for workers in [1usize, 4, 8] {
-                let mut net = Network::new(25.0);
-                let mut s = kind.build();
-                let mut exec = ResidentExecutor::new(workers);
-                let mut got = PhaseMetrics::default();
-                // Feed the stream in slices so shard state persists
-                // (and is reused) across runs.
-                for slice in events.chunks(20) {
-                    let m = exec.run(&mut *s, &mut net, slice, ValidationMode::Off);
-                    got.recodings += m.recodings;
-                    got.edge_churn += m.edge_churn;
-                    got.max_color = m.max_color;
-                }
-                assert_eq!(got, seq, "{kind:?} at {workers} workers");
-                assert_eq!(net.snapshot_assignment(), seq_net.snapshot_assignment());
-                assert_eq!(net.describe(), seq_net.describe());
-            }
-        }
-    }
-
-    #[test]
-    fn resident_validates_deltas_and_reports_health() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let events = JoinWorkload::paper(40).generate(&mut rng);
-        let mut net = Network::new(25.0);
-        let mut s = Minim::default();
-        let mut exec = ResidentExecutor::new(4);
-        let m = exec.run(&mut s, &mut net, &events, ValidationMode::Delta);
-        assert!(m.recodings >= 40);
-        assert!(net.validate().is_ok());
-        let h = m.shard_health.expect("resident runs report health");
-        assert_eq!(h.events, 40);
-        assert!(h.border_events <= h.events);
-        assert!(h.shards >= 1);
-        assert!(h.widest_shard >= 1);
-    }
-
-    #[test]
-    fn batched_validates_deltas_like_sequential() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let events = JoinWorkload::paper(40).generate(&mut rng);
-        let mut net = Network::new(25.0);
-        let mut s = Minim::default();
-        let m = run_events_batched(&mut s, &mut net, &events, ValidationMode::Delta, 4);
-        assert!(m.recodings >= 40);
-        assert!(net.validate().is_ok());
     }
 
     #[test]

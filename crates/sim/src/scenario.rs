@@ -22,9 +22,7 @@
 use crate::json::{self, Json};
 use crate::metrics::{Stats, Table};
 use crate::par::{default_workers, parallel_map};
-use crate::runner::{
-    run_events, run_events_batched, Execution, ResidentExecutor, ShardHealth, ValidationMode,
-};
+use crate::runner::run_events;
 use minim_core::StrategyKind;
 use minim_geom::sample::child_seed;
 use minim_geom::{sample, Point, Rect, Segment};
@@ -51,12 +49,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Worker threads for the replicate fan-out.
     pub workers: usize,
-    /// How each replicate's event stream executes. [`Execution::Batched`]
-    /// parallelizes *within* one replicate (conflict-free event waves;
-    /// bit-identical results) — the right knob when replicates are few
-    /// and huge, as in the `metropolis` preset; the replicate fan-out
-    /// above stays governed by `workers` either way.
-    pub execution: Execution,
 }
 
 impl ExperimentConfig {
@@ -66,7 +58,6 @@ impl ExperimentConfig {
             runs: 100,
             seed: 0x2001_0113, // January 2001, the TR date
             workers: default_workers(),
-            execution: Execution::Sequential,
         }
     }
 
@@ -76,14 +67,7 @@ impl ExperimentConfig {
             runs: 8,
             seed: 0x2001_0113,
             workers: default_workers(),
-            execution: Execution::Sequential,
         }
-    }
-
-    /// This configuration with the given [`Execution`].
-    pub fn execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
-        self
     }
 
     /// The replicate seed for `(point, rep)` — scheduling-independent,
@@ -482,7 +466,6 @@ impl ScenarioSpec {
             runs: self.runs,
             seed: self.seed,
             workers: default_workers(),
-            execution: Execution::Sequential,
         }
     }
 }
@@ -564,13 +547,6 @@ pub struct SweepResult {
     pub total_events: u64,
     /// Wall-clock duration of the sweep (not part of equality).
     pub wall_clock: Duration,
-    /// Resident-path partition health, merged over every resident run
-    /// of the sweep (all points × replicates × strategies); `None`
-    /// when nothing ran on [`Execution::Resident`]. The counters are
-    /// derived from routing and topology alone, so they are
-    /// bit-identical across worker counts (`ShardHealth`'s equality
-    /// already excludes the throughput field).
-    pub shard_health: Option<ShardHealth>,
     /// A snapshot of the minim-obs registry taken when the sweep
     /// finished — counters, gauges, and latency histograms from every
     /// instrumented subsystem the sweep exercised. Observability
@@ -699,20 +675,6 @@ impl SweepResult {
                 Json::Num(self.wall_clock.as_secs_f64() * 1e3),
             ),
             (
-                "shard_health",
-                match &self.shard_health {
-                    None => Json::Null,
-                    Some(h) => Json::obj(vec![
-                        ("shards", Json::Num(h.shards as f64)),
-                        ("widest_shard", Json::Num(h.widest_shard as f64)),
-                        ("border_events", Json::Num(h.border_events as f64)),
-                        ("events", Json::Num(h.events as f64)),
-                        ("border_fraction", Json::Num(h.border_fraction())),
-                        ("events_per_sec", Json::Num(h.events_per_sec)),
-                    ]),
-                },
-            ),
-            (
                 "points",
                 Json::Arr(
                     self.points
@@ -759,11 +721,6 @@ struct ReplicateOutcome {
     per_report_events: Vec<u64>,
     /// Events executed over the whole replicate.
     total_events: u64,
-    /// Merged resident-path health across every strategy run of the
-    /// replicate (`None` when nothing ran resident). Routing is
-    /// color-blind, so the counters are identical across strategies —
-    /// merging loses nothing.
-    shard_health: Option<ShardHealth>,
 }
 
 impl Scenario {
@@ -1020,13 +977,12 @@ impl Scenario {
         let per_round = matches!(spec.sweep, SweepAxis::Rounds(_));
         let mut points = Vec::new();
         let mut total_events = 0u64;
-        let mut shard_health: Option<ShardHealth> = None;
         for (pi, plan) in plans.iter().enumerate() {
             let seeds: Vec<u64> = (0..cfg.runs)
                 .map(|rep| cfg.replicate_seed(pi, rep))
                 .collect();
             let outcomes = parallel_map(&seeds, cfg.workers, |&seed| {
-                run_replicate(spec, plan, seed, per_round, cfg.execution)
+                run_replicate(spec, plan, seed, per_round)
             });
             let reports = outcomes[0].per_report_events.len();
             for r in 0..reports {
@@ -1047,13 +1003,6 @@ impl Scenario {
                 });
             }
             total_events += outcomes.iter().map(|o| o.total_events).sum::<u64>();
-            for o in &outcomes {
-                if let Some(h) = &o.shard_health {
-                    shard_health
-                        .get_or_insert_with(ShardHealth::default)
-                        .absorb(h);
-                }
-            }
             on_point(SweepProgress {
                 done: pi + 1,
                 total: plans.len(),
@@ -1072,7 +1021,6 @@ impl Scenario {
             points,
             total_events,
             wall_clock: started.elapsed(),
-            shard_health,
             metrics: minim_obs::snapshot(),
         }
     }
@@ -1361,31 +1309,6 @@ fn generate_phase(
     }
 }
 
-/// Runs one round of events under the configured [`Execution`].
-///
-/// `resident` is the replicate's long-lived executor slot: it is
-/// created on the first [`Execution::Resident`] round and reused for
-/// every later round of the same strategy run, so shard state (and
-/// its allocation discipline) survives across rounds and phases —
-/// that persistence is the whole point of the resident path.
-fn run_round(
-    execution: Execution,
-    resident: &mut Option<ResidentExecutor>,
-    s: &mut (dyn minim_core::RecodingStrategy + Sync),
-    net: &mut Network,
-    round: &[Event],
-) -> crate::runner::PhaseMetrics {
-    match execution {
-        Execution::Sequential => run_events(s, net, round),
-        Execution::Batched { workers } => {
-            run_events_batched(s, net, round, ValidationMode::Off, workers)
-        }
-        Execution::Resident { workers } => resident
-            .get_or_insert_with(|| ResidentExecutor::new(workers))
-            .run(s, net, round, ValidationMode::Off),
-    }
-}
-
 /// Runs one replicate of one sweep point: generate every phase on a
 /// ghost network (so all strategies replay identical randomness), then
 /// run the phases through each strategy with a fresh strategy instance
@@ -1395,7 +1318,6 @@ fn run_replicate(
     plan: &PointPlan,
     seed: u64,
     per_round: bool,
-    execution: Execution,
 ) -> ReplicateOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let cell = plan.ranges.upper_bound().max(1.0);
@@ -1434,12 +1356,6 @@ fn run_replicate(
         per_report_events.push(cum_events);
     }
 
-    let mut shard_health: Option<ShardHealth> = None;
-    let absorb = |m: &crate::runner::PhaseMetrics, health: &mut Option<ShardHealth>| {
-        if let Some(h) = &m.shard_health {
-            health.get_or_insert_with(ShardHealth::default).absorb(h);
-        }
-    };
     let per_strategy: Vec<Vec<(f64, f64)>> = spec
         .strategies
         .iter()
@@ -1448,17 +1364,10 @@ fn run_replicate(
             for wall in &walls {
                 net.add_obstacle(*wall);
             }
-            // One resident-executor slot per strategy run: the
-            // network persists across phases, so the shard state can
-            // too (strategy instances are rebuilt per phase, but the
-            // executor only holds spatial state, never strategy
-            // state).
-            let mut resident: Option<ResidentExecutor> = None;
             for phase in &base_events {
                 let mut s = kind.build();
                 for round in phase {
-                    let m = run_round(execution, &mut resident, &mut *s, &mut net, round);
-                    absorb(&m, &mut shard_health);
+                    run_events(&mut *s, &mut net, round);
                 }
             }
             let base_color = net.max_color_index() as f64;
@@ -1467,8 +1376,7 @@ fn run_replicate(
             for phase in &measured_events {
                 let mut s = kind.build();
                 for round in phase {
-                    let m = run_round(execution, &mut resident, &mut *s, &mut net, round);
-                    absorb(&m, &mut shard_health);
+                    let m = run_events(&mut *s, &mut net, round);
                     cum_recodings += m.recodings as f64;
                     if per_round {
                         reports.push((
@@ -1493,7 +1401,6 @@ fn run_replicate(
         per_strategy,
         per_report_events,
         total_events: cum_events,
-        shard_health,
     }
 }
 
@@ -2015,7 +1922,6 @@ mod tests {
             runs: 3,
             seed: 42,
             workers: 2,
-            execution: Execution::Sequential,
         }
     }
 

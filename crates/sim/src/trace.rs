@@ -10,7 +10,7 @@
 //!   "schema": "minim-trace/1",
 //!   "metrics": {
 //!     "counters": {"net.apply.move": 1200, ...},
-//!     "gauges": {"resident.shards": 8.0, ...},
+//!     "gauges": {"power.settle.links": 312.0, ...},
 //!     "histograms": [
 //!       {"name": "power.settle_ns", "count": 40, "sum_ns": ...,
 //!        "min_ns": ..., "max_ns": ..., "mean_ns": ...,
@@ -22,7 +22,7 @@
 //!   "profile": {
 //!     "recorded": 512, "dropped": 0,
 //!     "roots": [
-//!       {"name": "resident.slice", "count": 40, "total_ns": ...,
+//!       {"name": "serve.apply", "count": 40, "total_ns": ...,
 //!        "self_ns": ..., "children": [...]}
 //!     ]
 //!   }

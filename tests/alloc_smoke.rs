@@ -36,7 +36,7 @@ use minim_core::{Minim, RecodePlanner, RecodingStrategy, KEEP_WEIGHT};
 use minim_geom::{Point, Segment};
 use minim_graph::NodeId;
 use minim_net::event::Event;
-use minim_net::{BatchPlan, BatchScratch, Network, NodeConfig, ShardMap, SliceRoute};
+use minim_net::{Network, NodeConfig};
 use minim_power::{PowerLoopConfig, PowerSession};
 use minim_serve::{Engine, EngineOptions, MemFs};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -196,64 +196,10 @@ fn steady_state_rewire_allocates_nothing() {
         after - before
     );
 
-    // --- Phase 4: batched-churn planning and resident routing. ---
-    // The two planning layers of the churn executors are read-only
-    // against the network, so an identical slice replans/reroutes to
-    // the identical result every cycle — the steady-state shape of a
-    // scenario phase. A warm `BatchScratch` must absorb every buffer
-    // `BatchPlan::new_with` needs (with `recycle` handing the plan's
-    // own containers back), and a warm `ShardMap` + `SliceRoute` must
-    // route from recycled buffers once annexation has settled.
-    let slice = vec![
-        Event::Move {
-            node: mover,
-            to: Point::new(62.0, 10.0),
-        },
-        Event::Move {
-            node: mover,
-            to: Point::new(10.0, 10.0),
-        },
-        Event::SetRange {
-            node: cycler,
-            range: 55.0,
-        },
-        Event::SetRange {
-            node: cycler,
-            range: 20.0,
-        },
-        Event::Leave { node: churner },
-        Event::Join { cfg: churn_cfg },
-    ];
-
-    let mut scratch = BatchScratch::default();
-    let mut map = ShardMap::seed(&net, 4);
-    let mut route = SliceRoute::default();
-    for _ in 0..12 {
-        let plan = BatchPlan::new_with(&mut scratch, &net, &slice);
-        plan.recycle(&mut scratch);
-        map.route(&net, &slice, &mut route);
-    }
-
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..25 {
-        let plan = BatchPlan::new_with(&mut scratch, &net, &slice);
-        plan.recycle(&mut scratch);
-        map.route(&net, &slice, &mut route);
-    }
-    let after = ALLOCS.load(Ordering::SeqCst);
-
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state batch planning + shard routing must be allocation-free, \
-         saw {} allocations over 25 cycles",
-        after - before
-    );
-
-    // --- Phase 5: observability is allocation-inert on the journal. ---
+    // --- Phase 4: observability is allocation-inert on the journal. ---
     // Every phase above already ran with the minim-obs registry
-    // recording (the default), so their zeros pin instrumented rewire,
-    // settle, and batch planning. The serve engine's apply path
+    // recording (the default), so their zeros pin instrumented rewire
+    // and settle. The serve engine's apply path
     // allocates by design (event/frame encoding, MemFs growth,
     // snapshot rotation), so its pin is differential: two fresh
     // engines fed byte-identical workloads — one with observability
@@ -263,7 +209,7 @@ fn steady_state_rewire_allocates_nothing() {
     // span-ring growth) would break the equality.
     assert!(
         minim_obs::enabled() || !minim_obs::COMPILED,
-        "phases 1-4 must run with the metrics registry live"
+        "phases 1-3 must run with the metrics registry live"
     );
     let journal_window = |record: bool| -> usize {
         minim_obs::set_enabled(record);
@@ -333,7 +279,7 @@ fn steady_state_rewire_allocates_nothing() {
          (recording: {instrumented}, disabled: {silent})"
     );
 
-    // --- Phase 6: the recode planner's gather and matching kernel. ---
+    // --- Phase 5: the recode planner's gather and matching kernel. ---
     // A Minim-colored dense arena, then a joiner placed where its
     // in-neighbors share colors, so the plan must go through the full
     // gather and the Hungarian kernel rather than the fast path.

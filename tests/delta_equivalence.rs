@@ -15,18 +15,25 @@
 //!    *oracle* re-implementations that re-derive everything from the
 //!    full graph each event — the seed's original code path.
 //!
+//! Both strategy properties also run over [`frontier_events`]:
+//! adversarial churn with bimodal camps, joins into the gap between
+//! them, long-haul moves and 0.3–3× range changes. BBB, which has no
+//! oracle twin, runs the same streams under `ValidationMode::Full`.
+//!
 //! Also pins the substrate-level facts the strategies rely on: a
 //! delta's derived partitions/recode set equal the graph-derived ones
 //! after every kind of event.
 
 use minim::core::{
-    gather_recode_inputs, plan_recode, EventEffect, RecodeOutcome, RecodingStrategy, KEEP_WEIGHT,
+    gather_recode_inputs, plan_recode, EventEffect, RecodeOutcome, RecodingStrategy, StrategyKind,
+    KEEP_WEIGHT,
 };
-use minim::geom::Point;
+use minim::geom::{sample, Point, Rect};
 use minim::graph::{conflict, hops, Color, NodeId};
-use minim::net::event::{Event, PowerDirection};
+use minim::net::event::{apply_topology, Event, PowerDirection};
 use minim::net::workload::{ChurnWorkload, JoinWorkload, MovementWorkload, PowerRaiseWorkload};
 use minim::net::{Network, NodeConfig};
+use minim::sim::runner::{run_events_validated, ValidationMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,6 +63,74 @@ fn mixed_events(seed: u64, joins: usize, churn: usize) -> Vec<Event> {
     let moves = MovementWorkload::paper(30.0, 1).generate_round(&ghost, &mut rng);
     events.extend(moves);
     events
+}
+
+/// Frontier-biased adversarial churn on a 900 × 300 strip: joins land
+/// in two camps at the ends or straight into the gap between them,
+/// moves travel up to 300 units (across the gap), and range changes
+/// scale a node's range by 0.3–3×, so neighborhoods keep merging and
+/// splitting.
+fn frontier_events(seed: u64, n_events: usize) -> Vec<Event> {
+    let arena = Rect::new(0.0, 0.0, 900.0, 300.0);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ghost = Network::new(25.0);
+    let mut events = Vec::with_capacity(n_events);
+    for _ in 0..n_events {
+        let count = ghost.node_count();
+        let roll: f64 = rng.gen();
+        let e = if count == 0 || roll < 0.45 {
+            let x = match rng.gen_range(0u32..3) {
+                0 => rng.gen_range(0.0..250.0),
+                1 => rng.gen_range(650.0..900.0),
+                _ => rng.gen_range(350.0..550.0),
+            };
+            Event::Join {
+                cfg: NodeConfig::new(
+                    Point::new(x, rng.gen_range(0.0..300.0)),
+                    rng.gen_range(5.0..40.0),
+                ),
+            }
+        } else {
+            let k = rng.gen_range(0..count);
+            let node = ghost.iter_nodes().nth(k).expect("k < count");
+            if roll < 0.6 {
+                Event::Leave { node }
+            } else if roll < 0.85 {
+                let from = ghost.config(node).expect("present").pos;
+                Event::Move {
+                    node,
+                    to: sample::random_move(&mut rng, from, 300.0, &arena),
+                }
+            } else {
+                let r = ghost.config(node).expect("present").range;
+                let factor: f64 = rng.gen_range(0.3..3.0);
+                Event::SetRange {
+                    node,
+                    range: (r * factor).clamp(1.0, 400.0),
+                }
+            }
+        };
+        apply_topology(&mut ghost, &e);
+        events.push(e);
+    }
+    events
+}
+
+/// Every stream the strategy properties run: the mixed §5 workloads
+/// for `mixed_seeds`, then a frontier stream per seed in `0..16`.
+fn streams(
+    mixed_seeds: std::ops::Range<u64>,
+    joins: usize,
+    churn: usize,
+) -> Vec<(String, Vec<Event>)> {
+    let mixed = mixed_seeds.map(|seed| {
+        (
+            format!("mixed seed {seed}"),
+            mixed_events(seed, joins, churn),
+        )
+    });
+    let frontier = (0..16).map(|seed| (format!("frontier seed {seed}"), frontier_events(seed, 60)));
+    mixed.chain(frontier).collect()
 }
 
 /// After every event of a Minim-driven run, the local and full
@@ -344,18 +419,17 @@ fn run_collect(
 /// full-rederivation oracle, across randomized mixed workloads.
 #[test]
 fn minim_delta_path_bit_identical_to_full_rederivation_oracle() {
-    for seed in 0..8 {
-        let events = mixed_events(seed, 30, 40);
+    for (label, events) in streams(0..8, 30, 40) {
         let (net_d, out_d) = run_collect(&mut minim::core::Minim::default(), &events);
         let (net_o, out_o) = run_collect(&mut OracleMinim, &events);
         assert_eq!(out_d.len(), out_o.len());
         for (i, (d, o)) in out_d.iter().zip(&out_o).enumerate() {
-            assert_eq!(d, o, "seed {seed}: outcome diverged at event {i}");
+            assert_eq!(d, o, "{label}: outcome diverged at event {i}");
         }
         assert_eq!(
             net_d.snapshot_assignment(),
             net_o.snapshot_assignment(),
-            "seed {seed}: final assignments diverged"
+            "{label}: final assignments diverged"
         );
         assert!(net_d.validate().is_ok());
     }
@@ -364,18 +438,34 @@ fn minim_delta_path_bit_identical_to_full_rederivation_oracle() {
 /// Same property for the CP baseline.
 #[test]
 fn cp_delta_path_bit_identical_to_full_rederivation_oracle() {
-    for seed in 20..26 {
-        let events = mixed_events(seed, 25, 30);
+    for (label, events) in streams(20..26, 25, 30) {
         let (net_d, out_d) = run_collect(&mut minim::core::Cp::default(), &events);
         let (net_o, out_o) = run_collect(&mut OracleCp, &events);
         for (i, (d, o)) in out_d.iter().zip(&out_o).enumerate() {
-            assert_eq!(d, o, "seed {seed}: CP outcome diverged at event {i}");
+            assert_eq!(d, o, "{label}: CP outcome diverged at event {i}");
         }
         assert_eq!(
             net_d.snapshot_assignment(),
             net_o.snapshot_assignment(),
-            "seed {seed}: CP final assignments diverged"
+            "{label}: CP final assignments diverged"
         );
         assert!(net_d.validate().is_ok());
+    }
+}
+
+/// BBB has no full-rederivation twin: it already recolors the whole
+/// network per event. Pin that every frontier stream keeps it valid
+/// under a full CA1/CA2 check after each event.
+#[test]
+fn bbb_stays_valid_on_frontier_streams_under_full_validation() {
+    for seed in 0..16 {
+        let events = frontier_events(seed, 60);
+        let mut net = Network::new(25.0);
+        let mut bbb = StrategyKind::Bbb.build();
+        let m = run_events_validated(&mut *bbb, &mut net, &events, ValidationMode::Full);
+        assert!(
+            m.edge_churn > 0,
+            "frontier seed {seed}: the stream must wire edges"
+        );
     }
 }

@@ -14,7 +14,6 @@ fn cfg() -> ExperimentConfig {
         runs: 6,
         seed: 0xC0FFEE,
         workers: 2,
-        ..ExperimentConfig::quick()
     }
 }
 
@@ -109,13 +108,11 @@ fn harness_is_deterministic_across_worker_counts() {
         runs: 4,
         seed: 99,
         workers: 1,
-        ..ExperimentConfig::quick()
     };
     let many = ExperimentConfig {
         runs: 4,
         seed: 99,
         workers: 8,
-        ..ExperimentConfig::quick()
     };
     let a = fig10_vs_n(&one, &[30]);
     let b = fig10_vs_n(&many, &[30]);

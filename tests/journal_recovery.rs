@@ -18,7 +18,7 @@ use minim::net::event::{apply_topology, Event};
 use minim::net::{Network, NodeConfig};
 use minim::serve::engine::EngineOptions;
 use minim::serve::fs::{Fault, MemFs};
-use minim::serve::{Engine, EngineError};
+use minim::serve::{encode_frame, scan, Engine, EngineError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -259,6 +259,57 @@ fn corrupt_byte_is_detected_and_pinned_in_report() {
     assert!(r.bytes_truncated > 0);
     assert_eq!(r.events_total, 3);
     assert_matches_oracle(StrategyKind::Minim, &events, &eng, "bit rot");
+}
+
+/// A frame whose CRC holds but whose payload does not decode is not a
+/// torn write: acknowledged frames follow it. Recovery must replay the
+/// prefix before it, keep every byte on disk (the damaged segment and
+/// the segment after it), count the frame, and open read-only with a
+/// reason naming the segment and byte offset.
+#[test]
+fn crc_valid_undecodable_frame_quarantines_and_keeps_bytes() {
+    let events = churn_events(66, 14);
+    let fs = MemFs::new();
+    let o = opts(StrategyKind::Minim, 0, 1);
+    assert_eq!(drive(&fs, o, &events), events.len());
+
+    // Split `wal-0` into frames, plant a CRC-correct garbage frame
+    // after the 5th event, and move the frames of events 9.. into the
+    // next segment, the layout an interrupted rotation leaves.
+    let original = fs.with_raw("wal-0000000000", |d| d.clone());
+    let scanned = scan(&original);
+    assert_eq!(scanned.frames.len(), events.len());
+    let frame = |i: usize| encode_frame(&scanned.frames[i]);
+    let planted_at: usize = (0..5).map(|i| frame(i).len()).sum();
+    let mut wal0: Vec<u8> = (0..5).flat_map(frame).collect();
+    wal0.extend(encode_frame(b"{\"not\": \"an event\"}"));
+    wal0.extend((5..9).flat_map(frame));
+    let wal1: Vec<u8> = (9..events.len()).flat_map(frame).collect();
+    fs.with_raw("wal-0000000000", |d| *d = wal0.clone());
+    fs.with_raw("wal-0000000001", |d| *d = wal1.clone());
+
+    for open in ["first", "second"] {
+        let mut eng = Engine::open_with(Box::new(fs.clone()), o).expect("open");
+        let r = *eng.recovery_report();
+        assert_eq!(r.frames_replayed, 5, "{open} open");
+        assert_eq!(r.events_total, 5, "{open} open");
+        assert_eq!(r.corrupt_frames, 1, "{open} open");
+        assert_eq!(r.bytes_truncated, 0, "{open} open");
+        assert_matches_oracle(StrategyKind::Minim, &events, &eng, "undecodable frame");
+        assert!(eng.is_quarantined(), "{open} open");
+        let reason = eng.quarantine_reason().expect("quarantined");
+        assert!(
+            reason.contains("wal-0000000000") && reason.contains(&format!("byte {planted_at}")),
+            "{open} open: reason must name the segment and offset: {reason}"
+        );
+        assert!(matches!(
+            eng.apply(&events[5]),
+            Err(EngineError::Quarantined { .. })
+        ));
+        drop(eng);
+        assert_eq!(fs.with_raw("wal-0000000000", |d| d.clone()), wal0);
+        assert_eq!(fs.with_raw("wal-0000000001", |d| d.clone()), wal1);
+    }
 }
 
 /// Garbage appended past the last valid frame (a torn tail from the

@@ -19,7 +19,6 @@ fn cfg() -> ExperimentConfig {
         runs: 6,
         seed: 0xC0FFEE,
         workers: 3,
-        ..ExperimentConfig::quick()
     }
 }
 

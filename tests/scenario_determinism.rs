@@ -15,7 +15,6 @@ fn run(spec: ScenarioSpec, workers: usize, seed: u64) -> SweepResult {
             runs: 4,
             seed,
             workers,
-            ..ExperimentConfig::quick()
         })
 }
 

@@ -4,8 +4,8 @@
 //! `Network::new` (stratified) and `Network::new_flat` (the legacy
 //! single-tier, monotone-watermark arm) must be **bit-identical** in
 //! everything observable: the induced topology after any event
-//! sequence, every strategy's recodings and final assignment, and the
-//! sharded batch executor's results — only costs may differ. The
+//! sequence, and every strategy's recodings and final assignment —
+//! only costs may differ. The
 //! index-level query equivalence is property-tested inside
 //! `minim-geom` (`strata`, `segindex`); this suite pins the
 //! network-level contract on full workloads:
@@ -17,15 +17,14 @@
 //!   permanently wrong on cost and the stratified bound must not get
 //!   wrong on *semantics*),
 //! * obstacle installation mid-stream (segment grid vs linear
-//!   line-of-sight), and
-//! * batched execution in both index modes.
+//!   line-of-sight).
 
 use minim::core::StrategyKind;
 use minim::geom::{Point, Rect, Segment};
 use minim::net::event::{apply_topology, Event};
 use minim::net::workload::{JoinWorkload, MixWorkload, Placement, RangeDist};
 use minim::net::{Network, NodeConfig};
-use minim::sim::runner::{run_events_batched, run_events_validated, ValidationMode};
+use minim::sim::runner::{run_events_validated, ValidationMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -183,39 +182,5 @@ fn obstacles_are_mode_invariant() {
             a.graph().edges().collect::<Vec<_>>(),
             b.graph().edges().collect::<Vec<_>>()
         );
-    }
-}
-
-#[test]
-fn batched_execution_is_mode_invariant() {
-    let mut rng = StdRng::seed_from_u64(11);
-    let arena = minim::geom::Rect::new(0.0, 0.0, 2000.0, 2000.0);
-    let centers: Vec<Point> = (0..10)
-        .map(|_| minim::geom::sample::uniform_point(&mut rng, &arena))
-        .collect();
-    let placement = Placement::Clustered {
-        centers,
-        spread: 20.0,
-        arena,
-    };
-    let ranges = RangeDist::paper();
-    let events: Vec<Event> = (0..300)
-        .map(|_| Event::Join {
-            cfg: NodeConfig::new(placement.sample(&mut rng), ranges.sample(&mut rng)),
-        })
-        .collect();
-    let mut seq = Network::new(25.0);
-    let mut s = StrategyKind::Minim.build();
-    let want = run_events_validated(&mut *s, &mut seq, &events, ValidationMode::Off);
-    for flat in [false, true] {
-        let mut net = if flat {
-            Network::new_flat(25.0)
-        } else {
-            Network::new(25.0)
-        };
-        let mut s = StrategyKind::Minim.build();
-        let got = run_events_batched(&mut *s, &mut net, &events, ValidationMode::Off, 4);
-        assert_eq!(got, want, "flat={flat}");
-        assert_eq!(net.describe(), seq.describe(), "flat={flat}");
     }
 }
