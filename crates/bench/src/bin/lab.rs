@@ -31,10 +31,13 @@
 //! * `serve-replay` — opens (or creates) a durable engine directory:
 //!   recovery replays the journal, prints the [`RecoveryReport`], and
 //!   with `--gen N` feeds `N` fresh churn events through the
-//!   journaled engine before closing. Running it twice — once with
-//!   `--gen`, once without — is the crash-recovery smoke test CI
-//!   runs: the second invocation must replay to the exact state the
-//!   first one left (digests printed for comparison).
+//!   journaled engine before closing, then prints the count and mean
+//!   of the engine's own `serve.append_ns`, `serve.fsync_ns`,
+//!   `serve.snapshot_ns` and `serve.preallocate_ns` histograms.
+//!   Running it twice — once with `--gen`, once without — is the
+//!   crash-recovery smoke test CI runs: the second invocation must
+//!   replay to the exact state the first one left (digests printed
+//!   for comparison).
 //!
 //! [`RecoveryReport`]: minim_serve::RecoveryReport
 
@@ -459,6 +462,20 @@ fn cmd_serve_replay(argv: &[String]) -> ExitCode {
                 .unwrap_or_else(|e| die(&format!("apply failed at step {step}: {e}")));
         }
         println!("serve-replay: journaled {} fresh events", args.gen);
+        let metrics = eng.metrics_snapshot();
+        let layer = |name: &str| {
+            let (count, mean) = metrics
+                .histogram(name)
+                .map_or((0, 0.0), |h| (h.count, h.mean_ns()));
+            format!("{name} n={count} mean={}", fmt_ns(mean.round() as u64))
+        };
+        println!(
+            "serve-replay: layers {}, {}, {}, {}",
+            layer("serve.append_ns"),
+            layer("serve.fsync_ns"),
+            layer("serve.snapshot_ns"),
+            layer("serve.preallocate_ns")
+        );
     }
 
     println!(

@@ -3,8 +3,8 @@
 //! Every byte the durability layer touches goes through the [`FaultFs`]
 //! trait: a flat namespace of files addressed by name (the engine
 //! directory is the root), with exactly the operations a write-ahead
-//! log needs — append, fsync, read, truncate, atomic replace, remove,
-//! list. Two implementations:
+//! log needs — preallocate, append, fsync, read, truncate, atomic
+//! replace, remove, list. Two implementations:
 //!
 //! * [`DiskFs`] — the real thing, `std::fs` against a directory.
 //! * [`MemFs`] — an in-memory store with **scripted fault points**
@@ -13,9 +13,24 @@
 //!   (plus a scripted number of torn tail bytes). Tests enumerate
 //!   crash sites by op index and prove recovery at each one.
 //!
+//! ## Two segment layouts
+//!
+//! A file written by `append` alone grows, and each fsync of it must
+//! also commit the new file size. [`FaultFs::preallocate`] instead
+//! creates the file at its final length, zero-filled and durable
+//! (directory entry included), and later appends overwrite the zeros
+//! at a write cursor, so the per-event fsync commits data only. The
+//! journal scanner reads both layouts: a zero frame length marks the
+//! end of the written part.
+//!
+//! `preallocate` is a provided method whose default does nothing, so
+//! a store that doesn't implement it (a wrapper that only times the
+//! other calls, say) keeps the growing layout and stays correct.
+//!
 //! The crash model is the standard one: bytes **acknowledged by
 //! `sync`** are durable; bytes appended since the last sync may
-//! survive in full, in part (a torn tail), or not at all. `MemFs`
+//! survive in full, in part (a torn tail), or not at all — cut off a
+//! growing file, or reverted to zeros in a preallocated one. `MemFs`
 //! makes the torn length a script parameter so the recovery scanner's
 //! every branch is reachable deterministically.
 
@@ -33,8 +48,18 @@ pub trait FaultFs {
     fn exists(&mut self, name: &str) -> bool;
     /// Every file name in the store, sorted.
     fn list(&mut self) -> io::Result<Vec<String>>;
-    /// Appends `data` to `name`, creating it if absent. A failure may
-    /// leave a **prefix** of `data` written (torn write).
+    /// Creates `name` as `len` durable zero bytes (replacing any file of
+    /// that name) and makes its directory entry durable. Appends then
+    /// overwrite the zeros from offset 0 without changing the file's
+    /// length. The default does nothing, which leaves `name` to the
+    /// growing layout: appends create and extend it.
+    fn preallocate(&mut self, _name: &str, _len: u64) -> io::Result<()> {
+        Ok(())
+    }
+    /// Writes `data` at `name`'s write cursor and advances it: the end
+    /// of the file, or the end of what was written since
+    /// [`FaultFs::preallocate`]. Creates `name` if absent. A failure
+    /// may leave a **prefix** of `data` written (torn write).
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()>;
     /// Makes all appended bytes of `name` durable. On failure the
     /// unsynced tail remains volatile (and the caller must assume the
@@ -56,10 +81,21 @@ pub trait FaultFs {
 /// injected here — this is the production arm.
 pub struct DiskFs {
     root: PathBuf,
-    /// Append handles kept open across calls so sustained journaling
+    /// Write handles kept open across calls so sustained journaling
     /// doesn't reopen the segment file per event.
-    open: HashMap<String, std::fs::File>,
+    open: HashMap<String, Handle>,
 }
+
+/// An open file and the offset its next append writes at. The file is
+/// not opened `O_APPEND`: in a preallocated file the cursor sits
+/// inside the zero fill.
+struct Handle {
+    file: std::fs::File,
+    cursor: u64,
+}
+
+/// The zero fill [`DiskFs::preallocate`] writes, one chunk at a time.
+static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
 
 impl DiskFs {
     /// Opens (creating if needed) the directory at `root`.
@@ -81,13 +117,17 @@ impl DiskFs {
         self.root.join(name)
     }
 
-    fn handle(&mut self, name: &str) -> io::Result<&mut std::fs::File> {
+    /// The open handle for `name`; a file not preallocated by this
+    /// store is opened with its cursor at the end.
+    fn handle(&mut self, name: &str) -> io::Result<&mut Handle> {
         if !self.open.contains_key(name) {
-            let f = std::fs::OpenOptions::new()
+            let file = std::fs::OpenOptions::new()
                 .create(true)
-                .append(true)
+                .write(true)
+                .truncate(false)
                 .open(self.path(name))?;
-            self.open.insert(name.to_string(), f);
+            let cursor = file.metadata()?.len();
+            self.open.insert(name.to_string(), Handle { file, cursor });
         }
         Ok(self.open.get_mut(name).expect("just inserted"))
     }
@@ -120,18 +160,46 @@ impl FaultFs for DiskFs {
         Ok(names)
     }
 
-    fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
+    /// Really writes the zeros — `set_len` would leave a sparse file
+    /// and `fallocate` unwritten extents, and either makes the first
+    /// overwrite of each block commit metadata again — then syncs the
+    /// file and the directory.
+    fn preallocate(&mut self, name: &str, len: u64) -> io::Result<()> {
         use io::Write;
-        self.handle(name)?.write_all(data)
+        self.open.remove(name);
+        let mut file = std::fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(self.path(name))?;
+        let mut left = len;
+        while left > 0 {
+            let n = left.min(ZEROS.len() as u64) as usize;
+            file.write_all(&ZEROS[..n])?;
+            left -= n as u64;
+        }
+        file.sync_all()?;
+        self.sync_dir();
+        self.open
+            .insert(name.to_string(), Handle { file, cursor: 0 });
+        Ok(())
+    }
+
+    fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
+        use std::os::unix::fs::FileExt;
+        let h = self.handle(name)?;
+        h.file.write_all_at(data, h.cursor)?;
+        h.cursor += data.len() as u64;
+        Ok(())
     }
 
     fn sync(&mut self, name: &str) -> io::Result<()> {
-        self.handle(name)?.sync_data()
+        self.handle(name)?.file.sync_data()
     }
 
     fn truncate(&mut self, name: &str, len: u64) -> io::Result<()> {
-        // Drop the append handle first: set_len through a fresh
-        // write handle, then reopen lazily on the next append.
+        // Drop the write handle first: set_len through a fresh
+        // handle, then reopen lazily (cursor at the new end).
         self.open.remove(name);
         let f = std::fs::OpenOptions::new()
             .write(true)
@@ -163,8 +231,8 @@ impl FaultFs for DiskFs {
 // -------------------------------------------------------------- memory
 
 /// A scripted fault, armed at a specific mutating-op index (see
-/// [`MemFs::op_count`]: `append`, `sync`, `truncate`, `replace`, and
-/// `remove` each advance the counter by one).
+/// [`MemFs::op_count`]: `preallocate`, `append`, `sync`, `truncate`,
+/// `replace`, and `remove` each advance the counter by one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// The op (an append) writes only the first `keep` bytes of its
@@ -184,10 +252,13 @@ pub enum Fault {
         offset: usize,
     },
     /// The process dies at this op (which fails, as does every later
-    /// op): every file rolls back to its synced prefix plus at most
+    /// op): every file keeps its synced prefix plus at most
     /// `keep_unsynced` bytes of its volatile tail — the torn-write
-    /// crash model. Call [`MemFs::revive`] to "restart the process"
-    /// and reopen.
+    /// crash model. The rest of the tail is cut off a growing file and
+    /// reverts to zeros in a preallocated one. A crash at a
+    /// `preallocate` leaves the new file holding at most
+    /// `keep_unsynced` of its zeros. Call [`MemFs::revive`] to
+    /// "restart the process" and reopen.
     Crash {
         /// Volatile tail bytes that happen to survive, per file.
         keep_unsynced: usize,
@@ -199,6 +270,47 @@ struct MemFile {
     data: Vec<u8>,
     /// Prefix length guaranteed durable (advanced by `sync`).
     synced: usize,
+    /// Where the next append writes: the end of `data`, or inside the
+    /// zero fill of a preallocated file.
+    cursor: usize,
+    /// Whether `data` has the fixed length `preallocate` gave it, so a
+    /// crash zeroes lost bytes instead of cutting them off.
+    preallocated: bool,
+}
+
+impl MemFile {
+    /// A file of `data`, all of it durable, appended to at its end.
+    fn durable(data: Vec<u8>) -> MemFile {
+        let len = data.len();
+        MemFile {
+            data,
+            synced: len,
+            cursor: len,
+            preallocated: false,
+        }
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let end = self.cursor + bytes.len();
+        if end > self.data.len() {
+            self.data.resize(end, 0);
+        }
+        self.data[self.cursor..end].copy_from_slice(bytes);
+        self.cursor = end;
+    }
+
+    /// What the disk holds once the process dies: the synced prefix
+    /// plus `keep_unsynced` bytes of the tail. The restarted process
+    /// appends at the end of the file, as [`DiskFs`] does.
+    fn crash(&mut self, keep_unsynced: usize) {
+        let keep = (self.synced + keep_unsynced).min(self.cursor);
+        if self.preallocated {
+            self.data[keep..self.cursor].fill(0);
+        } else {
+            self.data.truncate(keep);
+        }
+        *self = MemFile::durable(std::mem::take(&mut self.data));
+    }
 }
 
 #[derive(Default)]
@@ -225,10 +337,7 @@ impl MemStore {
     fn crash(&mut self, keep_unsynced: usize) {
         self.crashed = true;
         for f in self.files.values_mut() {
-            let keep = (f.synced + keep_unsynced).min(f.data.len());
-            f.data.truncate(keep);
-            // What survived the crash is what the disk now holds.
-            f.synced = f.data.len();
+            f.crash(keep_unsynced);
         }
     }
 }
@@ -282,12 +391,13 @@ impl MemFs {
 
     /// Direct mutable access to a file's raw bytes, for tests that
     /// corrupt or truncate "the disk" behind the engine's back.
-    /// Creates the file if absent. The edit is treated as durable.
+    /// Creates the file if absent. The edit is treated as durable, and
+    /// later appends go to the end of the edited file.
     pub fn with_raw<R>(&self, name: &str, f: impl FnOnce(&mut Vec<u8>) -> R) -> R {
         let mut s = self.store.lock().expect("memfs store poisoned");
         let file = s.files.entry(name.to_string()).or_default();
         let r = f(&mut file.data);
-        file.synced = file.data.len();
+        *file = MemFile::durable(std::mem::take(&mut file.data));
         r
     }
 }
@@ -319,6 +429,33 @@ impl FaultFs for MemFs {
         Ok(names)
     }
 
+    fn preallocate(&mut self, name: &str, len: u64) -> io::Result<()> {
+        let mut s = self.store.lock().expect("memfs store poisoned");
+        if s.crashed {
+            return Err(crashed_err());
+        }
+        let len = len as usize;
+        match s.take_fault() {
+            None => {
+                let file = MemFile {
+                    data: vec![0; len],
+                    preallocated: true,
+                    ..MemFile::default()
+                };
+                s.files.insert(name.to_string(), file);
+                Ok(())
+            }
+            Some(Fault::Crash { keep_unsynced }) => {
+                // The file was created but its zero fill never synced.
+                s.crash(keep_unsynced);
+                let zeros = vec![0; keep_unsynced.min(len)];
+                s.files.insert(name.to_string(), MemFile::durable(zeros));
+                Err(crashed_err())
+            }
+            Some(_) => Err(fault_err("preallocate failed")),
+        }
+    }
+
     fn append(&mut self, name: &str, data: &[u8]) -> io::Result<()> {
         let mut s = self.store.lock().expect("memfs store poisoned");
         if s.crashed {
@@ -326,11 +463,7 @@ impl FaultFs for MemFs {
         }
         match s.take_fault() {
             None => {
-                s.files
-                    .entry(name.to_string())
-                    .or_default()
-                    .data
-                    .extend_from_slice(data);
+                s.files.entry(name.to_string()).or_default().write(data);
                 Ok(())
             }
             Some(Fault::ShortWrite { keep }) => {
@@ -338,14 +471,13 @@ impl FaultFs for MemFs {
                 s.files
                     .entry(name.to_string())
                     .or_default()
-                    .data
-                    .extend_from_slice(&data[..keep]);
+                    .write(&data[..keep]);
                 Err(fault_err("short write"))
             }
             Some(Fault::CorruptByte { offset }) => {
                 let file = s.files.entry(name.to_string()).or_default();
-                let base = file.data.len();
-                file.data.extend_from_slice(data);
+                let base = file.cursor;
+                file.write(data);
                 if !data.is_empty() {
                     let at = base + offset.min(data.len() - 1);
                     file.data[at] ^= 0x40;
@@ -375,7 +507,7 @@ impl FaultFs for MemFs {
         match s.take_fault() {
             None => {
                 if let Some(f) = s.files.get_mut(name) {
-                    f.synced = f.data.len();
+                    f.synced = f.cursor;
                 }
                 Ok(())
             }
@@ -399,7 +531,7 @@ impl FaultFs for MemFs {
                     .get_mut(name)
                     .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, name.to_string()))?;
                 f.data.truncate(len as usize);
-                f.synced = f.data.len();
+                *f = MemFile::durable(std::mem::take(&mut f.data));
                 Ok(())
             }
             Some(Fault::Crash { keep_unsynced }) => {
@@ -417,9 +549,8 @@ impl FaultFs for MemFs {
         }
         match s.take_fault() {
             None => {
-                let f = s.files.entry(name.to_string()).or_default();
-                f.data = data.to_vec();
-                f.synced = f.data.len();
+                s.files
+                    .insert(name.to_string(), MemFile::durable(data.to_vec()));
                 Ok(())
             }
             Some(Fault::Crash { keep_unsynced }) => {
@@ -504,6 +635,71 @@ mod tests {
         fs.arm(0, Fault::CorruptByte { offset: 1 });
         fs.append("w", b"abc").unwrap(); // "succeeds"
         assert_eq!(fs.read("w").unwrap(), b"a\x22c");
+    }
+
+    #[test]
+    fn preallocated_file_keeps_its_length_and_appends_at_a_cursor() {
+        let mut fs = MemFs::new();
+        fs.preallocate("w", 8).unwrap(); // op 0
+        fs.append("w", b"abc").unwrap();
+        fs.append("w", b"de").unwrap();
+        assert_eq!(fs.read("w").unwrap(), b"abcde\0\0\0");
+        fs.sync("w").unwrap();
+        // Past the physical end the file grows, as a real write would.
+        fs.append("w", b"fghij").unwrap();
+        assert_eq!(fs.read("w").unwrap(), b"abcdefghij");
+    }
+
+    #[test]
+    fn crash_reverts_a_preallocated_tail_to_zeros() {
+        let mut fs = MemFs::new();
+        fs.preallocate("w", 16).unwrap(); // op 0
+        fs.append("w", b"durable").unwrap(); // op 1
+        fs.sync("w").unwrap(); // op 2
+        fs.append("w", b"-volatile").unwrap(); // op 3
+        fs.arm(4, Fault::Crash { keep_unsynced: 3 });
+        assert!(fs.sync("w").is_err());
+        fs.revive();
+        assert_eq!(fs.read("w").unwrap(), b"durable-vo\0\0\0\0\0\0");
+        // The restarted process appends at the physical end.
+        fs.append("w", b"!").unwrap();
+        assert_eq!(fs.read("w").unwrap().len(), 17);
+    }
+
+    #[test]
+    fn crash_inside_preallocate_leaves_a_short_zero_file() {
+        for keep in [0usize, 5, 64] {
+            let mut fs = MemFs::new();
+            fs.arm(
+                0,
+                Fault::Crash {
+                    keep_unsynced: keep,
+                },
+            );
+            assert!(fs.preallocate("w", 32).is_err());
+            fs.revive();
+            assert_eq!(fs.read("w").unwrap(), vec![0; keep.min(32)]);
+        }
+    }
+
+    #[test]
+    fn diskfs_preallocated_segment_is_overwritten_in_place() {
+        let dir = std::env::temp_dir().join(format!("minim-serve-fs-pre-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut fs = DiskFs::open(&dir).unwrap();
+        fs.preallocate("seg", 100_000).unwrap();
+        fs.append("seg", b"abc").unwrap();
+        fs.sync("seg").unwrap();
+        fs.append("seg", b"def").unwrap();
+        let bytes = fs.read("seg").unwrap();
+        assert_eq!(bytes.len(), 100_000);
+        assert_eq!(&bytes[..6], b"abcdef");
+        assert!(bytes[6..].iter().all(|&b| b == 0));
+        // A fresh store appends at the physical end, never inside.
+        let mut again = DiskFs::open(&dir).unwrap();
+        again.append("seg", b"X").unwrap();
+        assert_eq!(again.read("seg").unwrap().len(), 100_001);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Journal segment framing and the torn-tail recovery scanner.
 //!
-//! A segment is a flat concatenation of frames:
+//! A segment is a run of frames, followed by zero padding when the
+//! segment was preallocated:
 //!
 //! ```text
 //! [len: u32 LE] [crc32(payload): u32 LE] [payload: len bytes]
@@ -9,12 +10,24 @@
 //! The CRC covers the payload only; `len` is implicitly validated by
 //! the CRC (a corrupted length either lands the CRC on garbage bytes
 //! or walks off the end of the file, both of which read as a bad
-//! frame). On recovery, [`scan`] walks frames from the start and stops
-//! at the first one that doesn't check out. Everything before that
-//! point is a **valid prefix** and is replayed; everything after —
-//! whether a torn half-written tail or a bit-rotted frame — is
-//! unrecoverable by construction (frames after a broken one can't be
-//! located reliably) and is truncated away. This is the standard WAL
+//! frame). Payloads are never empty, so a zero `len` field marks the
+//! end of the written part of a preallocated (zero-filled) segment; a
+//! segment that grows by appending simply ends at EOF. [`scan`] reads
+//! both layouts.
+//!
+//! On recovery, [`scan`] walks frames from the start and stops at the
+//! first one that doesn't check out. Everything before that point is a
+//! **valid prefix** and is replayed. How the segment ends decides what
+//! the rest is:
+//!
+//! * **clean** — EOF, or a zero header with only zeros after it;
+//! * **torn tail** — a short or CRC-failing last frame with only zeros
+//!   after it: an append the crash interrupted;
+//! * **corruption** — a CRC failure or a zero header followed by any
+//!   non-zero byte, or an impossible length.
+//!
+//! A damaged segment is truncated at the valid prefix: frames after a
+//! broken one can't be located reliably. This is the standard WAL
 //! argument: the only writes that can be lost are ones never
 //! acknowledged by an fsync, so truncation never discards an
 //! acknowledged event.
@@ -29,30 +42,46 @@ pub const FRAME_HEADER: usize = 8;
 /// multi-gigabyte allocation during recovery.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Wraps `payload` in a length-prefixed checksummed frame.
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+/// Appends `payload`, wrapped in a length-prefixed checksummed frame,
+/// to `out`.
+///
+/// # Panics
+/// Panics if `payload` is empty (a zero length marks the end of a
+/// segment) or longer than [`MAX_FRAME`].
+pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
+    assert!(!payload.is_empty(), "frame payload must not be empty");
     assert!(
         payload.len() <= MAX_FRAME as usize,
         "frame payload {} exceeds MAX_FRAME",
         payload.len()
     );
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    out.reserve(FRAME_HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// Wraps `payload` in a length-prefixed checksummed frame; see
+/// [`encode_frame_into`].
+pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_frame_into(payload, &mut out);
     out
 }
 
 /// Why [`scan`] stopped where it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanEnd {
-    /// Every byte belonged to a valid frame.
+    /// Every byte belonged to a valid frame, or to the zero padding
+    /// after the last one.
     Clean,
-    /// The segment ended mid-frame: a partial header or a payload
-    /// shorter than its declared length. The classic torn write.
+    /// The segment ended mid-frame: a partial header, a payload
+    /// shorter than its declared length, or a last frame failing its
+    /// checksum with only zeros after it. The classic torn write.
     TornTail,
-    /// A structurally complete frame failed its checksum, or declared
-    /// an impossible length — corruption rather than a torn append.
+    /// A frame failed its checksum, or a zero header appeared, with
+    /// non-zero bytes after it; or a frame declared an impossible
+    /// length. Corruption rather than a torn append.
     CorruptFrame,
 }
 
@@ -64,73 +93,76 @@ pub struct ScannedSegment {
     pub frames: Vec<Vec<u8>>,
     /// Byte length of the valid prefix (the truncation point).
     pub valid_len: usize,
-    /// Bytes past `valid_len` that must be discarded.
+    /// Bytes past `valid_len` that must be discarded: zero for a clean
+    /// segment (its zero padding is kept), the whole rest of the file
+    /// for a damaged one.
     pub bytes_truncated: usize,
     /// How the scan terminated.
     pub end: ScanEnd,
 }
 
 impl ScannedSegment {
-    /// Whether the segment needs truncation before further appends.
+    /// Whether the segment needs truncation.
     pub fn is_damaged(&self) -> bool {
         self.end != ScanEnd::Clean
     }
 }
 
+fn all_zero(bytes: &[u8]) -> bool {
+    bytes.iter().all(|&b| b == 0)
+}
+
 /// Walks `bytes` frame by frame, returning the valid prefix and the
-/// classification of the first defect. Never panics and never
-/// allocates more than [`MAX_FRAME`] per frame, whatever the input.
+/// classification of its end. Never panics and never allocates more
+/// than [`MAX_FRAME`] per frame, whatever the input.
 pub fn scan(bytes: &[u8]) -> ScannedSegment {
     let mut frames = Vec::new();
     let mut at = 0usize;
-    loop {
+    let end = loop {
         let rest = &bytes[at..];
-        if rest.is_empty() {
-            return ScannedSegment {
-                frames,
-                valid_len: at,
-                bytes_truncated: 0,
-                end: ScanEnd::Clean,
-            };
-        }
         if rest.len() < FRAME_HEADER {
-            return ScannedSegment {
-                frames,
-                valid_len: at,
-                bytes_truncated: rest.len(),
-                end: ScanEnd::TornTail,
+            break if all_zero(rest) {
+                ScanEnd::Clean
+            } else {
+                ScanEnd::TornTail
             };
         }
         let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]);
         let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
+        if len == 0 {
+            break if all_zero(rest) {
+                ScanEnd::Clean
+            } else {
+                ScanEnd::CorruptFrame
+            };
+        }
         if len > MAX_FRAME {
-            return ScannedSegment {
-                frames,
-                valid_len: at,
-                bytes_truncated: rest.len(),
-                end: ScanEnd::CorruptFrame,
-            };
+            break ScanEnd::CorruptFrame;
         }
-        let len = len as usize;
-        if rest.len() < FRAME_HEADER + len {
-            return ScannedSegment {
-                frames,
-                valid_len: at,
-                bytes_truncated: rest.len(),
-                end: ScanEnd::TornTail,
-            };
+        let frame_end = FRAME_HEADER + len as usize;
+        if rest.len() < frame_end {
+            break ScanEnd::TornTail;
         }
-        let payload = &rest[FRAME_HEADER..FRAME_HEADER + len];
+        let payload = &rest[FRAME_HEADER..frame_end];
         if crc32(payload) != crc {
-            return ScannedSegment {
-                frames,
-                valid_len: at,
-                bytes_truncated: rest.len(),
-                end: ScanEnd::CorruptFrame,
+            break if all_zero(&rest[frame_end..]) {
+                ScanEnd::TornTail
+            } else {
+                ScanEnd::CorruptFrame
             };
         }
         frames.push(payload.to_vec());
-        at += FRAME_HEADER + len;
+        at += frame_end;
+    };
+    let bytes_truncated = match end {
+        ScanEnd::Clean => 0,
+        ScanEnd::TornTail | ScanEnd::CorruptFrame => bytes.len() - at,
+    };
+    ScannedSegment {
+        frames,
+        valid_len: at,
+        bytes_truncated,
+        end,
     }
 }
 
@@ -148,7 +180,7 @@ mod tests {
 
     #[test]
     fn clean_segment_scans_fully() {
-        let bytes = segment(&[b"one", b"two", b"", b"three"]);
+        let bytes = segment(&[b"one", b"two", b"3", b"three"]);
         let s = scan(&bytes);
         assert_eq!(s.end, ScanEnd::Clean);
         assert_eq!(s.valid_len, bytes.len());
@@ -158,7 +190,7 @@ mod tests {
             vec![
                 b"one".to_vec(),
                 b"two".to_vec(),
-                Vec::new(),
+                b"3".to_vec(),
                 b"three".to_vec()
             ]
         );
@@ -207,6 +239,97 @@ mod tests {
             assert_eq!(s.valid_len, expect_valid, "flip at {byte}");
             assert!(s.is_damaged(), "flip at {byte}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not be empty")]
+    fn empty_payload_is_rejected() {
+        encode_frame(b"");
+    }
+
+    /// A preallocated segment: frames, then zeros to the physical end.
+    fn padded(payloads: &[&[u8]], zeros: usize) -> Vec<u8> {
+        let mut out = segment(payloads);
+        out.resize(out.len() + zeros, 0);
+        out
+    }
+
+    #[test]
+    fn zero_padding_after_the_last_frame_is_a_clean_end() {
+        let frames = segment(&[b"alpha", b"beta"]);
+        // Padding shorter than a header, exactly a header, and longer.
+        for zeros in [0, 3, FRAME_HEADER, 4096] {
+            let s = scan(&padded(&[b"alpha", b"beta"], zeros));
+            assert_eq!(s.end, ScanEnd::Clean, "zeros={zeros}");
+            assert_eq!(s.valid_len, frames.len(), "zeros={zeros}");
+            assert_eq!(s.bytes_truncated, 0, "zeros={zeros}");
+            assert_eq!(s.frames, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+        }
+        let s = scan(&[0u8; 64]);
+        assert_eq!(s.end, ScanEnd::Clean);
+        assert!(s.frames.is_empty());
+    }
+
+    #[test]
+    fn a_partly_written_last_frame_before_zeros_is_a_torn_tail() {
+        // The crash model of a preallocated segment: the last frame's
+        // unsynced bytes survive only as a prefix, the rest stays zero.
+        let first = encode_frame(b"alpha");
+        let last = encode_frame(b"beta");
+        for keep in 0..last.len() {
+            let mut bytes = first.clone();
+            bytes.extend_from_slice(&last[..keep]);
+            bytes.resize(first.len() + 256, 0);
+            let s = scan(&bytes);
+            assert_eq!(s.frames, vec![b"alpha".to_vec()], "keep={keep}");
+            assert_eq!(s.valid_len, first.len(), "keep={keep}");
+            if keep == 0 {
+                assert_eq!(s.end, ScanEnd::Clean);
+                assert_eq!(s.bytes_truncated, 0);
+            } else {
+                assert_eq!(s.end, ScanEnd::TornTail, "keep={keep}");
+                assert_eq!(s.bytes_truncated, 256, "keep={keep}");
+            }
+        }
+        // A whole last frame that fails its CRC, zeros after it.
+        let mut bytes = padded(&[b"alpha", b"beta"], 100);
+        bytes[first.len() + FRAME_HEADER] ^= 0x01;
+        let s = scan(&bytes);
+        assert_eq!(s.end, ScanEnd::TornTail);
+        assert_eq!(s.valid_len, first.len());
+    }
+
+    #[test]
+    fn non_zero_bytes_after_a_bad_frame_or_a_zero_header_are_corruption() {
+        let first = encode_frame(b"alpha").len();
+        // A CRC failure with a later frame after it.
+        let mut bytes = padded(&[b"alpha", b"beta", b"gamma"], 64);
+        bytes[first + FRAME_HEADER] ^= 0x01;
+        let s = scan(&bytes);
+        assert_eq!(s.end, ScanEnd::CorruptFrame);
+        assert_eq!(s.valid_len, first);
+        assert_eq!(s.bytes_truncated, bytes.len() - first);
+
+        // A CRC failure in the last frame, one stray byte deep in the
+        // padding.
+        let mut bytes = padded(&[b"alpha", b"beta"], 64);
+        bytes[first + FRAME_HEADER] ^= 0x01;
+        *bytes.last_mut().unwrap() = 0x80;
+        assert_eq!(scan(&bytes).end, ScanEnd::CorruptFrame);
+
+        // A zeroed header with frames after it.
+        let mut bytes = padded(&[b"alpha", b"beta", b"gamma"], 64);
+        bytes[first..first + FRAME_HEADER].fill(0);
+        let s = scan(&bytes);
+        assert_eq!(s.end, ScanEnd::CorruptFrame);
+        assert_eq!(s.frames, vec![b"alpha".to_vec()]);
+
+        // A zero header followed by garbage in the padding.
+        let mut bytes = padded(&[b"alpha"], 64);
+        bytes[first + 20] = 0xff;
+        let s = scan(&bytes);
+        assert_eq!(s.end, ScanEnd::CorruptFrame);
+        assert_eq!(s.valid_len, first);
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //! * [`crc`] — compile-time-tabled CRC-32 guarding every stored byte.
 //! * [`fs`] — the [`FaultFs`] boundary: [`DiskFs`] for production,
 //!   [`MemFs`] with scripted faults (torn writes, fsync failures,
-//!   bit rot, full crashes) for the recovery test harness.
-//! * [`journal`] — length-prefixed checksummed frames and the
-//!   truncate-at-first-bad-frame recovery scanner.
+//!   bit rot, full crashes) for the recovery test harness. Both model
+//!   preallocated, zero-filled segment files that are overwritten in
+//!   place.
+//! * [`journal`] — length-prefixed checksummed frames, a zero length
+//!   as the end marker, and the recovery scanner that tells a clean
+//!   end from a torn tail from corruption.
 //! * [`codec`] — events and whole-network snapshots as deterministic
 //!   JSON (shortest-roundtrip floats, stable key order).
 //! * [`engine`] — the [`Engine`] facade: journal-then-apply, batched
-//!   fsync, auto-snapshot + segment rotation, and read-only
-//!   quarantine after write failures.
+//!   fsync into preallocated segments, auto-snapshot + segment
+//!   rotation, and read-only quarantine after write failures.
 //!
 //! The crate-level integration test (`tests/journal_recovery.rs` at
 //! the workspace root) crashes an engine at every scripted fault site
@@ -37,6 +40,6 @@ pub mod journal;
 
 pub use codec::{CodecError, SnapshotDoc};
 pub use crc::crc32;
-pub use engine::{Engine, EngineError, EngineOptions, RecoveryReport};
+pub use engine::{Engine, EngineError, EngineOptions, RecoveryReport, SEGMENT_BYTES};
 pub use fs::{DiskFs, Fault, FaultFs, MemFs};
-pub use journal::{encode_frame, scan, ScanEnd, ScannedSegment};
+pub use journal::{encode_frame, encode_frame_into, scan, ScanEnd, ScannedSegment};

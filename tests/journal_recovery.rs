@@ -8,7 +8,10 @@
 //! enumerate crash sites exhaustively (every mutating I/O op), script
 //! the other fault flavors (short write, fsync failure, silent bit
 //! rot), and drive randomized event streams × crash points through a
-//! property harness. Bit-identity is asserted with
+//! property harness. The engine journals into preallocated, zero-filled
+//! segments, and `MemFs` models that layout: a crash reverts unsynced
+//! bytes to zeros, and `preallocate` is a crash site like any other
+//! mutating op. Bit-identity is asserted with
 //! [`Network::state_digest`] (configs, colors, adjacency, obstacles,
 //! id watermark) plus a full `describe()` comparison.
 
@@ -16,9 +19,10 @@ use minim::core::StrategyKind;
 use minim::geom::Point;
 use minim::net::event::{apply_topology, Event};
 use minim::net::{Network, NodeConfig};
+use minim::serve::codec::encode_event;
 use minim::serve::engine::EngineOptions;
 use minim::serve::fs::{Fault, MemFs};
-use minim::serve::{encode_frame, scan, Engine, EngineError};
+use minim::serve::{encode_frame, scan, Engine, EngineError, SEGMENT_BYTES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,6 +33,11 @@ const CELL_HINT: f64 = 25.0;
 /// moves, and range changes always target a node that exists at that
 /// point in the stream (tracked with a topology-only ghost network).
 fn churn_events(seed: u64, n: usize) -> Vec<Event> {
+    churn_events_in(seed, n, 120.0)
+}
+
+/// [`churn_events`] over a square arena of side `arena`.
+fn churn_events_in(seed: u64, n: usize, arena: f64) -> Vec<Event> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ghost = Network::new(CELL_HINT);
     let mut events = Vec::with_capacity(n);
@@ -38,7 +47,7 @@ fn churn_events(seed: u64, n: usize) -> Vec<Event> {
         let e = if count == 0 || roll < 0.4 {
             Event::Join {
                 cfg: NodeConfig::new(
-                    Point::new(rng.gen_range(0.0..120.0), rng.gen_range(0.0..120.0)),
+                    Point::new(rng.gen_range(0.0..arena), rng.gen_range(0.0..arena)),
                     rng.gen_range(8.0..30.0),
                 ),
             }
@@ -50,7 +59,7 @@ fn churn_events(seed: u64, n: usize) -> Vec<Event> {
             } else if roll < 0.8 {
                 Event::Move {
                     node,
-                    to: Point::new(rng.gen_range(0.0..120.0), rng.gen_range(0.0..120.0)),
+                    to: Point::new(rng.gen_range(0.0..arena), rng.gen_range(0.0..arena)),
                 }
             } else {
                 Event::SetRange {
@@ -63,6 +72,11 @@ fn churn_events(seed: u64, n: usize) -> Vec<Event> {
         events.push(e);
     }
     events
+}
+
+/// Bytes `e` takes in a journal segment.
+fn frame_len(e: &Event) -> usize {
+    encode_frame(encode_event(e).as_bytes()).len()
 }
 
 /// The never-crashed oracle: a fresh network fed `events` through the
@@ -224,17 +238,30 @@ fn short_write_tears_are_truncated() {
     for keep in [0usize, 1, 5, 7] {
         let fs = MemFs::new();
         let o = opts(StrategyKind::Minim, 0, 1);
-        // Ops per clean event: append + sync. Genesis replace is op 0.
-        // Tear the 6th event's append.
-        let fault_op = 1 + 5 * 2;
+        // Ops per clean event: append + sync. Genesis replace is op 0,
+        // preallocating the first segment op 1. Tear the 6th event's
+        // append.
+        let fault_op = 2 + 5 * 2;
         fs.arm(fault_op, Fault::ShortWrite { keep });
         drive(&fs, o, &events);
         let eng = Engine::open_with(Box::new(fs.clone()), o).expect("reopen");
         let r = *eng.recovery_report();
         assert_eq!(r.frames_replayed, 5, "keep={keep}");
-        assert_eq!(r.bytes_truncated as usize, keep, "keep={keep}");
+        // The torn frame sits in the zero fill; truncation cuts it and
+        // the rest of the fill. With nothing written the end is clean.
+        let prefix: usize = events[..5].iter().map(frame_len).sum();
+        let cut = if keep == 0 {
+            0
+        } else {
+            SEGMENT_BYTES as usize - prefix
+        };
+        assert_eq!(r.bytes_truncated as usize, cut, "keep={keep}");
         assert_eq!(r.corrupt_frames, 0, "a torn tail is not a corrupt frame");
         assert_matches_oracle(StrategyKind::Minim, &events, &eng, "short write");
+        drop(eng);
+        let again = Engine::open_with(Box::new(fs), o).expect("second reopen");
+        assert_eq!(again.recovery_report().bytes_truncated, 0, "keep={keep}");
+        assert_eq!(again.recovery_report().events_total, 5, "keep={keep}");
     }
 }
 
@@ -247,8 +274,9 @@ fn corrupt_byte_is_detected_and_pinned_in_report() {
     let fs = MemFs::new();
     let o = opts(StrategyKind::Minim, 0, 1);
     // Corrupt a payload byte of the 4th event's append (header is 8
-    // bytes; offset 12 lands mid-payload).
-    fs.arm(1 + 3 * 2, Fault::CorruptByte { offset: 12 });
+    // bytes; offset 12 lands mid-payload). Op 0 is genesis, op 1 the
+    // segment's preallocation, then append + sync per event.
+    fs.arm(2 + 3 * 2, Fault::CorruptByte { offset: 12 });
     let applied = drive(&fs, o, &events);
     assert_eq!(applied, events.len(), "corruption is silent at write time");
 
@@ -312,32 +340,47 @@ fn crc_valid_undecodable_frame_quarantines_and_keeps_bytes() {
     }
 }
 
-/// Garbage appended past the last valid frame (a torn tail from the
+/// Garbage written past the last valid frame (a torn tail from the
 /// outside world) is truncated with a faithful, non-panicking report —
-/// the behavior CI pins.
+/// the behavior CI pins. The garbage lands either right after the last
+/// frame or past the segment's zero fill, at its physical end.
 #[test]
 fn corrupt_tail_yields_nonpanicking_recovery_report() {
     let events = churn_events(44, 12);
-    let fs = MemFs::new();
-    let o = opts(StrategyKind::Minim, 0, 1);
-    let applied = drive(&fs, o, &events);
-    assert_eq!(applied, events.len());
-
-    // Scribble garbage on the live segment's tail.
     let garbage = b"\xde\xad\xbe\xef torn tail";
-    fs.with_raw("wal-0000000000", |data| data.extend_from_slice(garbage));
+    for at_physical_end in [false, true] {
+        let fs = MemFs::new();
+        let o = opts(StrategyKind::Minim, 0, 1);
+        let applied = drive(&fs, o, &events);
+        assert_eq!(applied, events.len());
 
-    let eng = Engine::open_with(Box::new(fs.clone()), o).expect("reopen must not panic");
-    let r = *eng.recovery_report();
-    assert_eq!(r.frames_replayed, events.len() as u64);
-    assert_eq!(r.bytes_truncated as usize, garbage.len());
-    assert_eq!(r.events_total, events.len() as u64);
-    assert_matches_oracle(StrategyKind::Minim, &events, &eng, "garbage tail");
+        // Scribble garbage on the live segment's tail.
+        let (valid_len, len) = fs.with_raw("wal-0000000000", |data| {
+            let valid_len = scan(data).valid_len;
+            if at_physical_end {
+                data.extend_from_slice(garbage);
+            } else {
+                data[valid_len..valid_len + garbage.len()].copy_from_slice(garbage);
+            }
+            (valid_len, data.len())
+        });
 
-    // And the truncation is physical: a second reopen is clean.
-    drop(eng);
-    let again = Engine::open_with(Box::new(fs), o).expect("second reopen");
-    assert_eq!(again.recovery_report().bytes_truncated, 0);
+        let eng = Engine::open_with(Box::new(fs.clone()), o).expect("reopen must not panic");
+        let r = *eng.recovery_report();
+        assert_eq!(r.frames_replayed, events.len() as u64);
+        // Everything past the last valid frame is cut: the garbage and
+        // the zero fill around it.
+        assert_eq!(r.bytes_truncated as usize, len - valid_len);
+        assert_eq!(r.corrupt_frames, 1, "non-zero bytes after the end");
+        assert_eq!(r.events_total, events.len() as u64);
+        assert_matches_oracle(StrategyKind::Minim, &events, &eng, "garbage tail");
+
+        // And the truncation is physical: a second reopen is clean.
+        drop(eng);
+        let again = Engine::open_with(Box::new(fs), o).expect("second reopen");
+        assert_eq!(again.recovery_report().bytes_truncated, 0);
+        assert_eq!(again.recovery_report().events_total, events.len() as u64);
+    }
 }
 
 /// A corrupted newest snapshot falls back to the previous generation
@@ -461,9 +504,10 @@ proptest! {
     }
 }
 
-/// The real-filesystem arm: journal + crash (simulated by dropping the
-/// engine without close and truncating the segment mid-frame), reopen,
-/// verify against the oracle.
+/// The real-filesystem arm: journal + crash (simulated by closing the
+/// engine and zeroing the tail of the last frame inside the
+/// preallocated segment, as a lost write would), reopen, verify
+/// against the oracle.
 #[test]
 fn diskfs_end_to_end_recovery() {
     let dir = std::env::temp_dir().join(format!("minim-serve-e2e-{}", std::process::id()));
@@ -478,7 +522,8 @@ fn diskfs_end_to_end_recovery() {
         eng.close().expect("close");
     }
 
-    // Tear the live segment mid-frame, as a crashed kernel would.
+    // Tear the live segment's last frame, as a crashed kernel would:
+    // its final bytes never reached the disk, which still holds zeros.
     let wal = std::fs::read_dir(&dir)
         .expect("dir")
         .filter_map(|e| e.ok())
@@ -489,17 +534,56 @@ fn diskfs_end_to_end_recovery() {
                 .is_some_and(|n| n.starts_with("wal-"))
         })
         .expect("live segment");
-    let len = std::fs::metadata(&wal).expect("meta").len();
-    assert!(len > 3, "segment holds frames");
-    let torn = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&wal)
-        .expect("open wal");
-    torn.set_len(len - 3).expect("tear");
-    drop(torn);
+    let mut bytes = std::fs::read(&wal).expect("read wal");
+    assert_eq!(bytes.len() as u64, SEGMENT_BYTES, "segment is preallocated");
+    let valid_len = scan(&bytes).valid_len;
+    assert!(valid_len > 3, "segment holds frames");
+    bytes[valid_len - 3..valid_len].fill(0);
+    std::fs::write(&wal, &bytes).expect("tear");
 
     let eng = Engine::open_dir(&dir, o).expect("reopen");
     assert!(eng.recovery_report().bytes_truncated > 0);
+    assert_eq!(eng.recovery_report().corrupt_frames, 0, "a tear, not rot");
     assert_matches_oracle(StrategyKind::Minim, &events, &eng, "diskfs tear");
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The engine is a bit-transparent wrapper on the real filesystem:
+/// journaling a stream through it, with every event acknowledged or
+/// with fsyncs batched by 64, under periodic snapshot rotation, ends
+/// in the same state as the bare strategy, and so does reopening the
+/// directory. The first generation overflows one preallocated segment,
+/// so the stream crosses a segment roll as well as rotations.
+#[test]
+fn diskfs_journaled_digest_equals_bare_strategy() {
+    let events = churn_events_in(88, 8_000, 2_000.0);
+    let snapshot_every = 5_000;
+    let journaled: usize = events[..snapshot_every].iter().map(frame_len).sum();
+    assert!(
+        journaled > SEGMENT_BYTES as usize,
+        "the first generation must roll"
+    );
+    let bare = oracle(StrategyKind::Minim, &events).state_digest();
+    for sync_every in [1, 64] {
+        let dir = std::env::temp_dir().join(format!(
+            "minim-serve-bare-{sync_every}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let o = opts(StrategyKind::Minim, snapshot_every as u64, sync_every);
+        let mut eng = Engine::open_dir(&dir, o).expect("open");
+        for e in &events {
+            eng.apply(e).expect("apply");
+        }
+        assert!(eng.segment_seq() > 1, "a roll and a rotation happened");
+        assert_eq!(eng.net().state_digest(), bare, "sync_every={sync_every}");
+        eng.close().expect("close");
+
+        let eng = Engine::open_dir(&dir, o).expect("reopen");
+        assert_eq!(eng.recovery_report().events_total, events.len() as u64);
+        assert_eq!(eng.recovery_report().bytes_truncated, 0);
+        assert_eq!(eng.net().state_digest(), bare, "sync_every={sync_every}");
+        drop(eng);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }
