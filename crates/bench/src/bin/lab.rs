@@ -24,7 +24,7 @@
 //!   events sequentially); `--format` picks the stdout rendering (default `table`); `--out DIR`
 //!   additionally writes `<name>.json` and `<name>.csv`;
 //!   `--metrics-out FILE` resets the minim-obs registry before the
-//!   sweep and afterwards writes the full `minim-trace/1` document
+//!   sweep and afterwards writes the full `minim-metrics/1` document
 //!   (counters, gauges, latency histograms, span profile tree) to
 //!   `FILE`, with a one-screen metrics summary printed alongside the
 //!   tables.
@@ -270,7 +270,7 @@ fn emit(args: &RunArgs, result: &SweepResult) -> ExitCode {
         std::fs::write(path, doc.to_string_pretty())
             .unwrap_or_else(|e| die(&format!("cannot write {}: {e}", path.display())));
         if !args.quiet {
-            eprintln!("minim-lab: wrote trace {}", path.display());
+            eprintln!("minim-lab: wrote metrics {}", path.display());
         }
     }
     if let Some(dir) = &args.out {

@@ -10,8 +10,15 @@
 //!   fig12   — Fig 12(a–d): movement, sweep maxdisp and RoundNo
 //!   ablations — keep-weight + CP color-pick studies (DESIGN.md §6)
 //!   gossip  — §6 future-work gossip compaction study
-//! --runs K  — replicates per point (default 100, the paper's protocol)
-//! --quick   — 15 replicates and thinner sweeps (smoke mode)
+//!   proto   — messages and rounds per join of the distributed joiners
+//!   radio   — packets lost to retune outages vs retune window
+//!   mobility — recodings under teleport vs random-waypoint motion
+//!   hybrid  — §6 hybrid: Minim plus periodic gossip under churn
+//!   all     — every target above (the default)
+//! --runs K  — replicates per point (default 100, the paper's protocol;
+//!             15 under --quick)
+//! --quick   — thinner sweeps and 15 replicates unless --runs is given
+//! --plot    — print an ASCII plot under each table
 //! --out DIR — CSV output directory (default: results/)
 //! ```
 //!
@@ -37,47 +44,49 @@ struct Args {
     out: PathBuf,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line (without the program name). An explicit
+/// `--runs` wins over `--quick`'s default of 15 replicates.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut targets = HashSet::new();
-    let mut runs = 100usize;
+    let mut runs = None;
     let mut quick = false;
     let mut plot = false;
     let mut out = PathBuf::from("results");
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
             "--runs" => {
                 i += 1;
-                runs = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--runs needs a positive integer"));
+                let k = argv.get(i).and_then(|s| s.parse::<usize>().ok());
+                runs = Some(
+                    k.filter(|&k| k > 0)
+                        .ok_or("--runs needs a positive integer")?,
+                );
             }
             "--quick" => quick = true,
             "--plot" => plot = true,
             "--out" => {
                 i += 1;
-                out = PathBuf::from(argv.get(i).unwrap_or_else(|| die("--out needs a path")));
+                out = PathBuf::from(argv.get(i).ok_or("--out needs a path")?);
             }
             t @ ("fig10" | "fig10r" | "fig11" | "fig12" | "ablations" | "gossip" | "proto"
             | "radio" | "mobility" | "hybrid" | "all") => {
                 targets.insert(t.to_string());
             }
-            other => die(&format!("unknown argument: {other}")),
+            other => return Err(format!("unknown argument: {other}")),
         }
         i += 1;
     }
     if targets.is_empty() {
         targets.insert("all".to_string());
     }
-    Args {
+    Ok(Args {
         targets,
-        runs,
+        runs: runs.unwrap_or(if quick { 15 } else { 100 }),
         quick,
         plot,
         out,
-    }
+    })
 }
 
 fn die(msg: &str) -> ! {
@@ -99,13 +108,13 @@ fn emit(args: &Args, file: &str, table: &Table) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|msg| die(&msg));
     std::fs::create_dir_all(&args.out).unwrap_or_else(|e| {
         die(&format!("cannot create {}: {e}", args.out.display()));
     });
-    let runs = if args.quick { 15 } else { args.runs };
     let cfg = ExperimentConfig {
-        runs,
+        runs: args.runs,
         ..ExperimentConfig::paper()
     };
     let want = |t: &str| args.targets.contains(t) || args.targets.contains("all");
@@ -372,4 +381,41 @@ fn proto_cost_study(cfg: &ExperimentConfig, ns: &[usize]) -> Table {
         );
     }
     table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn quick_sets_only_the_default_replicate_count() {
+        assert_eq!(parse(&[]).unwrap().runs, 100);
+        assert_eq!(parse(&["--quick"]).unwrap().runs, 15);
+        for argv in [["--runs", "7", "--quick"], ["--quick", "--runs", "7"]] {
+            let args = parse(&argv).unwrap();
+            assert_eq!(args.runs, 7, "{argv:?}");
+            assert!(args.quick, "{argv:?}");
+        }
+    }
+
+    #[test]
+    fn targets_default_to_all_and_bad_arguments_are_errors() {
+        let args = parse(&["fig10", "--out", "dir"]).unwrap();
+        assert!(args.targets.contains("fig10") && args.targets.len() == 1);
+        assert_eq!(args.out, PathBuf::from("dir"));
+        assert!(parse(&[]).unwrap().targets.contains("all"));
+        for bad in [
+            &["--runs"][..],
+            &["--runs", "0"],
+            &["--runs", "x"],
+            &["--out"],
+            &["fig99"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
 }

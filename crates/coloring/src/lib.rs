@@ -174,7 +174,7 @@ pub fn dsatur(g: &UGraph) -> Coloring {
 /// the vertices already *excluded* from the class (so the class packs
 /// tightly against its boundary). Usually the strongest of the classic
 /// constructive heuristics on dense graphs, at `O(n³)` worst case —
-/// provided as a third BBB engine and for the coloring ablation.
+/// provided as a third BBB engine.
 pub fn rlf(g: &UGraph) -> Coloring {
     let n = g.vertex_count();
     let mut colors = vec![0u32; n];
@@ -247,50 +247,6 @@ pub fn smallest_last(g: &UGraph) -> Coloring {
     }
     order.reverse();
     greedy_coloring(g, &order)
-}
-
-/// Iterated greedy improvement (Culberson & Luo): reordering vertices
-/// so that each existing color class is contiguous and re-running
-/// first-fit never increases the color count, and often decreases it.
-/// Runs `iterations` passes, alternating class orderings (reverse,
-/// largest-first, smallest-first), keeping the best coloring seen.
-///
-/// Used by the coloring ablation to show how far a cheap local search
-/// can push the global heuristics — context for how near-optimal the
-/// BBB engines already are on these geometric conflict graphs.
-pub fn iterated_greedy(g: &UGraph, start: &Coloring, iterations: usize) -> Coloring {
-    assert_eq!(
-        start.colors.len(),
-        g.vertex_count(),
-        "start coloring must cover the graph"
-    );
-    debug_assert!(validate_coloring(g, start).is_ok());
-    let mut best = start.clone();
-    let mut current = start.clone();
-    for round in 0..iterations {
-        // Group vertices by color class.
-        let k = current.color_count() as usize;
-        let mut classes: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (v, &c) in current.colors.iter().enumerate() {
-            classes[c as usize - 1].push(v);
-        }
-        // Alternate class orders across rounds.
-        match round % 3 {
-            0 => classes.reverse(),
-            1 => classes.sort_by_key(|c| std::cmp::Reverse(c.len())),
-            _ => classes.sort_by_key(Vec::len),
-        }
-        let order: Vec<usize> = classes.into_iter().flatten().collect();
-        current = greedy_coloring(g, &order);
-        debug_assert!(
-            current.color_count() <= best.color_count().max(current.color_count()),
-            "grouped re-greedy never worsens"
-        );
-        if current.color_count() < best.color_count() {
-            best = current.clone();
-        }
-    }
-    best
 }
 
 /// The exact chromatic number by branch and bound with clique seeding.
@@ -482,33 +438,6 @@ mod tests {
         let c = rlf(&g);
         assert!(validate_coloring(&g, &c).is_ok());
         assert_eq!(c.color_count(), 2);
-    }
-
-    #[test]
-    fn iterated_greedy_never_worsens_and_sometimes_improves() {
-        let mut improved = 0;
-        for seed in 0..20 {
-            let g = random_graph(30, 0.3, 3000 + seed);
-            let start = greedy_identity(&g);
-            let better = iterated_greedy(&g, &start, 12);
-            assert!(validate_coloring(&g, &better).is_ok());
-            assert!(better.color_count() <= start.color_count());
-            if better.color_count() < start.color_count() {
-                improved += 1;
-            }
-        }
-        assert!(
-            improved >= 5,
-            "iterated greedy should improve naive greedy regularly, got {improved}/20"
-        );
-    }
-
-    #[test]
-    fn iterated_greedy_zero_iterations_is_identity() {
-        let g = random_graph(15, 0.3, 99);
-        let start = dsatur(&g);
-        let same = iterated_greedy(&g, &start, 0);
-        assert_eq!(same.colors, start.colors);
     }
 
     #[test]

@@ -234,9 +234,9 @@ impl Network {
     /// Creates an empty network whose spatial index is **flat** — one
     /// tier, monotone range watermark — i.e. the pre-stratification
     /// behavior, where a single long-range node permanently inflates
-    /// every reverse-reach scan. Exists for A/B benchmarking
-    /// (`crates/bench`'s `events` bench) and equivalence tests; the
-    /// two modes are bit-identical in results, only costs differ.
+    /// every reverse-reach scan. Exists for A/B benchmarking (the
+    /// serve engine's `flat` option) and equivalence tests; the two
+    /// modes are bit-identical in results, only costs differ.
     pub fn new_flat(cell_size_hint: f64) -> Self {
         Network::with_grid(StratifiedGrid::new_flat(cell_size_hint), cell_size_hint)
     }

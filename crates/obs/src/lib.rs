@@ -33,7 +33,7 @@
 //! ## Serialisation
 //!
 //! The registry is dependency-free by design; JSON export of
-//! [`MetricsSnapshot`] / [`Profile`] (the `minim-trace/1` document)
+//! [`MetricsSnapshot`] / [`Profile`] (the `minim-metrics/1` document)
 //! lives in `minim-sim`, next to the workspace's own `json` module.
 
 #![deny(missing_docs)]

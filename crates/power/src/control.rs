@@ -16,8 +16,8 @@
 //! whose interference actually changed; Yates' framework covers
 //! totally asynchronous update orders, so both land on the same
 //! unique fixed point). Started from the minimum power the iteration
-//! converges monotonically from below, which is what [`run`] does and
-//! what the tests pin.
+//! converges monotonically from below, which is what [`run_with`] does
+//! and what the tests pin.
 //!
 //! Real handsets cannot emit arbitrary powers: [`PowerLadder`]
 //! optionally quantizes every update **up** to the next discrete
@@ -202,20 +202,6 @@ pub enum Verdict {
     PowerCapped,
     /// Update budget exhausted before a fixed point.
     Diverging,
-}
-
-/// The result of [`run`]: final powers, per-link SINRs, and the
-/// feasibility verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlOutcome {
-    /// Final power vector (one entry per link slot).
-    pub powers: Vec<f64>,
-    /// SINR of every link under `powers` (0 for absent slots).
-    pub sinrs: Vec<f64>,
-    /// Synchronous iterations executed.
-    pub iterations: usize,
-    /// How the run ended.
-    pub feasibility: Feasibility,
 }
 
 /// Report of one [`run_with`] sweep.
@@ -1054,24 +1040,6 @@ pub fn relax_parallel(
     }
 }
 
-/// Runs the synchronous Foschini–Miljanic iteration on `field` from
-/// the all-minimum power vector, returning an owning outcome. The
-/// convenience wrapper over [`run_with`]; hot loops hold a
-/// [`ControlScratch`] instead.
-///
-/// # Panics
-/// Panics if `cfg` fails [`ControlConfig::validate`].
-pub fn run(field: &SinrField, cfg: &ControlConfig) -> ControlOutcome {
-    let mut scratch = ControlScratch::new();
-    let report = run_with(field, cfg, &mut scratch);
-    ControlOutcome {
-        feasibility: scratch.feasibility(report.verdict),
-        powers: scratch.powers,
-        sinrs: scratch.sinrs,
-        iterations: report.iterations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1094,6 +1062,13 @@ mod tests {
     /// Like [`field_of`] but with a gain floor cutting interferers
     /// beyond `cutoff` — what gives distant clusters disjoint hearer
     /// fan-out (and hence multiple islands).
+    /// A cold synchronous sweep into a fresh scratch.
+    fn sweep(field: &SinrField, cfg: &ControlConfig) -> (SweepReport, ControlScratch) {
+        let mut scratch = ControlScratch::new();
+        let report = run_with(field, cfg, &mut scratch);
+        (report, scratch)
+    }
+
     fn field_floored(coords: &[(f64, f64)], receiver: &[u32], cutoff: f64) -> SinrField {
         let positions: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let gain = GainModel::terrain();
@@ -1118,9 +1093,9 @@ mod tests {
             &[1, 0, 3, 2],
         );
         let cfg = ControlConfig::new(4.0, 1e-3, 1e6);
-        let out = run(&field, &cfg);
-        assert_eq!(out.feasibility, Feasibility::Converged);
-        assert!(out.iterations < cfg.max_iters);
+        let (report, out) = sweep(&field, &cfg);
+        assert_eq!(report.verdict, Verdict::Converged);
+        assert!(report.iterations < cfg.max_iters);
         for (i, &s) in out.sinrs.iter().enumerate() {
             assert!(
                 (s / 4.0 - 1.0).abs() < 1e-3,
@@ -1156,8 +1131,8 @@ mod tests {
                 );
             }
         }
-        let out = run(&field, &cfg);
-        assert_eq!(out.feasibility, Feasibility::Converged);
+        let (report, out) = sweep(&field, &cfg);
+        assert_eq!(report.verdict, Verdict::Converged);
         for (ran, manual) in out.powers.iter().zip(&powers) {
             // Both converge from below to the same fixed point; the
             // tolerance-stopped run and the 60-iteration prefix agree
@@ -1185,12 +1160,13 @@ mod tests {
             .collect();
         let field = field_of(&coords, &receiver);
         let cfg = ControlConfig::new(16.0, 1e-3, 1e4);
-        let out = run(&field, &cfg);
-        let Feasibility::PowerCapped { capped } = &out.feasibility else {
-            panic!("expected PowerCapped, got {:?}", out.feasibility);
+        let (report, out) = sweep(&field, &cfg);
+        assert_eq!(report.verdict, Verdict::PowerCapped);
+        let Feasibility::PowerCapped { capped } = out.feasibility(report.verdict) else {
+            unreachable!("PowerCapped verdict");
         };
         assert!(!capped.is_empty());
-        for &i in capped {
+        for i in capped {
             assert!(out.powers[i] >= cfg.max_power * (1.0 - 1e-9));
             assert!(out.sinrs[i] < 16.0);
         }
@@ -1206,9 +1182,9 @@ mod tests {
         );
         let mut cfg = ControlConfig::new(8.0, 1e-3, 1e6);
         cfg.max_iters = 2;
-        let out = run(&field, &cfg);
-        assert_eq!(out.feasibility, Feasibility::Diverging);
-        assert_eq!(out.iterations, 2);
+        let (report, _) = sweep(&field, &cfg);
+        assert_eq!(report.verdict, Verdict::Diverging);
+        assert_eq!(report.iterations, 2);
     }
 
     /// Discrete ladders reach an exact fixed point whose powers are
@@ -1221,10 +1197,10 @@ mod tests {
             &[1, 0, 3, 2],
         );
         let mut cfg = ControlConfig::new(4.0, 1e-3, 1e5);
-        let cont = run(&field, &cfg);
+        let (_, cont) = sweep(&field, &cfg);
         cfg.ladder = PowerLadder::Geometric { levels: 24 };
-        let disc = run(&field, &cfg);
-        assert_eq!(disc.feasibility, Feasibility::Converged);
+        let (report, disc) = sweep(&field, &cfg);
+        assert_eq!(report.verdict, Verdict::Converged);
         let rungs = cfg.ladder.levels(cfg.min_power, cfg.max_power);
         for (i, &p) in disc.powers.iter().enumerate() {
             assert!(
@@ -1238,9 +1214,9 @@ mod tests {
             assert!(disc.sinrs[i] >= 4.0 * (1.0 - 1e-3), "target still met");
         }
         // Fixed point: one more run from the discrete solution is a
-        // no-op (run() restarts from min power and must land on the
+        // no-op (run_with restarts from min power and must land on the
         // same rungs — the fixed point is unique from below).
-        let again = run(&field, &cfg);
+        let (_, again) = sweep(&field, &cfg);
         assert_eq!(again.powers, disc.powers);
     }
 
@@ -1271,16 +1247,17 @@ mod tests {
         // A single node with no receiver: dead direct path, power
         // pinned at the cap and reported infeasible.
         let field = field_of(&[(0.0, 0.0)], &[0]);
-        let out = run(&field, &ControlConfig::new(4.0, 1e-3, 10.0));
+        let (report, out) = sweep(&field, &ControlConfig::new(4.0, 1e-3, 10.0));
         assert_eq!(
-            out.feasibility,
+            out.feasibility(report.verdict),
             Feasibility::PowerCapped { capped: vec![0] }
         );
         assert_eq!(out.powers, vec![10.0]);
     }
 
     /// Cold active-set relaxation lands on the sweep's fixed point —
-    /// same powers (within tolerance), same verdict, same capped set.
+    /// same powers (within tolerance), same verdict, same capped set —
+    /// and both repeat exactly on a reused scratch.
     #[test]
     fn cold_relax_matches_sync_sweep_continuous() {
         let field = field_of(
@@ -1295,15 +1272,24 @@ mod tests {
             &[1, 0, 3, 2, 5, 4],
         );
         let cfg = ControlConfig::new(4.0, 1e-3, 1e6);
-        let sweep = run(&field, &cfg);
+        let (sweep_report, mut swept) = sweep(&field, &cfg);
         let mut scratch = ControlScratch::new();
         let report = relax(&field, &cfg, &mut scratch, false);
-        assert_eq!(scratch.feasibility(report.verdict), sweep.feasibility);
-        for (i, (&a, &s)) in scratch.powers.iter().zip(&sweep.powers).enumerate() {
+        assert_eq!(report.verdict, sweep_report.verdict);
+        assert_eq!(scratch.capped, swept.capped);
+        for (i, (&a, &s)) in scratch.powers.iter().zip(&swept.powers).enumerate() {
             let rel = (a - s).abs() / s;
             assert!(rel < 5e-3, "link {i}: relax {a} vs sweep {s} (rel {rel})");
         }
         assert!(report.updates > 0);
+        // Cold runs on a reused scratch repeat exactly: same iteration
+        // and update counts, same powers.
+        let powers = swept.powers.clone();
+        assert_eq!(run_with(&field, &cfg, &mut swept), sweep_report);
+        assert_eq!(swept.powers, powers);
+        let powers = scratch.powers.clone();
+        assert_eq!(relax(&field, &cfg, &mut scratch, false), report);
+        assert_eq!(scratch.powers, powers);
     }
 
     /// On a discrete ladder the relaxation climbs to the *exact* least
@@ -1316,11 +1302,12 @@ mod tests {
         );
         let mut cfg = ControlConfig::new(4.0, 1e-3, 1e5);
         cfg.ladder = PowerLadder::Geometric { levels: 24 };
-        let sweep = run(&field, &cfg);
+        let (sweep_report, swept) = sweep(&field, &cfg);
         let mut scratch = ControlScratch::new();
         let report = relax(&field, &cfg, &mut scratch, false);
-        assert_eq!(scratch.powers, sweep.powers, "exact rung-for-rung match");
-        assert_eq!(scratch.feasibility(report.verdict), sweep.feasibility);
+        assert_eq!(scratch.powers, swept.powers, "exact rung-for-rung match");
+        assert_eq!(report.verdict, sweep_report.verdict);
+        assert_eq!(scratch.capped, swept.capped);
     }
 
     /// A warm restart at equilibrium with an empty worklist is a no-op:

@@ -188,25 +188,6 @@ pub struct PowerLoopOutcome {
     pub report: PowerLoopReport,
 }
 
-/// Reusable buffers for [`PowerLoop::run_reusing`]: the control-loop
-/// scratch plus the geometry staging slabs. Hold one across calls and
-/// the per-call allocations reduce to the emitted events.
-#[derive(Debug, Clone, Default)]
-pub struct LoopScratch {
-    /// The control-loop scratch (powers, SINRs, worklist).
-    pub control: ControlScratch,
-    ids: Vec<NodeId>,
-    positions: Vec<Point>,
-    receiver: Vec<u32>,
-}
-
-impl LoopScratch {
-    /// An empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The closed-loop driver. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLoop {
@@ -237,31 +218,15 @@ impl PowerLoop {
     /// Purely deterministic: no randomness, same inputs → same
     /// events.
     pub fn run(&self, net: &Network, joiners: &[NodeConfig]) -> PowerLoopOutcome {
-        self.run_reusing(net, joiners, &mut LoopScratch::new())
-    }
-
-    /// [`PowerLoop::run`] with caller-owned buffers: geometry slabs
-    /// and the control scratch are recycled across calls, so repeated
-    /// passes only allocate their output events.
-    pub fn run_reusing(
-        &self,
-        net: &Network,
-        joiners: &[NodeConfig],
-        scratch: &mut LoopScratch,
-    ) -> PowerLoopOutcome {
         let cfg = &self.cfg;
         // Transmitters: present nodes in ascending id order, then the
         // pending joiners.
-        scratch.ids.clear();
-        scratch.ids.extend(net.iter_nodes());
-        let ids = &scratch.ids;
-        scratch.positions.clear();
-        scratch.positions.extend(
-            ids.iter()
-                .map(|&id| net.config(id).expect("listed node exists").pos),
-        );
-        scratch.positions.extend(joiners.iter().map(|cfg| cfg.pos));
-        let positions = &scratch.positions;
+        let ids: Vec<NodeId> = net.iter_nodes().collect();
+        let positions: Vec<Point> = ids
+            .iter()
+            .map(|&id| net.config(id).expect("listed node exists").pos)
+            .chain(joiners.iter().map(|cfg| cfg.pos))
+            .collect();
         let n = positions.len();
         let control = cfg.control();
 
@@ -286,13 +251,9 @@ impl PowerLoop {
             };
         }
 
-        match cfg.receivers {
-            ReceiverPolicy::NearestNeighbor => {
-                nearest_neighbor_receivers_into(positions, &mut scratch.receiver)
-            }
-            ReceiverPolicy::Sinks { every } => {
-                sink_receivers_into(positions, every, &mut scratch.receiver)
-            }
+        let receiver = match cfg.receivers {
+            ReceiverPolicy::NearestNeighbor => nearest_neighbor_receivers(&positions),
+            ReceiverPolicy::Sinks { every } => sink_receivers(&positions, every),
         };
         let gain_floor = if cfg.floor_frac > 0.0 {
             cfg.floor_frac * cfg.budget.noise / control.max_power
@@ -301,21 +262,17 @@ impl PowerLoop {
         };
         let walls = (!net.obstacles().is_empty()).then(|| net.obstacle_index());
         let field = SinrField::build(
-            &cfg.gain,
-            cfg.budget,
-            positions,
-            &scratch.receiver,
-            walls,
-            gain_floor,
+            &cfg.gain, cfg.budget, &positions, &receiver, walls, gain_floor,
         );
-        let report = control::run_with(&field, &control, &mut scratch.control);
-        let feasibility = scratch.control.feasibility(report.verdict);
-        let powers = &scratch.control.powers;
+        let mut scratch = ControlScratch::new();
+        let report = control::run_with(&field, &control, &mut scratch);
+        let feasibility = scratch.feasibility(report.verdict);
+        let powers = &scratch.powers;
         // Only a fixed point names infeasible nodes; a budget-exhausted
         // run has no verdict on individual links.
         let is_capped = |i: usize| {
             matches!(feasibility, Feasibility::PowerCapped { .. })
-                && scratch.control.capped.binary_search(&(i as u32)).is_ok()
+                && scratch.capped.binary_search(&(i as u32)).is_ok()
         };
 
         let mut set_ranges = Vec::new();
@@ -371,17 +328,10 @@ impl PowerLoop {
 /// intended receiver (ties broken toward the lower index, so the
 /// assignment is deterministic). A single node receives itself —
 /// [`SinrField`] treats that as a dead link.
-fn nearest_neighbor_receivers_into(positions: &[Point], out: &mut Vec<u32>) {
-    let n = positions.len();
-    out.clear();
-    out.extend((0..n).map(|i| nearest_among(positions, i, |j| j != i).unwrap_or(i) as u32));
-}
-
-#[cfg(test)]
 fn nearest_neighbor_receivers(positions: &[Point]) -> Vec<u32> {
-    let mut out = Vec::new();
-    nearest_neighbor_receivers_into(positions, &mut out);
-    out
+    (0..positions.len())
+        .map(|i| nearest_among(positions, i, |j| j != i).unwrap_or(i) as u32)
+        .collect()
 }
 
 /// [`ReceiverPolicy::Sinks`]: indices `0, every, 2·every, …` are
@@ -391,23 +341,16 @@ fn nearest_neighbor_receivers(positions: &[Point]) -> Vec<u32> {
 ///
 /// # Panics
 /// Panics when `every == 0`.
-fn sink_receivers_into(positions: &[Point], every: usize, out: &mut Vec<u32>) {
-    assert!(every >= 1, "sink stride must be >= 1");
-    let n = positions.len();
-    let is_sink = |j: usize| j.is_multiple_of(every);
-    out.clear();
-    out.extend((0..n).map(|i| {
-        nearest_among(positions, i, |j| j != i && is_sink(j))
-            .or_else(|| nearest_among(positions, i, |j| j != i))
-            .unwrap_or(i) as u32
-    }));
-}
-
-#[cfg(test)]
 fn sink_receivers(positions: &[Point], every: usize) -> Vec<u32> {
-    let mut out = Vec::new();
-    sink_receivers_into(positions, every, &mut out);
-    out
+    assert!(every >= 1, "sink stride must be >= 1");
+    let is_sink = |j: usize| j.is_multiple_of(every);
+    (0..positions.len())
+        .map(|i| {
+            nearest_among(positions, i, |j| j != i && is_sink(j))
+                .or_else(|| nearest_among(positions, i, |j| j != i))
+                .unwrap_or(i) as u32
+        })
+        .collect()
 }
 
 /// The index of the closest admissible point to `positions[i]` (ties

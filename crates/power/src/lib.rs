@@ -46,12 +46,11 @@ pub mod sinr;
 
 pub use accum::{weighted_sum, weighted_sum_scalar, weighted_sum_simd, LANES};
 pub use control::{
-    relax, relax_parallel, run as run_control, run_with, ControlConfig, ControlOutcome,
-    ControlScratch, Feasibility, IslandPlan, IslandScratch, ParallelRelaxReport, PowerLadder,
-    RelaxReport, SweepReport, Verdict,
+    relax, relax_parallel, run_with, ControlConfig, ControlScratch, Feasibility, IslandPlan,
+    IslandScratch, ParallelRelaxReport, PowerLadder, RelaxReport, SweepReport, Verdict,
 };
 pub use driver::{
-    power_for_range, range_for_power, LoopScratch, PowerLoop, PowerLoopConfig, PowerLoopOutcome,
+    power_for_range, range_for_power, PowerLoop, PowerLoopConfig, PowerLoopOutcome,
     PowerLoopReport, ReceiverPolicy,
 };
 pub use gain::GainModel;

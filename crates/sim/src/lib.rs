@@ -30,7 +30,7 @@
 //!   execution produce bit-identical tables.
 //! * [`json`] — a dependency-free JSON value/parser/writer backing the
 //!   spec-file format and result exports.
-//! * [`trace`] — the `minim-trace/1` export: lowers `minim-obs`
+//! * [`trace`] — the `minim-metrics/1` export: lowers `minim-obs`
 //!   metric snapshots and span profiles onto [`json`] values.
 
 #![deny(missing_docs)]

@@ -1,4 +1,4 @@
-//! `minim-trace/1` — JSON export of the minim-obs registry.
+//! `minim-metrics/1` — JSON export of the minim-obs registry.
 //!
 //! `minim-obs` is dependency-free by design, so its snapshot and
 //! profile types know nothing about serialisation; this module lowers
@@ -7,7 +7,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "minim-trace/1",
+//!   "schema": "minim-metrics/1",
 //!   "metrics": {
 //!     "counters": {"net.apply.move": 1200, ...},
 //!     "gauges": {"power.settle.links": 312.0, ...},
@@ -37,8 +37,8 @@
 use crate::json::Json;
 use minim_obs::{HistogramSnapshot, MetricsSnapshot, Profile, ProfileNode};
 
-/// The schema tag written into every trace document.
-pub const TRACE_SCHEMA: &str = "minim-trace/1";
+/// The schema tag written into every metrics document.
+pub const METRICS_SCHEMA: &str = "minim-metrics/1";
 
 /// Lowers a metrics snapshot to JSON (the `metrics` block).
 pub fn metrics_to_json(snap: &MetricsSnapshot) -> Json {
@@ -115,11 +115,11 @@ fn node_to_json(n: &ProfileNode) -> Json {
     ])
 }
 
-/// The full `minim-trace/1` document for the registry's current state:
+/// The full `minim-metrics/1` document for the registry's current state:
 /// metrics snapshot plus aggregated span profile.
 pub fn trace_document() -> Json {
     Json::obj(vec![
-        ("schema", Json::Str(TRACE_SCHEMA.to_string())),
+        ("schema", Json::Str(METRICS_SCHEMA.to_string())),
         ("metrics", metrics_to_json(&minim_obs::snapshot())),
         ("profile", profile_to_json(&minim_obs::profile())),
     ])
@@ -143,7 +143,7 @@ mod tests {
             Json::Obj(fields) => {
                 assert_eq!(
                     fields.iter().find(|(k, _)| k == "schema").map(|(_, v)| v),
-                    Some(&Json::Str(TRACE_SCHEMA.to_string()))
+                    Some(&Json::Str(METRICS_SCHEMA.to_string()))
                 );
                 assert!(fields.iter().any(|(k, _)| k == "metrics"));
                 assert!(fields.iter().any(|(k, _)| k == "profile"));

@@ -17,7 +17,8 @@
 //!
 //! Both strategy properties also run over [`frontier_events`]:
 //! adversarial churn with bimodal camps, joins into the gap between
-//! them, long-haul moves and 0.3–3× range changes. BBB, which has no
+//! them, long-haul moves, 0.3–3× range changes, and co-located joins
+//! and ranges of 0 and 1e6. BBB, which has no
 //! oracle twin, runs the same streams under `ValidationMode::Full`.
 //!
 //! Also pins the substrate-level facts the strategies rely on: a
@@ -69,16 +70,28 @@ fn mixed_events(seed: u64, joins: usize, churn: usize) -> Vec<Event> {
 /// in two camps at the ends or straight into the gap between them,
 /// moves travel up to 300 units (across the gap), and range changes
 /// scale a node's range by 0.3–3×, so neighborhoods keep merging and
-/// splitting.
+/// splitting. Edge values ride along: a few joins land exactly on an
+/// existing node, and those joins and a few range changes take range
+/// 0 or 1e6 (deaf-and-mute, or reaching the whole strip).
 fn frontier_events(seed: u64, n_events: usize) -> Vec<Event> {
     let arena = Rect::new(0.0, 0.0, 900.0, 300.0);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ghost = Network::new(25.0);
     let mut events = Vec::with_capacity(n_events);
+    let edge_range = |rng: &mut StdRng| if rng.gen_bool(0.5) { 0.0 } else { 1e6 };
     for _ in 0..n_events {
         let count = ghost.node_count();
         let roll: f64 = rng.gen();
-        let e = if count == 0 || roll < 0.45 {
+        let e = if count > 0 && roll < 0.05 {
+            let k = rng.gen_range(0..count);
+            let host = ghost.iter_nodes().nth(k).expect("k < count");
+            Event::Join {
+                cfg: NodeConfig::new(
+                    ghost.config(host).expect("present").pos,
+                    edge_range(&mut rng),
+                ),
+            }
+        } else if count == 0 || roll < 0.45 {
             let x = match rng.gen_range(0u32..3) {
                 0 => rng.gen_range(0.0..250.0),
                 1 => rng.gen_range(650.0..900.0),
@@ -101,12 +114,17 @@ fn frontier_events(seed: u64, n_events: usize) -> Vec<Event> {
                     node,
                     to: sample::random_move(&mut rng, from, 300.0, &arena),
                 }
-            } else {
+            } else if roll < 0.97 {
                 let r = ghost.config(node).expect("present").range;
                 let factor: f64 = rng.gen_range(0.3..3.0);
                 Event::SetRange {
                     node,
                     range: (r * factor).clamp(1.0, 400.0),
+                }
+            } else {
+                Event::SetRange {
+                    node,
+                    range: edge_range(&mut rng),
                 }
             }
         };

@@ -33,18 +33,32 @@ const CELL_HINT: f64 = 25.0;
 /// moves, and range changes always target a node that exists at that
 /// point in the stream (tracked with a topology-only ghost network).
 fn churn_events(seed: u64, n: usize) -> Vec<Event> {
-    churn_events_in(seed, n, 120.0)
+    churn_events_in(seed, n, 120.0, 0.06)
 }
 
-/// [`churn_events`] over a square arena of side `arena`.
-fn churn_events_in(seed: u64, n: usize, arena: f64) -> Vec<Event> {
+/// [`churn_events`] over a square arena of side `arena`. A share `edge`
+/// of the events carries edge values: half are joins exactly on an
+/// existing node, half are range changes, each with range 0 or 1e6. A
+/// live 1e6-range node conflicts with every node that transmits, so
+/// long streams keep `edge` small.
+fn churn_events_in(seed: u64, n: usize, arena: f64, edge: f64) -> Vec<Event> {
+    let edge_range = |rng: &mut StdRng| if rng.gen_bool(0.5) { 0.0 } else { 1e6 };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ghost = Network::new(CELL_HINT);
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
         let count = ghost.node_count();
         let roll: f64 = rng.gen();
-        let e = if count == 0 || roll < 0.4 {
+        let e = if count > 0 && roll < edge / 2.0 {
+            let k = rng.gen_range(0..count);
+            let host = ghost.iter_nodes().nth(k).expect("k < count");
+            Event::Join {
+                cfg: NodeConfig::new(
+                    ghost.config(host).expect("present").pos,
+                    edge_range(&mut rng),
+                ),
+            }
+        } else if count == 0 || roll < 0.4 {
             Event::Join {
                 cfg: NodeConfig::new(
                     Point::new(rng.gen_range(0.0..arena), rng.gen_range(0.0..arena)),
@@ -61,10 +75,15 @@ fn churn_events_in(seed: u64, n: usize, arena: f64) -> Vec<Event> {
                     node,
                     to: Point::new(rng.gen_range(0.0..arena), rng.gen_range(0.0..arena)),
                 }
-            } else {
+            } else if roll < 1.0 - edge / 2.0 {
                 Event::SetRange {
                     node,
                     range: rng.gen_range(5.0..45.0),
+                }
+            } else {
+                Event::SetRange {
+                    node,
+                    range: edge_range(&mut rng),
                 }
             }
         };
@@ -556,7 +575,7 @@ fn diskfs_end_to_end_recovery() {
 /// so the stream crosses a segment roll as well as rotations.
 #[test]
 fn diskfs_journaled_digest_equals_bare_strategy() {
-    let events = churn_events_in(88, 8_000, 2_000.0);
+    let events = churn_events_in(88, 8_000, 2_000.0, 0.005);
     let snapshot_every = 5_000;
     let journaled: usize = events[..snapshot_every].iter().map(frame_len).sum();
     assert!(
