@@ -31,29 +31,20 @@ const SEED: u64 = 0xE7E27;
 const REPS: usize = 9;
 const CELL_HINT: f64 = 30.5;
 
-/// The metropolis deployment: 40 Poisson-clustered hot spots over a
-/// 4000×4000 arena. Returns the placement and the generator that drew
-/// its centers, positioned to draw node positions next.
-fn metro_placement(seed: u64) -> (Placement, StdRng) {
+/// The colorless `n`-node metropolis base (40 Poisson-clustered hot
+/// spots over a 4000×4000 arena, paper ranges) and the `n`-step churn
+/// stream played against it.
+fn churn_workload(n: usize, seed: u64) -> (Network, Vec<Event>) {
     let arena = Rect::new(0.0, 0.0, 4000.0, 4000.0);
     let mut rng = StdRng::seed_from_u64(seed);
     let centers: Vec<Point> = (0..40)
         .map(|_| sample::uniform_point(&mut rng, &arena))
         .collect();
-    (
-        Placement::Clustered {
-            centers,
-            spread: 25.0,
-            arena,
-        },
-        rng,
-    )
-}
-
-/// The colorless `n`-node metropolis base and the `n`-step churn
-/// stream played against it.
-fn churn_workload(n: usize, seed: u64) -> (Network, Vec<Event>) {
-    let (placement, mut rng) = metro_placement(seed);
+    let placement = Placement::Clustered {
+        centers,
+        spread: 25.0,
+        arena,
+    };
     let ranges = RangeDist::paper();
     let mut base = Network::new(CELL_HINT);
     for _ in 0..n {
@@ -68,7 +59,7 @@ fn churn_workload(n: usize, seed: u64) -> (Network, Vec<Event>) {
     MovementWorkload {
         maxdisp: 60.0,
         rounds: 1,
-        arena: Rect::new(0.0, 0.0, 4000.0, 4000.0),
+        arena,
     }
     .generate_round(&base, &mut rng);
     let mix = MixWorkload {
@@ -76,7 +67,7 @@ fn churn_workload(n: usize, seed: u64) -> (Network, Vec<Event>) {
         join_prob: 0.35,
         leave_prob: 0.25,
         maxdisp: 60.0,
-        placement: metro_placement(seed).0,
+        placement,
         ranges,
     };
     let mut ghost = base.clone();
