@@ -24,8 +24,6 @@
 //!   5-hop-separation condition of Theorem 4.1.10).
 //! * [`ugraph`] — a dense undirected graph view used by the coloring
 //!   heuristics (`minim-coloring`) and by clique lower bounds.
-//! * [`unionfind`] — a deterministic (min-root-wins) disjoint-set
-//!   forest, used by `minim-power`'s island-parallel relaxation.
 
 #![deny(missing_docs)]
 
@@ -35,13 +33,11 @@ pub mod conflict;
 pub mod digraph;
 pub mod hops;
 pub mod ugraph;
-pub mod unionfind;
 
 pub use assign::{Assignment, Color, ColorRead, ColorView};
 pub use components::{connected_components, Components};
 pub use digraph::{DiGraph, NodeId};
 pub use ugraph::UGraph;
-pub use unionfind::UnionFind;
 
 #[cfg(test)]
 mod tests {

@@ -5,9 +5,9 @@
 //! A fixed pool of [`MAX_RINGS`] rings lives in the registry; a thread
 //! claims a ring slot round-robin on first span exit and keeps it for
 //! life (slots are reused modulo the pool, so records survive
-//! short-lived worker threads — the power settle's island workers
-//! land in a bounded set of rings instead of losing their spans on
-//! thread exit). Each ring holds [`RING_CAP`] fixed-size records; when
+//! short-lived worker threads — a replicate fan-out's workers land in
+//! a bounded set of rings instead of losing their spans on thread
+//! exit). Each ring holds [`RING_CAP`] fixed-size records; when
 //! full, the **oldest record is overwritten** and the overwrite is
 //! counted — [`crate::MetricsSnapshot::spans_dropped`] surfaces the
 //! total, so a truncated profile is always visibly truncated.

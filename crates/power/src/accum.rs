@@ -27,36 +27,33 @@
 //! so both arms execute the identical abstract op sequence and IEEE
 //! determinism gives bitwise equality on every input.
 //!
-//! Powers are gathered through a caller closure rather than a slice:
-//! SSE2 has no gather (the loads are scalar either way), and the
-//! island-parallel relaxation reads powers through a raw pointer that
-//! must not be reborrowed as a whole-slice `&[f64]` while other
-//! islands write their disjoint rows.
+//! Powers are indexed by id out of the power slice; SSE2 has no
+//! gather, so those loads are scalar in both arms.
 
 /// Independent accumulator lanes in the canonical reduction (also the
 /// SIMD chunk width).
 pub const LANES: usize = 4;
 
-/// The canonical 4-lane accumulation of `Σ gains[k] · load(ids[k])` in
-/// plain scalar Rust — the reference arm every vector implementation
-/// must match bitwise. See the module docs for the exact order.
+/// The canonical 4-lane accumulation of `Σ gains[k] · powers[ids[k]]`
+/// in plain scalar Rust — the reference arm every vector
+/// implementation must match bitwise. See the module docs for the exact order.
 #[inline]
-pub fn weighted_sum_scalar<F: Fn(u32) -> f64>(ids: &[u32], gains: &[f64], load: F) -> f64 {
+pub fn weighted_sum_scalar(ids: &[u32], gains: &[f64], powers: &[f64]) -> f64 {
     debug_assert_eq!(ids.len(), gains.len());
     let n = ids.len();
     let m = n - n % LANES;
     let mut acc = [0.0f64; LANES];
     let mut k = 0;
     while k < m {
-        acc[0] += gains[k] * load(ids[k]);
-        acc[1] += gains[k + 1] * load(ids[k + 1]);
-        acc[2] += gains[k + 2] * load(ids[k + 2]);
-        acc[3] += gains[k + 3] * load(ids[k + 3]);
+        acc[0] += gains[k] * powers[ids[k] as usize];
+        acc[1] += gains[k + 1] * powers[ids[k + 1] as usize];
+        acc[2] += gains[k + 2] * powers[ids[k + 2] as usize];
+        acc[3] += gains[k + 3] * powers[ids[k + 3] as usize];
         k += LANES;
     }
     let mut sum = (acc[0] + acc[2]) + (acc[1] + acc[3]);
     while k < n {
-        sum += gains[k] * load(ids[k]);
+        sum += gains[k] * powers[ids[k] as usize];
         k += 1;
     }
     sum
@@ -64,13 +61,13 @@ pub fn weighted_sum_scalar<F: Fn(u32) -> f64>(ids: &[u32], gains: &[f64], load: 
 
 /// The SSE2 arm of the canonical accumulation: two `__m128d`
 /// accumulators carry lanes (0, 1) and (2, 3); gains load as vector
-/// pairs, powers gather through `load` and pack low-to-high. The
-/// vector adds per chunk, the `(a0 + a2, a1 + a3)` vector reduction,
-/// and the final low+high add replay the scalar arm's op sequence
-/// exactly — bitwise equal output (see the module docs).
+/// pairs, powers gather by id and pack low-to-high. The vector adds
+/// per chunk, the `(a0 + a2, a1 + a3)` vector reduction, and the final
+/// low+high add replay the scalar arm's op sequence exactly — bitwise
+/// equal output (see the module docs).
 #[cfg(target_arch = "x86_64")]
 #[inline]
-pub fn weighted_sum_simd<F: Fn(u32) -> f64>(ids: &[u32], gains: &[f64], load: F) -> f64 {
+pub fn weighted_sum_simd(ids: &[u32], gains: &[f64], powers: &[f64]) -> f64 {
     use core::arch::x86_64::{
         _mm_add_pd, _mm_add_sd, _mm_cvtsd_f64, _mm_loadu_pd, _mm_mul_pd, _mm_set_pd,
         _mm_setzero_pd, _mm_unpackhi_pd,
@@ -89,8 +86,8 @@ pub fn weighted_sum_simd<F: Fn(u32) -> f64>(ids: &[u32], gains: &[f64], load: F)
             let gb = _mm_loadu_pd(gains.as_ptr().add(k + 2));
             // `_mm_set_pd(hi, lo)` packs the scalar gathers so lane
             // parity matches the scalar arm's `acc[k % 4]`.
-            let pa = _mm_set_pd(load(ids[k + 1]), load(ids[k]));
-            let pb = _mm_set_pd(load(ids[k + 3]), load(ids[k + 2]));
+            let pa = _mm_set_pd(powers[ids[k + 1] as usize], powers[ids[k] as usize]);
+            let pb = _mm_set_pd(powers[ids[k + 3] as usize], powers[ids[k + 2] as usize]);
             acc_a = _mm_add_pd(acc_a, _mm_mul_pd(ga, pa));
             acc_b = _mm_add_pd(acc_b, _mm_mul_pd(gb, pb));
             k += LANES;
@@ -99,7 +96,7 @@ pub fn weighted_sum_simd<F: Fn(u32) -> f64>(ids: &[u32], gains: &[f64], load: F)
         let t = _mm_add_pd(acc_a, acc_b);
         let mut sum = _mm_cvtsd_f64(_mm_add_sd(t, _mm_unpackhi_pd(t, t)));
         while k < n {
-            sum += gains[k] * load(ids[k]);
+            sum += gains[k] * powers[ids[k] as usize];
             k += 1;
         }
         sum
@@ -111,16 +108,16 @@ pub fn weighted_sum_simd<F: Fn(u32) -> f64>(ids: &[u32], gains: &[f64], load: F)
 /// implementation detail).
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
-pub fn weighted_sum_simd<F: Fn(u32) -> f64>(ids: &[u32], gains: &[f64], load: F) -> f64 {
-    weighted_sum_scalar(ids, gains, load)
+pub fn weighted_sum_simd(ids: &[u32], gains: &[f64], powers: &[f64]) -> f64 {
+    weighted_sum_scalar(ids, gains, powers)
 }
 
 /// The dispatching entry point the SINR engine accumulates through:
 /// the SIMD arm where one exists, the scalar reference otherwise —
 /// bitwise-identical either way.
 #[inline]
-pub fn weighted_sum<F: Fn(u32) -> f64>(ids: &[u32], gains: &[f64], load: F) -> f64 {
-    weighted_sum_simd(ids, gains, load)
+pub fn weighted_sum(ids: &[u32], gains: &[f64], powers: &[f64]) -> f64 {
+    weighted_sum_simd(ids, gains, powers)
 }
 
 #[cfg(test)]
@@ -149,8 +146,8 @@ mod tests {
         for n in [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 200] {
             let gains = noisy(n as u64 + 1, n);
             let ids: Vec<u32> = (0..n as u32).map(|k| (k * 37) % 256).collect();
-            let a = weighted_sum_scalar(&ids, &gains, |j| powers[j as usize]);
-            let b = weighted_sum_simd(&ids, &gains, |j| powers[j as usize]);
+            let a = weighted_sum_scalar(&ids, &gains, &powers);
+            let b = weighted_sum_simd(&ids, &gains, &powers);
             assert_eq!(a.to_bits(), b.to_bits(), "len {n}");
         }
     }
@@ -163,7 +160,7 @@ mod tests {
         let p = noisy(11, 6);
         let lane = |k: usize| gains[k] * p[k];
         let expect = ((lane(0) + lane(2)) + (lane(1) + lane(3))) + lane(4) + lane(5);
-        let got = weighted_sum_scalar(&ids, &gains, |j| p[j as usize]);
+        let got = weighted_sum_scalar(&ids, &gains, &p);
         assert_eq!(got.to_bits(), expect.to_bits());
     }
 
@@ -177,13 +174,13 @@ mod tests {
             .zip(&gains)
             .map(|(&j, g)| g * p[j as usize])
             .sum();
-        let tree = weighted_sum(&ids, &gains, |j| p[j as usize]);
+        let tree = weighted_sum(&ids, &gains, &p);
         let rel = (tree - naive).abs() / naive.abs().max(f64::MIN_POSITIVE);
         assert!(rel < 1e-12, "same sum up to reassociation, rel {rel}");
     }
 
     #[test]
     fn empty_row_sums_to_zero() {
-        assert_eq!(weighted_sum(&[], &[], |_| 1.0), 0.0);
+        assert_eq!(weighted_sum(&[], &[], &[]), 0.0);
     }
 }

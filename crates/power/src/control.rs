@@ -17,7 +17,9 @@
 //! totally asynchronous update orders, so both land on the same
 //! unique fixed point). Started from the minimum power the iteration
 //! converges monotonically from below, which is what [`run_with`] does
-//! and what the tests pin.
+//! and what the tests pin. [`crate::PowerLoop`] runs the sweep;
+//! [`crate::PowerSession`] runs every settle through [`relax`] on the
+//! calling thread.
 //!
 //! Real handsets cannot emit arbitrary powers: [`PowerLadder`]
 //! optionally quantizes every update **up** to the next discrete
@@ -38,9 +40,7 @@
 //! instance is [`Feasibility::Diverging`].
 
 use crate::sinr::SinrField;
-use minim_graph::UnionFind;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The discrete transmit-power levels a radio can emit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,8 +285,8 @@ impl ControlScratch {
     }
 
     /// Rows currently marked for the next warm relaxation. Zero after
-    /// any [`relax`] / [`relax_parallel`] call — both drain the
-    /// worklist completely, whatever the verdict.
+    /// any [`relax`] call — it drains the worklist completely,
+    /// whatever the verdict.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -304,21 +304,13 @@ impl ControlScratch {
     }
 }
 
-/// One Foschini–Miljanic update for link `i`, powers gathered through
-/// `load`: the clamped, ladder-quantized power request. The closure
-/// indirection lets the island-parallel path read through a raw
-/// pointer while the sequential paths pass a plain slice — both run
-/// the identical accumulation, so the update bits agree.
+/// One Foschini–Miljanic update for link `i` under `powers`: the
+/// clamped, ladder-quantized power request.
 #[inline]
-fn fm_update_with<F: Fn(u32) -> f64>(
-    field: &SinrField,
-    cfg: &ControlConfig,
-    load: F,
-    i: usize,
-) -> f64 {
+fn fm_update(field: &SinrField, cfg: &ControlConfig, powers: &[f64], i: usize) -> f64 {
     let g = field.direct_gain(i);
     let desired = if g > 0.0 {
-        cfg.target_sinr * field.interference_with(load, i) / (field.budget().processing_gain * g)
+        cfg.target_sinr * field.interference(powers, i) / (field.budget().processing_gain * g)
     } else {
         // Dead direct path: no finite power serves the link.
         f64::INFINITY
@@ -326,12 +318,6 @@ fn fm_update_with<F: Fn(u32) -> f64>(
     let clamped = desired.clamp(cfg.min_power, cfg.max_power);
     cfg.ladder
         .quantize_up(clamped, cfg.min_power, cfg.max_power)
-}
-
-/// [`fm_update_with`] over a power slice.
-#[inline]
-fn fm_update(field: &SinrField, cfg: &ControlConfig, powers: &[f64], i: usize) -> f64 {
-    fm_update_with(field, cfg, |j| powers[j as usize], i)
 }
 
 /// Classifies the fixed point in `scratch.powers`: fills
@@ -427,7 +413,8 @@ pub fn run_with(
 /// The active-set (asynchronous) Foschini–Miljanic relaxation: a FIFO
 /// worklist of links whose interference changed since their last
 /// update, instead of sweeping all N links per round. Allocation-free
-/// once `scratch` is warm.
+/// once `scratch` is warm. This is the solver behind every
+/// [`crate::PowerSession::settle`].
 ///
 /// * `warm == false`: resets every power to the start rung and
 ///   enqueues every live link — the event-driven equivalent of
@@ -523,523 +510,6 @@ pub fn relax(
     }
 }
 
-/// Deterministic decomposition of a relaxation worklist into
-/// independent **islands**.
-///
-/// Starting from the seeded rows, the set of rows [`relax`] can ever
-/// touch is the closure of the seeds under the transposed-CSR fan-out
-/// `j → hearers(j)` (a row only enters the worklist when a row it
-/// hears changes power). Islands are the connected components of that
-/// closure under the same relation, computed with a min-root
-/// [`UnionFind`]:
-///
-/// * every **write** of an island's run lands on one of its own rows;
-/// * every **read** of a row outside the island is of a *frozen*
-///   power — if island row `j` reads interferer `u` and `u` is in the
-///   closure, then `j ∈ hearers(u)` forces `u` into `j`'s island, so
-///   a cross-island read can only hit rows no island ever writes.
-///
-/// Islands therefore relax concurrently with no shared mutable state,
-/// and the FIFO order of the sequential worklist *projected onto an
-/// island* is exactly the island-local FIFO order — which is why
-/// [`relax_parallel`] is bit-identical to [`relax`] (see its docs).
-///
-/// Island identity is deterministic: components are rooted at their
-/// minimum row and numbered in ascending-root order, independent of
-/// seed order, worker count, and scheduling. All buffers are retained
-/// across [`IslandPlan::build`] calls — steady-state planning
-/// allocates nothing once warm.
-#[derive(Debug, Clone, Default)]
-pub struct IslandPlan {
-    uf: UnionFind,
-    in_closure: Vec<bool>,
-    /// Closure rows; BFS discovery order during the walk, sorted
-    /// ascending afterwards (the membership pass wants it sorted).
-    closure: Vec<u32>,
-    /// Dense island index per closure row (stale outside the closure).
-    island_of: Vec<u32>,
-    /// CSR offsets over `members`, one per island, plus a sentinel.
-    member_start: Vec<u32>,
-    members: Vec<u32>,
-    /// CSR offsets over `seeds`, one per island, plus a sentinel.
-    seed_start: Vec<u32>,
-    seeds: Vec<u32>,
-    /// Per-island cursor / count scratch for the two counting sorts.
-    counts: Vec<u32>,
-}
-
-impl IslandPlan {
-    /// An empty plan (buffers grow on first build).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Plans the relaxation seeded at `seed_rows` (duplicates and dead
-    /// rows are skipped; relative order of surviving seeds is kept per
-    /// island — it is the worklist order). See the type docs.
-    pub fn build(&mut self, field: &SinrField, seed_rows: &[u32]) {
-        let n = field.len();
-        // Reset sparse state from the previous build, touching only
-        // the rows that build marked.
-        for &r in &self.closure {
-            self.in_closure[r as usize] = false;
-        }
-        self.closure.clear();
-        if self.in_closure.len() < n {
-            self.in_closure.resize(n, false);
-            self.island_of.resize(n, u32::MAX);
-        }
-        self.uf.reset(n);
-
-        // Closure BFS over the transposed fan-out, unioning every edge.
-        for &s in seed_rows {
-            let su = s as usize;
-            if field.is_live(su) && !self.in_closure[su] {
-                self.in_closure[su] = true;
-                self.closure.push(s);
-            }
-        }
-        let mut head = 0;
-        while head < self.closure.len() {
-            let j = self.closure[head];
-            head += 1;
-            for &a in field.hearers(j as usize) {
-                let au = a as usize;
-                if !field.is_live(au) {
-                    continue;
-                }
-                self.uf.union(j as usize, au);
-                if !self.in_closure[au] {
-                    self.in_closure[au] = true;
-                    self.closure.push(a);
-                }
-            }
-        }
-
-        // Number islands by ascending root (the component minimum) and
-        // group members ascending within each island: two counting
-        // passes over the sorted closure.
-        self.closure.sort_unstable();
-        self.counts.clear();
-        for &r in &self.closure {
-            let root = self.uf.find(r as usize);
-            if root == r as usize {
-                self.island_of[root] = self.counts.len() as u32;
-                self.counts.push(0);
-            } else {
-                // Roots are component minima, so the root was numbered
-                // earlier in this ascending walk.
-                self.island_of[r as usize] = self.island_of[root];
-            }
-            self.counts[self.island_of[r as usize] as usize] += 1;
-        }
-        let islands = self.counts.len();
-        self.member_start.clear();
-        self.member_start.push(0);
-        let mut off = 0u32;
-        for k in 0..islands {
-            off += self.counts[k];
-            self.member_start.push(off);
-            self.counts[k] = self.member_start[k]; // becomes the cursor
-        }
-        self.members.clear();
-        self.members.resize(off as usize, 0);
-        for &r in &self.closure {
-            let k = self.island_of[r as usize] as usize;
-            self.members[self.counts[k] as usize] = r;
-            self.counts[k] += 1;
-        }
-
-        // Distribute seeds per island, preserving their given order —
-        // the island worklist seeds in exactly the order the global
-        // worklist would have polled them. Both passes dedup by
-        // clearing `in_closure` on first sight (true = not yet taken)
-        // and restoring it from the closure list afterwards.
-        self.counts.clear();
-        self.counts.resize(islands, 0);
-        self.seeds.clear();
-        for &s in seed_rows {
-            let su = s as usize;
-            if field.is_live(su) && self.in_closure[su] {
-                self.in_closure[su] = false;
-                self.counts[self.island_of[su] as usize] += 1;
-            }
-        }
-        for &r in &self.closure {
-            self.in_closure[r as usize] = true;
-        }
-        self.seed_start.clear();
-        self.seed_start.push(0);
-        let mut off = 0u32;
-        for k in 0..islands {
-            off += self.counts[k];
-            self.seed_start.push(off);
-            self.counts[k] = self.seed_start[k];
-        }
-        self.seeds.resize(off as usize, 0);
-        for &s in seed_rows {
-            let su = s as usize;
-            if field.is_live(su) && self.in_closure[su] {
-                self.in_closure[su] = false;
-                let k = self.island_of[su] as usize;
-                self.seeds[self.counts[k] as usize] = s;
-                self.counts[k] += 1;
-            }
-        }
-        for &r in &self.closure {
-            self.in_closure[r as usize] = true;
-        }
-    }
-
-    /// Number of islands in the last build.
-    pub fn islands(&self) -> usize {
-        self.member_start.len().saturating_sub(1)
-    }
-
-    /// The rows of island `k`, ascending.
-    pub fn members(&self, k: usize) -> &[u32] {
-        &self.members[self.member_start[k] as usize..self.member_start[k + 1] as usize]
-    }
-
-    /// The seed rows of island `k`, in original seed order.
-    pub fn seeds_of(&self, k: usize) -> &[u32] {
-        &self.seeds[self.seed_start[k] as usize..self.seed_start[k + 1] as usize]
-    }
-
-    /// The island containing `row`, if it is in the planned closure.
-    pub fn island_of(&self, row: u32) -> Option<usize> {
-        let ru = row as usize;
-        (ru < self.in_closure.len() && self.in_closure[ru]).then(|| self.island_of[ru] as usize)
-    }
-
-    /// Rows in the planned closure (the union of all islands).
-    pub fn closure_len(&self) -> usize {
-        self.closure.len()
-    }
-
-    /// Size of the largest island — the critical path of island-
-    /// parallel relaxation, in rows.
-    pub fn widest_island(&self) -> usize {
-        (0..self.islands())
-            .map(|k| self.members(k).len())
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// Retained state for [`relax_parallel`]: the island plan, one
-/// worklist deque per worker slot, the per-island result slots, and
-/// the seed buffer. Create once, reuse forever — steady-state
-/// parallel settles allocate nothing beyond `std::thread::scope`'s own
-/// bookkeeping (and nothing at all on the inline `workers <= 1` path).
-#[derive(Debug, Clone, Default)]
-pub struct IslandScratch {
-    plan: IslandPlan,
-    queues: Vec<VecDeque<u32>>,
-    /// Per-island `(updates, exhausted)`, indexed by island id.
-    reports: Vec<(u64, bool)>,
-    seed_buf: Vec<u32>,
-}
-
-impl IslandScratch {
-    /// An empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The island plan of the last [`relax_parallel`] call.
-    pub fn plan(&self) -> &IslandPlan {
-        &self.plan
-    }
-}
-
-/// Report of one [`relax_parallel`] pass: the [`RelaxReport`] fields
-/// plus the island structure the pass exposed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelRelaxReport {
-    /// Single-link power writes performed, summed over islands.
-    pub updates: u64,
-    /// How the run ended.
-    pub verdict: Verdict,
-    /// Independent islands the worklist decomposed into (the
-    /// attainable parallel width).
-    pub islands: usize,
-    /// Rows in the largest island (the critical path).
-    pub widest_island: usize,
-}
-
-/// Power slab shared across island workers through a raw pointer.
-///
-/// SAFETY: the island partition ([`IslandPlan`]) guarantees every
-/// *write* index belongs to exactly one island (one worker), and every
-/// cross-island *read* index is frozen for the whole parallel phase —
-/// so no location is ever written by one thread while another touches
-/// it. `Sync` is sound under that protocol and nothing else; all
-/// access goes through `get`/`set` below, inside [`relax_island`].
-struct SharedPowers(*mut f64);
-unsafe impl Sync for SharedPowers {}
-
-impl SharedPowers {
-    /// # Safety
-    /// `i` must be in bounds, and the island protocol above must hold.
-    #[inline]
-    unsafe fn get(&self, i: usize) -> f64 {
-        unsafe { *self.0.add(i) }
-    }
-
-    /// # Safety
-    /// `i` must be in bounds and owned (as a row) by the calling
-    /// island.
-    #[inline]
-    unsafe fn set(&self, i: usize, v: f64) {
-        unsafe { *self.0.add(i) = v }
-    }
-}
-
-/// Worklist-membership flags shared across island workers — same
-/// disjointness protocol as [`SharedPowers`]: a flag is only ever
-/// touched by the island owning its row.
-struct SharedFlags(*mut bool);
-unsafe impl Sync for SharedFlags {}
-
-impl SharedFlags {
-    /// # Safety
-    /// `i` must be in bounds and owned by the calling island.
-    #[inline]
-    unsafe fn get(&self, i: usize) -> bool {
-        unsafe { *self.0.add(i) }
-    }
-
-    /// # Safety
-    /// `i` must be in bounds and owned by the calling island.
-    #[inline]
-    unsafe fn set(&self, i: usize, v: bool) {
-        unsafe { *self.0.add(i) = v }
-    }
-}
-
-/// Per-island result slots shared across workers — each slot is
-/// written by exactly one worker (the one that claimed the island).
-struct SharedReports(*mut (u64, bool));
-unsafe impl Sync for SharedReports {}
-
-impl SharedReports {
-    /// # Safety
-    /// `k` must be in bounds and claimed by the calling worker.
-    #[inline]
-    unsafe fn set(&self, k: usize, v: (u64, bool)) {
-        unsafe { *self.0.add(k) = v }
-    }
-}
-
-/// One island's FIFO relaxation — the [`relax`] loop verbatim, with
-/// powers and membership flags accessed through the shared-slab
-/// wrappers. Returns `(updates, exhausted)`.
-///
-/// # Safety
-/// `powers` / `queued` must point at slabs of at least `field.len()`
-/// entries, and `seeds` must all belong to one island of a plan built
-/// against `field` — the disjointness protocol on [`SharedPowers`].
-unsafe fn relax_island(
-    field: &SinrField,
-    cfg: &ControlConfig,
-    powers: &SharedPowers,
-    queued: &SharedFlags,
-    queue: &mut VecDeque<u32>,
-    seeds: &[u32],
-    max_updates: u64,
-) -> (u64, bool) {
-    queue.clear();
-    for &s in seeds {
-        // SAFETY: `s` is a row of this island (plan contract).
-        unsafe { queued.set(s as usize, true) };
-        queue.push_back(s);
-    }
-    let mut updates: u64 = 0;
-    let mut exhausted = false;
-    while let Some(i) = queue.pop_front() {
-        let iu = i as usize;
-        // SAFETY: worklist rows stay within this island: seeds by the
-        // plan contract, enqueued rows because `hearers` edges never
-        // leave an island (that is what the union-find closed over).
-        unsafe { queued.set(iu, false) };
-        if !field.is_live(iu) {
-            continue;
-        }
-        // SAFETY: `iu` is an island row; interferer reads are island
-        // rows (same component) or frozen rows (outside the closure).
-        let p = unsafe { powers.get(iu) };
-        let q = fm_update_with(field, cfg, |j| unsafe { powers.get(j as usize) }, iu);
-        let changed = match cfg.ladder {
-            PowerLadder::Continuous => (q - p).abs() / p > cfg.tol,
-            PowerLadder::Geometric { .. } => q != p,
-        };
-        if !changed {
-            continue;
-        }
-        // SAFETY: `iu` is owned by this island — the only writer.
-        unsafe { powers.set(iu, q) };
-        updates += 1;
-        if updates >= max_updates && !queue.is_empty() {
-            for k in queue.drain(..) {
-                // SAFETY: drained rows are island rows (see above).
-                unsafe { queued.set(k as usize, false) };
-            }
-            exhausted = true;
-            break;
-        }
-        for &k in field.hearers(iu) {
-            let ku = k as usize;
-            // SAFETY: `k ∈ hearers(iu)` is in `iu`'s component.
-            if !unsafe { queued.get(ku) } && field.is_live(ku) {
-                unsafe { queued.set(ku, true) };
-                queue.push_back(k);
-            }
-        }
-    }
-    (updates, exhausted)
-}
-
-/// Island-scheduled (optionally parallel) active-set relaxation:
-/// decomposes the worklist into independent islands ([`IslandPlan`]),
-/// relaxes each island's FIFO loop on up to `workers` scoped threads
-/// (inline when `workers <= 1` or only one island exists), and merges
-/// deterministically by island id.
-///
-/// **Bit identity.** The result is bit-identical to [`relax`] with the
-/// same seeds in the same order, at every worker count: cross-island
-/// reads only see frozen powers, each island replays exactly the
-/// subsequence of the global FIFO run that touches its rows, and the
-/// accumulation kernel pins the float op order. The one asymmetry is
-/// the update budget — [`relax`] spends one global budget of
-/// `max_iters × live links`, while each island here gets that budget
-/// to itself. When no island exhausts it (every test and steady-state
-/// configuration), powers, verdict, and update count all coincide; an
-/// exhaustion reports [`Verdict::Diverging`] from either entry point,
-/// but the residual powers may differ — both paths then restart cold.
-///
-/// Seeding mirrors [`relax`]: `warm == false` resets every power and
-/// seeds all live rows ascending; `warm == true` seeds the rows marked
-/// via [`ControlScratch::mark`], in mark order.
-///
-/// # Panics
-/// Panics if `cfg` fails [`ControlConfig::validate`].
-pub fn relax_parallel(
-    field: &SinrField,
-    cfg: &ControlConfig,
-    scratch: &mut ControlScratch,
-    islands: &mut IslandScratch,
-    warm: bool,
-    workers: usize,
-) -> ParallelRelaxReport {
-    cfg.validate();
-    let n = field.len();
-    let start = cfg.start_power();
-    scratch.fit(n, start);
-    let IslandScratch {
-        plan,
-        queues,
-        reports,
-        seed_buf,
-    } = islands;
-    seed_buf.clear();
-    if !warm {
-        scratch.powers.iter_mut().for_each(|p| *p = start);
-        for i in scratch.queue.drain(..) {
-            scratch.queued[i as usize] = false;
-        }
-        for i in 0..n {
-            if field.is_live(i) {
-                seed_buf.push(i as u32);
-            }
-        }
-    } else {
-        for i in scratch.queue.drain(..) {
-            scratch.queued[i as usize] = false;
-            seed_buf.push(i);
-        }
-    }
-    plan.build(field, seed_buf);
-    let nisl = plan.islands();
-    let max_updates = (cfg.max_iters as u64) * (field.live_links().max(1) as u64);
-    reports.clear();
-    reports.resize(nisl, (0, false));
-    let threads = workers.clamp(1, nisl.max(1));
-    if queues.len() < threads {
-        queues.resize_with(threads, VecDeque::new);
-    }
-    let shared_p = SharedPowers(scratch.powers.as_mut_ptr());
-    let shared_q = SharedFlags(scratch.queued.as_mut_ptr());
-    if threads <= 1 {
-        // Inline: same island structure, same merges, zero threads —
-        // the path `workers == 1` sessions (and the alloc-smoke
-        // contract) run.
-        let queue = &mut queues[0];
-        for (k, slot) in reports.iter_mut().enumerate() {
-            // SAFETY: single-threaded here; slab bounds via fit(n).
-            *slot = unsafe {
-                relax_island(
-                    field,
-                    cfg,
-                    &shared_p,
-                    &shared_q,
-                    queue,
-                    plan.seeds_of(k),
-                    max_updates,
-                )
-            };
-        }
-    } else {
-        let shared_r = SharedReports(reports.as_mut_ptr());
-        let next = AtomicUsize::new(0);
-        let plan_ref: &IslandPlan = plan;
-        let next_ref = &next;
-        let p_ref = &shared_p;
-        let q_ref = &shared_q;
-        let r_ref = &shared_r;
-        std::thread::scope(|scope| {
-            for queue in queues[..threads].iter_mut() {
-                scope.spawn(move || loop {
-                    let k = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if k >= nisl {
-                        break;
-                    }
-                    // SAFETY: islands are claimed exactly once via the
-                    // atomic counter; rows across islands are disjoint
-                    // (IslandPlan contract), so the slab protocol on
-                    // SharedPowers/SharedFlags holds, and report slot
-                    // `k` has a single writer.
-                    let rep = unsafe {
-                        relax_island(
-                            field,
-                            cfg,
-                            p_ref,
-                            q_ref,
-                            queue,
-                            plan_ref.seeds_of(k),
-                            max_updates,
-                        )
-                    };
-                    unsafe { r_ref.set(k, rep) };
-                });
-            }
-        });
-    }
-    let updates: u64 = reports.iter().map(|r| r.0).sum();
-    let exhausted = reports.iter().any(|r| r.1);
-    let verdict = classify(field, cfg, scratch);
-    ParallelRelaxReport {
-        updates,
-        verdict: if exhausted {
-            Verdict::Diverging
-        } else {
-            verdict
-        },
-        islands: nisl,
-        widest_island: plan.widest_island(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,28 +529,11 @@ mod tests {
         )
     }
 
-    /// Like [`field_of`] but with a gain floor cutting interferers
-    /// beyond `cutoff` — what gives distant clusters disjoint hearer
-    /// fan-out (and hence multiple islands).
     /// A cold synchronous sweep into a fresh scratch.
     fn sweep(field: &SinrField, cfg: &ControlConfig) -> (SweepReport, ControlScratch) {
         let mut scratch = ControlScratch::new();
         let report = run_with(field, cfg, &mut scratch);
         (report, scratch)
-    }
-
-    fn field_floored(coords: &[(f64, f64)], receiver: &[u32], cutoff: f64) -> SinrField {
-        let positions: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let gain = GainModel::terrain();
-        let floor = gain.path_gain(cutoff);
-        SinrField::build(
-            &gain,
-            LinkBudget::cdma64(),
-            &positions,
-            receiver,
-            None,
-            floor,
-        )
     }
 
     /// Two well-separated pairs: feasible; the loop must converge with
@@ -1349,98 +802,5 @@ mod tests {
         let mut scratch = ControlScratch::new();
         let report = relax(&field, &cfg, &mut scratch, false);
         assert_ne!(report.verdict, Verdict::Converged);
-    }
-
-    /// Three independent pairs, far apart: the cold worklist must
-    /// decompose into three islands whose members partition the live
-    /// rows and whose hearer fan-out never crosses islands.
-    #[test]
-    fn island_plan_partitions_independent_pairs() {
-        // Three well-separated clusters of two interfering pairs each:
-        // intra-cluster fan-out couples the four rows, the gain floor
-        // severs everything across clusters.
-        let mut coords = Vec::new();
-        let mut receiver = Vec::new();
-        for (cx, cy) in [(0.0, 0.0), (5000.0, 0.0), (0.0, 5000.0)] {
-            let base = coords.len() as u32;
-            coords.extend([
-                (cx, cy),
-                (cx + 8.0, cy),
-                (cx + 30.0, cy + 10.0),
-                (cx + 38.0, cy + 10.0),
-            ]);
-            receiver.extend([base + 1, base, base + 3, base + 2]);
-        }
-        let field = field_floored(&coords, &receiver, 500.0);
-        let seeds: Vec<u32> = (0..12).collect();
-        let mut plan = IslandPlan::new();
-        plan.build(&field, &seeds);
-        assert_eq!(plan.islands(), 3);
-        assert_eq!(plan.closure_len(), 12);
-        assert_eq!(plan.widest_island(), 4);
-        let mut all: Vec<u32> = Vec::new();
-        for k in 0..plan.islands() {
-            for &r in plan.members(k) {
-                all.push(r);
-                for &a in field.hearers(r as usize) {
-                    assert_eq!(
-                        plan.island_of(a),
-                        Some(k),
-                        "hearer edge {r} -> {a} must stay inside island {k}"
-                    );
-                }
-            }
-            assert_eq!(plan.seeds_of(k), plan.members(k), "ascending seeds here");
-        }
-        all.sort_unstable();
-        assert_eq!(all, seeds, "islands partition the closure");
-    }
-
-    /// Parallel relaxation is bit-identical to the sequential worklist
-    /// at every worker count, on both ladders, cold and warm.
-    #[test]
-    fn relax_parallel_matches_relax_bitwise() {
-        let coords = [
-            (0.0, 0.0),
-            (8.0, 0.0),
-            (60.0, 5.0),
-            (66.0, 5.0),
-            (30.0, -20.0),
-            (36.0, -20.0),
-            (900.0, 900.0),
-            (908.0, 900.0),
-        ];
-        let receiver = [1u32, 0, 3, 2, 5, 4, 7, 6];
-        let field = field_floored(&coords, &receiver, 400.0);
-        for geometric in [false, true] {
-            let mut cfg = ControlConfig::new(4.0, 1e-3, 1e6);
-            if geometric {
-                cfg.ladder = PowerLadder::Geometric { levels: 24 };
-            }
-            let mut seq = ControlScratch::new();
-            let seq_rep = relax(&field, &cfg, &mut seq, false);
-            for workers in [1usize, 2, 8] {
-                let mut par = ControlScratch::new();
-                let mut isl = IslandScratch::new();
-                let rep = relax_parallel(&field, &cfg, &mut par, &mut isl, false, workers);
-                assert_eq!(rep.verdict, seq_rep.verdict, "workers {workers}");
-                assert_eq!(rep.updates, seq_rep.updates, "workers {workers}");
-                assert!(rep.islands >= 2, "disjoint clusters must split");
-                for (i, (&a, &b)) in par.powers.iter().zip(&seq.powers).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "workers {workers}, geometric {geometric}, link {i}"
-                    );
-                }
-                // Warm no-op parity at the fixed point.
-                for i in 0..field.len() as u32 {
-                    par.mark(i);
-                }
-                let warm = relax_parallel(&field, &cfg, &mut par, &mut isl, true, workers);
-                assert_eq!(warm.updates, 0, "equilibrium is a fixed point");
-                assert_eq!(warm.verdict, seq_rep.verdict);
-            }
-        }
     }
 }

@@ -46,8 +46,8 @@ pub mod sinr;
 
 pub use accum::{weighted_sum, weighted_sum_scalar, weighted_sum_simd, LANES};
 pub use control::{
-    relax, relax_parallel, run_with, ControlConfig, ControlScratch, Feasibility, IslandPlan,
-    IslandScratch, ParallelRelaxReport, PowerLadder, RelaxReport, SweepReport, Verdict,
+    relax, run_with, ControlConfig, ControlScratch, Feasibility, PowerLadder, RelaxReport,
+    SweepReport, Verdict,
 };
 pub use driver::{
     power_for_range, range_for_power, PowerLoop, PowerLoopConfig, PowerLoopOutcome,

@@ -75,12 +75,9 @@ pub struct SessionReport {
     pub infeasible: usize,
     /// Live links under control at settle time.
     pub links: usize,
-    /// Independent islands the settle's worklist decomposed into
-    /// (the attainable parallel width; 0 when nothing relaxed).
+    /// Always 0. Kept only because the frozen benchmark (`perfbench`)
+    /// still reads it; it goes with the next benchmark change.
     pub islands: usize,
-    /// Rows in the largest island (the critical path of the parallel
-    /// schedule).
-    pub widest_island: usize,
 }
 
 impl SessionReport {
@@ -90,9 +87,7 @@ impl SessionReport {
     fn record_metrics(&self, elapsed_ns: u64) {
         minim_obs::counter!("power.settle.calls", 1);
         minim_obs::counter!("power.settle.updates", self.updates);
-        minim_obs::counter!("power.settle.islands", self.islands as u64);
         minim_obs::gauge!("power.settle.links", self.links as f64);
-        minim_obs::gauge!("power.settle.widest_island", self.widest_island as f64);
         minim_obs::observe_ns!("power.settle_ns", elapsed_ns);
     }
 }
@@ -116,9 +111,6 @@ pub struct PowerSession {
     lonely: Option<u32>,
     /// Whether `scratch.powers` holds a previous equilibrium.
     warmed: bool,
-    /// Worker threads for island-parallel settles (1 = inline).
-    workers: usize,
-    islands: control::IslandScratch,
     events: Vec<Event>,
     dirty_buf: Vec<u32>,
     aim_buf: Vec<u32>,
@@ -200,8 +192,6 @@ impl PowerSession {
             ranges,
             lonely,
             warmed: false,
-            workers: 1,
-            islands: control::IslandScratch::new(),
             events: Vec::new(),
             dirty_buf: Vec::new(),
             aim_buf: Vec::new(),
@@ -214,20 +204,10 @@ impl PowerSession {
         &self.cfg
     }
 
-    /// Sets the worker-thread budget for [`PowerSession::settle`]'s
-    /// island-parallel relaxation. `1` (the default) relaxes islands
-    /// inline on the calling thread; any value yields bit-identical
-    /// results ([`control::relax_parallel`]'s contract), so this knob
-    /// trades wall-clock only. Values are clamped to at least 1.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The current worker-thread budget (see
-    /// [`PowerSession::set_workers`]).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
+    /// Does nothing: settles always run on the calling thread. Kept
+    /// only because the frozen benchmark (`perfbench`) still calls it;
+    /// it goes with the next benchmark change.
+    pub fn set_workers(&mut self, _workers: usize) {}
 
     /// The live SINR field (for inspection and equivalence tests).
     pub fn field(&self) -> &SinrField {
@@ -458,11 +438,8 @@ impl PowerSession {
     /// last settle and lowers the corrections to [`Event::SetRange`]s
     /// (ascending node id). Warm-starts from the previous equilibrium
     /// on continuous ladders; cold-starts on discrete ladders and
-    /// after a divergence (see the module docs). The worklist is
-    /// island-decomposed ([`control::relax_parallel`]) and relaxed on
-    /// up to [`PowerSession::workers`] threads — bit-identical to the
-    /// sequential sweep at every worker count. Steady-state calls at
-    /// `workers == 1` are allocation-free once the buffers are warm.
+    /// after a divergence (see the module docs). Steady-state calls
+    /// are allocation-free once the buffers are warm.
     pub fn settle(&mut self) -> (&[Event], SessionReport) {
         let _span = minim_obs::span!("power.settle");
         let settle_start = std::time::Instant::now();
@@ -479,7 +456,6 @@ impl PowerSession {
                 infeasible: 0,
                 links: live,
                 islands: 0,
-                widest_island: 0,
             };
             report.record_metrics(settle_start.elapsed().as_nanos() as u64);
             return (&self.events, report);
@@ -491,14 +467,7 @@ impl PowerSession {
                 self.scratch.mark(d);
             }
         }
-        let report = control::relax_parallel(
-            &self.field,
-            &self.control,
-            &mut self.scratch,
-            &mut self.islands,
-            warm,
-            self.workers,
-        );
+        let report = control::relax(&self.field, &self.control, &mut self.scratch, warm);
         self.warmed = report.verdict != Verdict::Diverging;
         for i in 0..self.field.len() {
             if !self.field.is_live(i) {
@@ -523,8 +492,7 @@ impl PowerSession {
             updates: report.updates,
             infeasible,
             links: live,
-            islands: report.islands,
-            widest_island: report.widest_island,
+            islands: 0,
         };
         session_report.record_metrics(settle_start.elapsed().as_nanos() as u64);
         (&self.events, session_report)

@@ -698,25 +698,14 @@ impl SinrField {
             .map(|(id, _)| id)
     }
 
-    /// Noise-plus-interference power at link `i`'s receiver under `p`:
-    /// the pinned-order accumulation kernel ([`crate::accum`]) over the
-    /// row's flat id/gain slices, plus the noise floor.
+    /// Noise-plus-interference power at link `i`'s receiver under
+    /// `powers`: the pinned-order accumulation kernel ([`crate::accum`])
+    /// over the row's flat id/gain slices, plus the noise floor.
     #[inline]
     pub fn interference(&self, powers: &[f64], i: usize) -> f64 {
-        self.interference_with(|j| powers[j as usize], i)
-    }
-
-    /// [`SinrField::interference`] with powers gathered through `load`
-    /// instead of a slice. The island-parallel relaxation reads powers
-    /// through a raw pointer (its islands write disjoint rows
-    /// concurrently, so no whole-slice `&[f64]` may exist); both entry
-    /// points run the same [`crate::accum`] kernel, so their sums are
-    /// bit-identical.
-    #[inline]
-    pub fn interference_with<F: Fn(u32) -> f64>(&self, load: F, i: usize) -> f64 {
         let (ids, gains) = self.rows.row(i);
         minim_obs::counter!("power.accum.batches", 1);
-        self.budget.noise + crate::accum::weighted_sum(ids, gains, load)
+        self.budget.noise + crate::accum::weighted_sum(ids, gains, powers)
     }
 
     /// SINR of link `i` under the power vector `powers` (0 when the

@@ -244,7 +244,6 @@ pub fn churn_power() -> ScenarioSpec {
             maxdisp: 20.0,
             target_sinr: 4.0,
             slice: 8,
-            workers: 2,
         })
         .measure(Measure::DeltaFromBase)
         .sweep(SweepAxis::TargetSinr(vec![2.0, 4.0, 8.0]))

@@ -225,11 +225,6 @@ pub enum PhaseSpec {
         /// Steps between settles (≥ 1); the loop also settles once at
         /// the end of the phase.
         slice: usize,
-        /// Worker threads for the session's island-parallel settles
-        /// (≥ 1; `1` = inline). Any value produces bit-identical
-        /// results — the knob trades wall-clock only, so sweeps stay
-        /// reproducible across machines and thread counts.
-        workers: usize,
     },
 }
 
@@ -833,7 +828,6 @@ impl Scenario {
                     maxdisp,
                     target_sinr,
                     slice,
-                    workers,
                     ..
                 } => {
                     if join_prob < 0.0 || leave_prob < 0.0 || join_prob + leave_prob > 1.0 {
@@ -847,9 +841,6 @@ impl Scenario {
                     }
                     if slice == 0 {
                         return spec_err("power-churn slice must be >= 1");
-                    }
-                    if workers == 0 {
-                        return spec_err("power-churn workers must be >= 1");
                     }
                 }
             }
@@ -1243,7 +1234,6 @@ fn generate_phase(
             maxdisp,
             target_sinr,
             slice,
-            workers,
         } => {
             // Exogenous churn drawn like a Mix phase, but with the
             // continuous power loop held closed: an incremental
@@ -1264,7 +1254,6 @@ fn generate_phase(
             cfg.drop_infeasible = false;
             cfg.receivers = ReceiverPolicy::NearestNeighbor;
             let mut session = PowerSession::new(cfg, ghost);
-            session.set_workers(workers);
             let mut events = Vec::with_capacity(steps);
             let settle =
                 |session: &mut PowerSession, ghost: &mut Network, events: &mut Vec<Event>| {
@@ -1472,7 +1461,6 @@ fn phase_to_json(p: &PhaseSpec) -> Json {
             maxdisp,
             target_sinr,
             slice,
-            workers,
         } => Json::obj(vec![
             ("phase", Json::Str("power-churn".into())),
             ("steps", Json::Num(steps as f64)),
@@ -1481,7 +1469,6 @@ fn phase_to_json(p: &PhaseSpec) -> Json {
             ("maxdisp", Json::Num(maxdisp)),
             ("target_sinr", Json::Num(target_sinr)),
             ("slice", Json::Num(slice as f64)),
-            ("workers", Json::Num(workers as f64)),
         ]),
     }
 }
@@ -1498,11 +1485,111 @@ fn get_usize(v: &Json, key: &str) -> Result<usize, SpecError> {
         .ok_or_else(|| SpecError(format!("field {key:?} must be a non-negative integer")))
 }
 
+/// The keys a spec document may hold at its top level.
+const SPEC_KEYS: &[&str] = &[
+    "name",
+    "summary",
+    "arena",
+    "topology",
+    "ranges",
+    "strategies",
+    "base",
+    "measured",
+    "measure",
+    "sweep",
+    "runs",
+    "seed",
+];
+
+/// Each phase kind's keys besides the `"phase"` discriminator.
+const PHASE_KEYS: &[(&str, &[&str])] = &[
+    ("join", &["count"]),
+    ("power-raise", &["fraction", "factor"]),
+    ("movement", &["rounds", "maxdisp"]),
+    ("mix", &["steps", "join_prob", "leave_prob", "maxdisp"]),
+    (
+        "power-control",
+        &["target_sinr", "ladder", "drop_infeasible", "sink_every"],
+    ),
+    (
+        "power-churn",
+        &[
+            "steps",
+            "join_prob",
+            "leave_prob",
+            "maxdisp",
+            "target_sinr",
+            "slice",
+        ],
+    ),
+];
+
+/// Each topology family's keys besides `"family"`.
+const TOPOLOGY_KEYS: &[(&str, &[&str])] = &[
+    ("uniform", &[]),
+    ("clustered", &["clusters", "spread"]),
+    ("corridor", &["walls", "door"]),
+];
+
+/// Each range distribution's keys besides `"dist"`.
+const RANGES_KEYS: &[(&str, &[&str])] = &[
+    ("interval", &["minr", "maxr"]),
+    ("heterogeneous", &["short", "long", "long_fraction"]),
+];
+
+/// Each sweep axis's keys besides `"axis"`.
+const SWEEP_KEYS: &[(&str, &[&str])] = &[
+    ("join-count", &["values"]),
+    ("avg-range", &["values"]),
+    ("raise-factor", &["values"]),
+    ("max-disp", &["values"]),
+    ("rounds", &["max"]),
+    ("mix-steps", &["values"]),
+    ("long-fraction", &["values"]),
+    ("target-sinr", &["values"]),
+    ("single", &[]),
+];
+
+/// Rejects the first key of the object `v` that `known` refuses,
+/// naming it and the object (`what`) it sits in — a misspelled
+/// optional key must fail, not silently fall back to its default.
+fn reject_unknown_keys(
+    v: &Json,
+    what: &str,
+    known: impl Fn(&str) -> bool,
+) -> Result<(), SpecError> {
+    if let Json::Obj(pairs) = v {
+        if let Some((key, _)) = pairs.iter().find(|(k, _)| !known(k)) {
+            return spec_err(format!("unknown key {key:?} in {what}"));
+        }
+    }
+    Ok(())
+}
+
+/// [`reject_unknown_keys`] for a tagged object: `tag` (the value of
+/// its `tag_key` discriminator) selects the allowed keys in `table`.
+/// An unknown tag passes, so the caller's own match reports it.
+fn reject_unknown_variant_keys(
+    v: &Json,
+    what: &str,
+    tag_key: &str,
+    tag: &str,
+    table: &[(&str, &[&str])],
+) -> Result<(), SpecError> {
+    match table.iter().find(|(t, _)| *t == tag) {
+        Some((_, keys)) => reject_unknown_keys(v, &format!("{tag} {what}"), |k| {
+            k == tag_key || keys.contains(&k)
+        }),
+        None => Ok(()),
+    }
+}
+
 fn phase_from_json(v: &Json) -> Result<PhaseSpec, SpecError> {
     let kind = v
         .get("phase")
         .and_then(Json::as_str)
         .ok_or_else(|| SpecError("phase object needs a \"phase\" string".into()))?;
+    reject_unknown_variant_keys(v, "phase", "phase", kind, PHASE_KEYS)?;
     match kind {
         "join" => Ok(PhaseSpec::Join {
             count: get_usize(v, "count")?,
@@ -1546,10 +1633,6 @@ fn phase_from_json(v: &Json) -> Result<PhaseSpec, SpecError> {
             slice: match v.get("slice") {
                 Some(_) => get_usize(v, "slice")?,
                 None => 8,
-            },
-            workers: match v.get("workers") {
-                Some(_) => get_usize(v, "workers")?,
-                None => 1,
             },
         }),
         other => spec_err(format!(
@@ -1763,12 +1846,14 @@ impl ScenarioSpec {
 
     /// Parses a spec from its JSON form. Missing optional fields fall
     /// back to the [`ScenarioSpec::new`] defaults; only `name` is
-    /// required.
+    /// required. A key the spec, its topology, ranges, sweep or any
+    /// phase does not read is an error naming the key and its object.
     pub fn from_json(v: &Json) -> Result<ScenarioSpec, SpecError> {
         let name = v
             .get("name")
             .and_then(Json::as_str)
             .ok_or_else(|| SpecError("spec needs a \"name\" string".into()))?;
+        reject_unknown_keys(v, "the spec", |k| SPEC_KEYS.contains(&k))?;
         let mut spec = ScenarioSpec::new(name);
         if let Some(s) = v.get("summary").and_then(Json::as_str) {
             spec.summary = s.to_string();
@@ -1790,6 +1875,7 @@ impl ScenarioSpec {
                 .get("family")
                 .and_then(Json::as_str)
                 .ok_or_else(|| SpecError("topology needs a \"family\" string".into()))?;
+            reject_unknown_variant_keys(t, "topology", "family", family, TOPOLOGY_KEYS)?;
             spec.topology = match family {
                 "uniform" => TopologyFamily::Uniform,
                 "clustered" => TopologyFamily::Clustered {
@@ -1812,6 +1898,7 @@ impl ScenarioSpec {
                 .get("dist")
                 .and_then(Json::as_str)
                 .ok_or_else(|| SpecError("ranges needs a \"dist\" string".into()))?;
+            reject_unknown_variant_keys(r, "ranges", "dist", dist, RANGES_KEYS)?;
             spec.ranges = match dist {
                 "interval" => RangeDist::Interval {
                     minr: get_num(r, "minr")?,
@@ -1882,6 +1969,7 @@ impl ScenarioSpec {
                 .get("axis")
                 .and_then(Json::as_str)
                 .ok_or_else(|| SpecError("sweep needs an \"axis\" string".into()))?;
+            reject_unknown_variant_keys(s, "sweep", "axis", axis, SWEEP_KEYS)?;
             spec.sweep = match axis {
                 "join-count" => SweepAxis::JoinCount(values_usize(s)?),
                 "avg-range" => SweepAxis::AvgRange(values_f64(s)?),
@@ -2160,7 +2248,6 @@ mod tests {
                 maxdisp: 15.0,
                 target_sinr: 4.0,
                 slice: 8,
-                workers: 1,
             })
             .measure(Measure::DeltaFromBase)
             .sweep(SweepAxis::TargetSinr(vec![2.0, 8.0]))
@@ -2199,7 +2286,7 @@ mod tests {
 
     #[test]
     fn power_churn_validation_rejects_bad_knobs() {
-        let churn = |join_prob, leave_prob, target_sinr, slice, workers| {
+        let churn = |join_prob, leave_prob, target_sinr, slice| {
             ScenarioSpec::new("x").measured_phase(PhaseSpec::PowerChurn {
                 steps: 10,
                 join_prob,
@@ -2207,14 +2294,12 @@ mod tests {
                 maxdisp: 10.0,
                 target_sinr,
                 slice,
-                workers,
             })
         };
-        assert!(Scenario::new(churn(0.7, 0.7, 4.0, 8, 1)).is_err());
-        assert!(Scenario::new(churn(0.3, 0.3, 0.0, 8, 1)).is_err());
-        assert!(Scenario::new(churn(0.3, 0.3, 4.0, 0, 1)).is_err());
-        assert!(Scenario::new(churn(0.3, 0.3, 4.0, 8, 0)).is_err());
-        assert!(Scenario::new(churn(0.3, 0.3, 4.0, 8, 1)).is_ok());
+        assert!(Scenario::new(churn(0.7, 0.7, 4.0, 8)).is_err());
+        assert!(Scenario::new(churn(0.3, 0.3, 0.0, 8)).is_err());
+        assert!(Scenario::new(churn(0.3, 0.3, 4.0, 0)).is_err());
+        assert!(Scenario::new(churn(0.3, 0.3, 4.0, 8)).is_ok());
         // A churn phase satisfies the target-SINR sweep requirement.
         assert!(Scenario::new(churn_spec()).is_ok());
     }
@@ -2328,6 +2413,35 @@ mod tests {
                 "unknown strategy",
             ),
             ("not json", "valid JSON"),
+            // Misspelled optional keys fail instead of defaulting.
+            (
+                "{\"name\":\"x\",\"sead\":7}",
+                "unknown key \"sead\" in the spec",
+            ),
+            (
+                "{\"name\":\"x\",\"measured\":[{\"phase\":\"power-churn\",\"steps\":4,\
+                 \"join_prob\":0.3,\"leave_prob\":0.3,\"maxdisp\":5,\"target_sinr\":4,\
+                 \"slcie\":1}]}",
+                "unknown key \"slcie\" in power-churn phase",
+            ),
+            (
+                "{\"name\":\"x\",\"measured\":[{\"phase\":\"power-churn\",\"steps\":4,\
+                 \"join_prob\":0.3,\"leave_prob\":0.3,\"maxdisp\":5,\"target_sinr\":4,\
+                 \"workers\":2}]}",
+                "unknown key \"workers\" in power-churn phase",
+            ),
+            (
+                "{\"name\":\"x\",\"topology\":{\"family\":\"uniform\",\"spread\":3}}",
+                "unknown key \"spread\" in uniform topology",
+            ),
+            (
+                "{\"name\":\"x\",\"ranges\":{\"dist\":\"interval\",\"minr\":1,\"maxr\":2,\"max\":3}}",
+                "unknown key \"max\" in interval ranges",
+            ),
+            (
+                "{\"name\":\"x\",\"sweep\":{\"axis\":\"single\",\"values\":[1]}}",
+                "unknown key \"values\" in single sweep",
+            ),
         ] {
             let err = ScenarioSpec::from_json_str(text).unwrap_err();
             assert!(

@@ -13,7 +13,8 @@
 //! rejoin and re-settling the active-set power loop from the previous
 //! equilibrium must also be allocation-free — the CSR row pools, the
 //! transposed hearers/aimers indexes, the relaxation worklist, and the
-//! emitted-event buffer all recycle their storage.
+//! emitted-event buffer all recycle their storage. A discrete-ladder
+//! session, which settles cold every time, is pinned the same way.
 //!
 //! PR 10 threads `minim-obs` instrumentation through all of these
 //! paths. The registry records by default, so every phase below pins
@@ -37,7 +38,7 @@ use minim_geom::{Point, Segment};
 use minim_graph::NodeId;
 use minim_net::event::Event;
 use minim_net::{Network, NodeConfig};
-use minim_power::{PowerLoopConfig, PowerSession};
+use minim_power::{PowerLadder, PowerLoopConfig, PowerSession};
 use minim_serve::{Engine, EngineOptions, MemFs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -168,16 +169,13 @@ fn steady_state_rewire_allocates_nothing() {
         after - before
     );
 
-    // --- Phase 3: the island-parallel settle path at workers = 1. ---
-    // `settle` routes every relaxation through the island scheduler
-    // (`relax_parallel`); at one worker the islands run inline on the
-    // calling thread — no `thread::scope`, whose spawn bookkeeping
-    // allocates — so the whole plan/relax/merge cycle must recycle its
-    // storage: the union-find slab, closure and membership CSRs, seed
-    // buffer, per-island worklist deque, and report slots. (Higher
-    // worker counts relax the same islands from the same recycled
-    // buffers; only the scoped-thread machinery itself allocates.)
-    session.set_workers(1);
+    // --- Phase 3: cold settles on a discrete power ladder. ---
+    // A geometric ladder has no warm start: every settle resets the
+    // powers and relaxes all live links from the bottom rung, so this
+    // pins the cold path over the same patch cycle.
+    let mut discrete = PowerLoopConfig::for_range_scale(25.0);
+    discrete.ladder = PowerLadder::Geometric { levels: 12 };
+    let mut session = PowerSession::new(discrete, &net);
     for _ in 0..12 {
         session_cycle(&mut session);
     }
@@ -191,7 +189,7 @@ fn steady_state_rewire_allocates_nothing() {
     assert_eq!(
         after - before,
         0,
-        "steady-state island-parallel settles (inline, workers = 1) must be \
+        "steady-state cold settles on a discrete ladder must be \
          allocation-free, saw {} allocations over 25 cycles",
         after - before
     );

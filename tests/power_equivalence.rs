@@ -20,7 +20,11 @@
 //! * a [`PowerSession`] tracking churn incrementally lands on the same
 //!   equilibrium a from-scratch [`PowerLoop`] computes on the final
 //!   topology (its corrections leave nothing for the batch loop to
-//!   re-lower).
+//!   re-lower), and
+//! * the SIMD arm of the interference accumulation is **bitwise
+//!   equal** to the scalar reference on every row length, including
+//!   the empty, sub-lane, and lane-straddling shapes where a tail bug
+//!   would hide — so the vector kernel moves no fixed point.
 
 use minim::geom::{sample, Point, Rect, Segment, SegmentGrid};
 use minim::net::event::{apply_topology, Event};
@@ -28,8 +32,9 @@ use minim::net::workload::{MixWorkload, Placement, RangeDist};
 use minim::net::{Network, NodeConfig};
 use minim::power::sinr::FieldEvent;
 use minim::power::{
-    relax, run_with, ControlScratch, Feasibility, GainModel, LinkBudget, PowerLadder, PowerLoop,
-    PowerLoopConfig, PowerSession, SinrField, Verdict, NO_RECEIVER,
+    relax, run_with, weighted_sum_scalar, weighted_sum_simd, ControlScratch, Feasibility,
+    GainModel, LinkBudget, PowerLadder, PowerLoop, PowerLoopConfig, PowerSession, SinrField,
+    Verdict, LANES, NO_RECEIVER,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -375,5 +380,29 @@ fn session_equilibrium_leaves_nothing_for_the_batch_loop() {
                 "seed {seed}: batch loop still wants {node:?}: {old} -> {range}"
             );
         }
+    }
+}
+
+/// SIMD ≡ scalar bitwise on the adversarial lengths: empty, single,
+/// lane−1 / lane / lane+1 (the tail boundary), and a long row — over
+/// gains and powers with spread exponents so reassociation would show.
+#[test]
+fn simd_accumulation_matches_scalar_bitwise() {
+    let mut s = 0x5EEDu64;
+    let mut next = move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let mant = (s >> 11) as f64 / (1u64 << 53) as f64;
+        let exp = ((s >> 3) % 60) as i32 - 30;
+        (mant + 0.5) * 2f64.powi(exp)
+    };
+    let powers: Vec<f64> = (0..512).map(|_| next()).collect();
+    for n in [0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES, 97, 300] {
+        let gains: Vec<f64> = (0..n).map(|_| next()).collect();
+        let ids: Vec<u32> = (0..n as u32).map(|k| (k * 37) % 512).collect();
+        let a = weighted_sum_scalar(&ids, &gains, &powers);
+        let b = weighted_sum_simd(&ids, &gains, &powers);
+        assert_eq!(a.to_bits(), b.to_bits(), "length {n}");
     }
 }

@@ -34,6 +34,9 @@ fn lab_specs() -> Vec<ScenarioSpec> {
         // ladders both.
         shrink_base_join(presets::near_far(), 30).sweep(SweepAxis::TargetSinr(vec![2.0, 8.0])),
         presets::interference_clusters().sweep(SweepAxis::JoinCount(vec![25])),
+        // The tracking power session: its warm settles' set-range
+        // corrections interleave with the churn stream.
+        shrink_base_join(presets::churn_power(), 40).sweep(SweepAxis::TargetSinr(vec![2.0, 8.0])),
     ]
 }
 
@@ -60,36 +63,6 @@ fn sweep_results_are_worker_count_invariant() {
         assert_eq!(serial, parallel, "{name}: workers=1 vs workers=8");
         assert_eq!(serial.to_csv(), parallel.to_csv(), "{name}: csv");
     }
-}
-
-/// The churn-power preset with its phase-level settle parallelism
-/// pinned to `workers` (and the phase shortened so the suite stays
-/// fast) — distinct from the lab's replicate fan-out `--workers`.
-fn churn_power_at(workers: usize) -> ScenarioSpec {
-    use minim::sim::PhaseSpec;
-    let mut spec = shrink_base_join(presets::churn_power(), 40);
-    for phase in &mut spec.measured {
-        if let PhaseSpec::PowerChurn {
-            steps, workers: w, ..
-        } = phase
-        {
-            *steps = 32;
-            *w = workers;
-        }
-    }
-    spec.sweep(SweepAxis::TargetSinr(vec![2.0, 8.0]))
-}
-
-/// The settle-parallelism knob on the power-churn phase must never
-/// change a result: island-parallel relaxation is bit-identical to the
-/// sequential sweep, so `workers = 1` and `workers = 8` produce the
-/// same `SweepResult` (every point, stat, and event count).
-#[test]
-fn power_churn_settle_workers_are_result_invariant() {
-    let serial = run(churn_power_at(1), 2, 41);
-    let parallel = run(churn_power_at(8), 2, 41);
-    assert_eq!(serial, parallel, "phase workers=1 vs workers=8");
-    assert_eq!(serial.to_csv(), parallel.to_csv(), "csv drifted");
 }
 
 #[test]
