@@ -485,6 +485,9 @@ impl Network {
     /// exactly the new constraints a power increase creates (§4.2), so
     /// strategies recode from the delta without diffing conflict sets.
     ///
+    /// A range that does not grow only filters the current out-edges by
+    /// distance; a growing one re-queries the spatial index.
+    ///
     /// # Panics
     /// Panics if `id` is absent or the range is invalid.
     pub fn set_range(&mut self, id: NodeId, range: f64) -> TopologyDelta {
@@ -497,12 +500,16 @@ impl Network {
             .get_mut(id.index())
             .and_then(Option::as_mut)
             .expect("set_range: missing node");
+        let old_range = cfg.range;
         cfg.range = range;
         let pos = cfg.pos;
         // Migrates across range tiers when the range crosses a tier
         // boundary — this is where the reverse-reach bound tightens on
         // a power decrease.
         self.grid.set_range(id.0, range);
+        if range <= old_range {
+            return self.shrink_out_edges(id, pos, range);
+        }
         let Network {
             graph,
             grid,
@@ -537,6 +544,39 @@ impl Network {
         );
         let mut out_after = scratch.take_id_buf();
         out_after.extend_from_slice(&scratch.out);
+        let mut in_after = scratch.take_id_buf();
+        in_after.extend_from_slice(graph.in_neighbors(id));
+        TopologyDelta::new(DeltaKind::SetRange, id, added, removed, out_after, in_after)
+    }
+
+    /// The non-growing half of [`Network::set_range`]. With the range at
+    /// most the old one, `id` can only lose out-edges, and obstacles
+    /// did not change, so the new out-set is the current one filtered
+    /// by the spatial query's exact predicate `dist2 <= range²` — no
+    /// query of the index. Returns the same delta the query would:
+    /// nothing added, the lost edges ascending.
+    fn shrink_out_edges(&mut self, id: NodeId, pos: Point, range: f64) -> TopologyDelta {
+        let Network {
+            graph,
+            configs,
+            scratch,
+            ..
+        } = self;
+        let r2 = range * range;
+        scratch.old_out.clear();
+        scratch.old_out.extend_from_slice(graph.out_neighbors(id));
+        let added = scratch.take_edge_buf();
+        let mut removed = scratch.take_edge_buf();
+        let mut out_after = scratch.take_id_buf();
+        for &v in &scratch.old_out {
+            let vpos = configs[v.index()].expect("out-neighbor is present").pos;
+            if vpos.dist2(&pos) <= r2 {
+                out_after.push(v);
+            } else {
+                graph.remove_edge(id, v);
+                removed.push((id, v));
+            }
+        }
         let mut in_after = scratch.take_id_buf();
         in_after.extend_from_slice(graph.in_neighbors(id));
         TopologyDelta::new(DeltaKind::SetRange, id, added, removed, out_after, in_after)

@@ -220,14 +220,17 @@ pub struct RelaxReport {
     /// `iterations × n`; the whole point is that this stays small when
     /// little changed).
     pub updates: u64,
+    /// Single-link Foschini–Miljanic evaluations (one interference row
+    /// each), whether or not they wrote.
+    pub evaluations: u64,
     /// How the run ended.
     pub verdict: Verdict,
 }
 
 /// Reusable control-loop state: power/SINR slabs, the active-set
-/// worklist, and the capped-link list. Create once, feed to
-/// [`run_with`] / [`relax`] forever — steady-state runs allocate
-/// nothing.
+/// worklist, the written-link flags, and the capped-link list. Create
+/// once, feed to [`run_with`] / [`relax`] forever — steady-state runs
+/// allocate nothing.
 ///
 /// `powers` persists across calls; that is what makes warm-started
 /// relaxation possible. The slabs are indexed by link id and only
@@ -237,7 +240,8 @@ pub struct ControlScratch {
     /// Current power vector (one entry per link slot). Warm state:
     /// survives across calls.
     pub powers: Vec<f64>,
-    /// SINRs under `powers` as of the last classification.
+    /// SINRs under `powers` as of the last [`run_with`]. [`relax`]
+    /// leaves it alone: it classifies from the few links near the cap.
     pub sinrs: Vec<f64>,
     /// Live links pinned at the cap below target as of the last
     /// classification, ascending.
@@ -248,6 +252,9 @@ pub struct ControlScratch {
     queue: VecDeque<u32>,
     /// Membership flags for `queue`.
     queued: Vec<bool>,
+    /// Links whose power [`relax`] wrote since their flag was last
+    /// taken (`take_written`).
+    written: Vec<bool>,
 }
 
 impl ControlScratch {
@@ -267,6 +274,9 @@ impl ControlScratch {
         }
         if self.queued.len() < n {
             self.queued.resize(n, false);
+        }
+        if self.written.len() < n {
+            self.written.resize(n, false);
         }
     }
 
@@ -289,6 +299,14 @@ impl ControlScratch {
     /// whatever the verdict.
     pub fn pending(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Whether [`relax`] wrote link `i`'s power since the flag was last
+    /// taken, clearing the flag. A warm [`crate::PowerSession::settle`]
+    /// lowers only such links (plus those whose range the network
+    /// changed): every other link kept the power it was lowered at.
+    pub(crate) fn take_written(&mut self, i: usize) -> bool {
+        self.written.get_mut(i).is_some_and(std::mem::take)
     }
 
     /// Converts a scratch-based verdict into the owning
@@ -320,38 +338,56 @@ fn fm_update(field: &SinrField, cfg: &ControlConfig, powers: &[f64], i: usize) -
         .quantize_up(clamped, cfg.min_power, cfg.max_power)
 }
 
-/// Classifies the fixed point in `scratch.powers`: fills
-/// `scratch.sinrs` and `scratch.capped` and returns `Converged` or
-/// `PowerCapped` (callers that ran out of budget override with
-/// `Diverging`).
-fn classify(field: &SinrField, cfg: &ControlConfig, scratch: &mut ControlScratch) -> Verdict {
-    field.sinrs_into(&scratch.powers, &mut scratch.sinrs);
+/// Smallest `tol` at which a drained [`relax`] classifies only the
+/// links near the cap. That shortcut has a margin of `3·tol` (relative)
+/// between what the fixed point guarantees and the "met" rule, while
+/// the SINR and the update it is checked against differ by a few ulps;
+/// below this bound the full classification runs instead.
+const CAP_SCREEN_MIN_TOL: f64 = 1e-12;
+
+/// Classifies the fixed point in `powers` into `capped` and returns
+/// `Converged` or `PowerCapped` (callers that ran out of budget
+/// override with `Diverging`). Only live links with power at least
+/// `floor` are examined, their SINR read from `sinr_of`; every other
+/// live link must be known to meet its target.
+fn classify(
+    field: &SinrField,
+    cfg: &ControlConfig,
+    powers: &[f64],
+    floor: f64,
+    sinr_of: impl Fn(usize) -> f64,
+    capped: &mut Vec<u32>,
+) -> Verdict {
     let gamma = cfg.target_sinr;
     // Meeting the target "within tolerance": one more tolerance-sized
     // power step would clear it.
     let met = |sinr: f64| sinr >= gamma * (1.0 - 4.0 * cfg.tol);
-    scratch.capped.clear();
+    let unmet = |i: usize, p: f64| p >= floor && field.is_live(i) && !met(sinr_of(i));
+    let powers = &powers[..field.len()];
+    capped.clear();
     let mut all_met = true;
-    for i in 0..field.len() {
-        if !field.is_live(i) || met(scratch.sinrs[i]) {
+    for (i, &p) in powers.iter().enumerate() {
+        if !unmet(i, p) {
             continue;
         }
         all_met = false;
-        if scratch.powers[i] >= cfg.max_power * (1.0 - 1e-12) {
-            scratch.capped.push(i as u32);
+        if p >= cfg.max_power * (1.0 - 1e-12) {
+            capped.push(i as u32);
         }
     }
     if all_met {
         return Verdict::Converged;
     }
-    if scratch.capped.is_empty() {
+    if capped.is_empty() {
         // At a fixed point an unmet link is necessarily at the cap;
         // keep the classification robust anyway.
-        for i in 0..field.len() {
-            if field.is_live(i) && !met(scratch.sinrs[i]) {
-                scratch.capped.push(i as u32);
-            }
-        }
+        capped.extend(
+            powers
+                .iter()
+                .enumerate()
+                .filter(|&(i, &p)| unmet(i, p))
+                .map(|(i, _)| i as u32),
+        );
     }
     Verdict::PowerCapped
 }
@@ -399,7 +435,16 @@ pub fn run_with(
             break;
         }
     }
-    let verdict = classify(field, cfg, scratch);
+    field.sinrs_into(&scratch.powers, &mut scratch.sinrs);
+    let sinrs = &scratch.sinrs;
+    let verdict = classify(
+        field,
+        cfg,
+        &scratch.powers,
+        f64::NEG_INFINITY,
+        |i| sinrs[i],
+        &mut scratch.capped,
+    );
     SweepReport {
         iterations,
         verdict: if fixed_point {
@@ -434,7 +479,23 @@ pub fn run_with(
 /// power and enqueues exactly the links that hear it — the transposed
 /// interferer index answers that in O(row). The update budget is
 /// `cfg.max_iters × live links`; exhausting it drains the queue and
-/// reports [`Verdict::Diverging`].
+/// reports [`Verdict::Diverging`]. Every write also flags the link for
+/// the session's lowering.
+///
+/// **Classification at the cap.** When the worklist drains within
+/// budget, every live link was evaluated after the last change to its
+/// inputs (a warm call trusts that unmarked links already were — the
+/// same premise that makes its result a fixed point). So each link's
+/// update `q` is within `tol·p` of its power `p` (equal to it on a
+/// geometric ladder). Below `max_power·(1 − 4·tol)` the update is
+/// under the cap, so it is the unclamped request `γ·I/(L·g)` or more,
+/// and the SINR `L·g·p/I` is at least `γ/(1 + tol)` (at least `γ` on a
+/// geometric ladder) — clear of the `γ(1 − 4·tol)` "met" rule by
+/// `3·tol`. Only links at or above that power can be unmet or capped,
+/// so only their SINRs are computed; the verdict and
+/// [`ControlScratch::capped`] equal a full classification. An
+/// exhausted budget (or a `tol` too small for the margin to beat
+/// rounding) classifies every link. `scratch.sinrs` is not touched.
 ///
 /// # Panics
 /// Panics if `cfg` fails [`ControlConfig::validate`].
@@ -462,6 +523,7 @@ pub fn relax(
     }
     let max_updates = (cfg.max_iters as u64) * (field.live_links().max(1) as u64);
     let mut updates: u64 = 0;
+    let mut evaluations: u64 = 0;
     let mut exhausted = false;
     while let Some(i) = scratch.queue.pop_front() {
         let iu = i as usize;
@@ -471,6 +533,7 @@ pub fn relax(
         }
         let p = scratch.powers[iu];
         let q = fm_update(field, cfg, &scratch.powers, iu);
+        evaluations += 1;
         let changed = match cfg.ladder {
             PowerLadder::Continuous => (q - p).abs() / p > cfg.tol,
             PowerLadder::Geometric { .. } => q != p,
@@ -479,6 +542,7 @@ pub fn relax(
             continue;
         }
         scratch.powers[iu] = q;
+        scratch.written[iu] = true;
         updates += 1;
         if updates >= max_updates && !scratch.queue.is_empty() {
             // Budget exhausted mid-flight: drain the worklist so the
@@ -490,18 +554,34 @@ pub fn relax(
             break;
         }
         // A power change perturbs interference exactly at the rows
-        // that hear `i`.
+        // that hear `i`. Those are live: absent slots and dead links
+        // have empty rows.
         for &k in field.hearers(iu) {
             let ku = k as usize;
-            if !scratch.queued[ku] && field.is_live(ku) {
+            debug_assert!(field.is_live(ku), "hearer {k} of {i} is not live");
+            if !scratch.queued[ku] {
                 scratch.queued[ku] = true;
                 scratch.queue.push_back(k);
             }
         }
     }
-    let verdict = classify(field, cfg, scratch);
+    let floor = if exhausted || cfg.tol < CAP_SCREEN_MIN_TOL {
+        f64::NEG_INFINITY
+    } else {
+        cfg.max_power * (1.0 - 4.0 * cfg.tol)
+    };
+    let powers = &scratch.powers;
+    let verdict = classify(
+        field,
+        cfg,
+        powers,
+        floor,
+        |i| field.sinr(powers, i),
+        &mut scratch.capped,
+    );
     RelaxReport {
         updates,
+        evaluations,
         verdict: if exhausted {
             Verdict::Diverging
         } else {
@@ -783,6 +863,29 @@ mod tests {
         }
         let report = relax(&field, &cfg, &mut scratch, true);
         assert_eq!(report.updates, 0, "equilibrium is a fixed point");
+    }
+
+    /// A link parked just under the cap — within `tol` of its clamped
+    /// request, so relax does not rewrite it — that wants more power is
+    /// unmet; the drained-run screen must still classify it, here
+    /// through the capped fallback (no link sits exactly at the cap).
+    #[test]
+    fn drained_relax_classifies_a_link_parked_just_below_the_cap() {
+        // Link 2 is dead (aims at itself): its request is unbounded.
+        let field = field_of(&[(0.0, 0.0), (8.0, 0.0), (300.0, 0.0)], &[1, 0, 2]);
+        let cfg = ControlConfig::new(4.0, 1e-3, 1e6);
+        let mut scratch = ControlScratch::new();
+        relax(&field, &cfg, &mut scratch, false);
+        assert_eq!(scratch.capped, vec![2]);
+        scratch.powers[2] = cfg.max_power * (1.0 - 0.5 * cfg.tol);
+        for i in 0..3 {
+            scratch.mark(i);
+        }
+        let report = relax(&field, &cfg, &mut scratch, true);
+        assert_eq!(report.evaluations, 3);
+        assert_eq!(report.updates, 0, "every link is within tol of its request");
+        assert_eq!(report.verdict, Verdict::PowerCapped);
+        assert_eq!(scratch.capped, vec![2]);
     }
 
     /// Overloaded instance under relaxation: the budget trips and the

@@ -69,6 +69,9 @@ pub struct SessionReport {
     /// Single-link power writes the relaxation performed (small when
     /// little changed — the whole point of the warm start).
     pub updates: u64,
+    /// Single-link updates the relaxation evaluated (one interference
+    /// row each), written or not.
+    pub evaluations: u64,
     /// Live links pinned at the cap below target (0 unless the
     /// verdict is [`Verdict::PowerCapped`]; ids via
     /// [`PowerSession::capped`]).
@@ -87,6 +90,7 @@ impl SessionReport {
     fn record_metrics(&self, elapsed_ns: u64) {
         minim_obs::counter!("power.settle.calls", 1);
         minim_obs::counter!("power.settle.updates", self.updates);
+        minim_obs::counter!("power.settle.evaluations", self.evaluations);
         minim_obs::gauge!("power.settle.links", self.links as f64);
         minim_obs::observe_ns!("power.settle_ns", elapsed_ns);
     }
@@ -107,6 +111,9 @@ pub struct PowerSession {
     /// Mirror of each node's currently-applied range (what the
     /// network believes), to suppress no-op [`Event::SetRange`]s.
     ranges: Vec<f64>,
+    /// Nodes whose mirrored range (or, on a join, power) changed since
+    /// the last lowering; parallel to `ranges`.
+    renoted: Vec<bool>,
     /// The single live node when exactly one is present.
     lonely: Option<u32>,
     /// Whether `scratch.powers` holds a previous equilibrium.
@@ -148,6 +155,7 @@ impl PowerSession {
         let mut positions = vec![Point::new(0.0, 0.0); n];
         let mut receiver = vec![crate::sinr::NO_RECEIVER; n];
         let mut ranges = vec![0.0; n];
+        let renoted = vec![false; n];
         let mut seed = minim_geom::SpatialGrid::new(cfg.max_range.max(1.0));
         let mut live: Vec<u32> = Vec::new();
         for id in net.iter_nodes() {
@@ -190,6 +198,7 @@ impl PowerSession {
             scratch,
             uplinks,
             ranges,
+            renoted,
             lonely,
             warmed: false,
             events: Vec::new(),
@@ -232,11 +241,7 @@ impl PowerSession {
     /// # Panics
     /// Panics if `node` is already live.
     pub fn apply_join(&mut self, node: u32, pos: Point, range: f64) {
-        let nu = node as usize;
-        if self.ranges.len() <= nu {
-            self.ranges.resize(nu + 1, 0.0);
-        }
-        self.ranges[nu] = range;
+        self.note_range(node, range);
         match self.field.live_links() {
             0 => {
                 self.field.apply(&FieldEvent::Join {
@@ -285,7 +290,7 @@ impl PowerSession {
         // A fresh link starts from the bottom of the ladder.
         self.scratch
             .fit(self.field.len(), self.control.start_power());
-        self.scratch.powers[nu] = self.control.start_power();
+        self.scratch.powers[node as usize] = self.control.start_power();
     }
 
     /// A node left the network: retune its aimers onto their next-
@@ -392,8 +397,10 @@ impl PowerSession {
         let nu = node as usize;
         if self.ranges.len() <= nu {
             self.ranges.resize(nu + 1, 0.0);
+            self.renoted.resize(nu + 1, false);
         }
         self.ranges[nu] = range;
+        self.renoted[nu] = true;
     }
 
     /// Retunes every node that now prefers `j` at `pos` over its
@@ -440,6 +447,14 @@ impl PowerSession {
     /// on continuous ladders; cold-starts on discrete ladders and
     /// after a divergence (see the module docs). Steady-state calls
     /// are allocation-free once the buffers are warm.
+    ///
+    /// A warm settle lowers only the links the relaxation wrote and
+    /// those whose mirrored range changed through
+    /// [`PowerSession::apply_join`] or [`PowerSession::note_range`].
+    /// Every other link has the power and the mirrored range it had at
+    /// the previous lowering, which then emitted nothing for it or set
+    /// the range it would compute again. A cold settle lowers every
+    /// live link.
     pub fn settle(&mut self) -> (&[Event], SessionReport) {
         let _span = minim_obs::span!("power.settle");
         let settle_start = std::time::Instant::now();
@@ -453,6 +468,7 @@ impl PowerSession {
             let report = SessionReport {
                 verdict: Verdict::Converged,
                 updates: 0,
+                evaluations: 0,
                 infeasible: 0,
                 links: live,
                 islands: 0,
@@ -470,7 +486,9 @@ impl PowerSession {
         let report = control::relax(&self.field, &self.control, &mut self.scratch, warm);
         self.warmed = report.verdict != Verdict::Diverging;
         for i in 0..self.field.len() {
-            if !self.field.is_live(i) {
+            let written = self.scratch.take_written(i);
+            let renoted = std::mem::take(&mut self.renoted[i]);
+            if (warm && !written && !renoted) || !self.field.is_live(i) {
                 continue;
             }
             let new_range = self.cfg.range_for_power(self.scratch.powers[i]);
@@ -490,6 +508,7 @@ impl PowerSession {
         let session_report = SessionReport {
             verdict: report.verdict,
             updates: report.updates,
+            evaluations: report.evaluations,
             infeasible,
             links: live,
             islands: 0,

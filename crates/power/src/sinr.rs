@@ -704,7 +704,6 @@ impl SinrField {
     #[inline]
     pub fn interference(&self, powers: &[f64], i: usize) -> f64 {
         let (ids, gains) = self.rows.row(i);
-        minim_obs::counter!("power.accum.batches", 1);
         self.budget.noise + crate::accum::weighted_sum(ids, gains, powers)
     }
 

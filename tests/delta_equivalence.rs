@@ -23,18 +23,22 @@
 //!
 //! Also pins the substrate-level facts the strategies rely on: a
 //! delta's derived partitions/recode set equal the graph-derived ones
-//! after every kind of event.
+//! after every kind of event, and `Network::set_range` — which filters
+//! the current out-edges instead of querying the index when the range
+//! does not grow — yields the brute-force out-set and its exact delta.
 
 use minim::core::{
     gather_recode_inputs, plan_recode, EventEffect, RecodeOutcome, RecodingStrategy, StrategyKind,
     KEEP_WEIGHT,
 };
-use minim::geom::{sample, Point, Rect};
+use minim::geom::segment::line_of_sight_blocked;
+use minim::geom::{sample, Point, Rect, Segment};
 use minim::graph::{conflict, hops, Color, NodeId};
 use minim::net::event::{apply_topology, Event, PowerDirection};
 use minim::net::workload::{ChurnWorkload, JoinWorkload, MovementWorkload, PowerRaiseWorkload};
 use minim::net::{Network, NodeConfig};
 use minim::sim::runner::{run_events_validated, ValidationMode};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -485,5 +489,86 @@ fn bbb_stays_valid_on_frontier_streams_under_full_validation() {
             m.edge_churn > 0,
             "frontier seed {seed}: the stream must wire edges"
         );
+    }
+}
+
+proptest! {
+    /// `set_range` on random networks, with and without walls: shrinks
+    /// (down to 0), equal ranges and grows. After each call the delta
+    /// and `u`'s out-edges must match a brute-force out-set (every
+    /// other node with `dist2 <= r²` and an unblocked sight line):
+    /// added and removed exactly the set difference, ascending, nothing
+    /// added unless the range grew, in-edges untouched.
+    #[test]
+    fn set_range_matches_brute_force_out_sets(
+        seed in 0u64..1_000,
+        n in 6usize..30,
+        walls_roll in 0u32..2,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arena = Rect::new(0.0, 0.0, 120.0, 120.0);
+        let mut net = Network::new(25.0);
+        if walls_roll == 1 {
+            for _ in 0..3 {
+                let x = rng.gen_range(20.0..100.0);
+                let y = rng.gen_range(0.0..60.0);
+                net.add_obstacle(Segment::new(
+                    Point::new(x, y),
+                    Point::new(x + rng.gen_range(-20.0..20.0), y + 60.0),
+                ));
+            }
+        }
+        for _ in 0..n {
+            net.join(NodeConfig::new(
+                sample::uniform_point(&mut rng, &arena),
+                rng.gen_range(5.0..60.0),
+            ));
+        }
+        // A co-located pair keeps an edge at range 0 (`dist2 == 0`).
+        let host = net.iter_nodes().next().expect("n >= 6");
+        let at = net.config(host).expect("present").pos;
+        net.join(NodeConfig::new(at, 10.0));
+        for step in 0..40 {
+            let k = rng.gen_range(0..net.node_count());
+            let u = net.iter_nodes().nth(k).expect("k < count");
+            let old = net.config(u).expect("present").range;
+            let range = match rng.gen_range(0u32..5) {
+                0 => old,
+                1 => 0.0,
+                2 => old * 1.5 + 1.0,
+                _ => old * rng.gen_range(0.0..1.0),
+            };
+            let out_before = net.graph().out_neighbors(u).to_vec();
+            let in_before = net.graph().in_neighbors(u).to_vec();
+            let delta = net.set_range(u, range);
+            let pos = net.config(u).expect("present").pos;
+            let expect: Vec<NodeId> = net
+                .iter_nodes()
+                .filter(|&v| {
+                    let pv = net.config(v).expect("present").pos;
+                    v != u
+                        && pv.dist2(&pos) <= range * range
+                        && !line_of_sight_blocked(net.obstacles(), &pos, &pv)
+                })
+                .collect();
+            let added: Vec<(NodeId, NodeId)> = expect
+                .iter()
+                .filter(|v| !out_before.contains(v))
+                .map(|&v| (u, v))
+                .collect();
+            let removed: Vec<(NodeId, NodeId)> = out_before
+                .iter()
+                .filter(|v| !expect.contains(v))
+                .map(|&v| (u, v))
+                .collect();
+            let ctx = format!("step {step}: {u} range {old} -> {range} (seed {seed})");
+            prop_assert_eq!(&delta.added, &added, "added, {}", ctx);
+            prop_assert_eq!(&delta.removed, &removed, "removed, {}", ctx);
+            prop_assert_eq!(&delta.out_after, &expect, "out_after, {}", ctx);
+            prop_assert_eq!(&delta.in_after, &in_before, "in_after, {}", ctx);
+            prop_assert_eq!(net.graph().out_neighbors(u), &expect[..], "graph, {}", ctx);
+            prop_assert!(range > old || delta.added.is_empty(), "a shrink added edges, {}", ctx);
+            net.check_topology();
+        }
     }
 }

@@ -20,21 +20,29 @@
 //! * a [`PowerSession`] tracking churn incrementally lands on the same
 //!   equilibrium a from-scratch [`PowerLoop`] computes on the final
 //!   topology (its corrections leave nothing for the batch loop to
-//!   re-lower), and
+//!   re-lower),
+//! * [`relax`]'s verdict and capped list, which a drained run reads off
+//!   only the links near the cap, equal a classification that
+//!   recomputes every SINR — cold and warm, on overloaded clumps and
+//!   under budgets tight enough to diverge,
+//! * a warm [`PowerSession::settle`], which lowers only the links it
+//!   wrote or whose range changed, emits exactly what a full-scan
+//!   lowering of [`PowerSession::powers`] emits, and
 //! * the SIMD arm of the interference accumulation is **bitwise
 //!   equal** to the scalar reference on every row length, including
 //!   the empty, sub-lane, and lane-straddling shapes where a tail bug
 //!   would hide — so the vector kernel moves no fixed point.
 
 use minim::geom::{sample, Point, Rect, Segment, SegmentGrid};
+use minim::graph::NodeId;
 use minim::net::event::{apply_topology, Event};
 use minim::net::workload::{MixWorkload, Placement, RangeDist};
 use minim::net::{Network, NodeConfig};
 use minim::power::sinr::FieldEvent;
 use minim::power::{
-    relax, run_with, weighted_sum_scalar, weighted_sum_simd, ControlScratch, Feasibility,
-    GainModel, LinkBudget, PowerLadder, PowerLoop, PowerLoopConfig, PowerSession, SinrField,
-    Verdict, LANES, NO_RECEIVER,
+    relax, run_with, weighted_sum_scalar, weighted_sum_simd, ControlConfig, ControlScratch,
+    Feasibility, GainModel, LinkBudget, PowerLadder, PowerLoop, PowerLoopConfig, PowerSession,
+    SinrField, Verdict, LANES, NO_RECEIVER,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -148,6 +156,263 @@ fn seeded_model(rng: &mut StdRng, arena: &Rect, n0: usize) -> Model {
         model.receiver[i] = r;
     }
     model
+}
+
+/// `pairs` short links (partners within 12 units, aiming at each
+/// other) plus an overloaded clump: a hub and `clump` transmitters a
+/// few units from it, packed within a unit of each other and all
+/// aiming at the hub.
+fn clumped_model(rng: &mut StdRng, arena: &Rect, pairs: usize, clump: usize) -> Model {
+    assert!(2 * pairs + 1 + clump <= SLOTS);
+    let mut model = Model {
+        positions: vec![Point::new(0.0, 0.0); SLOTS],
+        receiver: vec![NO_RECEIVER; SLOTS],
+    };
+    for k in 0..pairs {
+        let (a, b) = (2 * k, 2 * k + 1);
+        let pa = sample::uniform_point(rng, arena);
+        model.positions[a] = pa;
+        model.positions[b] = Point::new(
+            pa.x + rng.gen_range(-12.0..12.0),
+            pa.y + rng.gen_range(-12.0..12.0),
+        );
+        model.receiver[a] = b as u32;
+        model.receiver[b] = a as u32;
+    }
+    let hub = 2 * pairs;
+    let at = sample::uniform_point(rng, arena);
+    model.positions[hub] = at;
+    model.receiver[hub] = 0;
+    for k in 0..clump {
+        let i = hub + 1 + k;
+        model.positions[i] = Point::new(at.x + 6.0 + 0.1 * k as f64, at.y);
+        model.receiver[i] = hub as u32;
+    }
+    model
+}
+
+/// The classification oracle: every SINR recomputed with
+/// [`SinrField::sinrs`] and the "met" rule applied to every live link.
+/// Returns the fixed-point verdict and the capped list: the unmet links
+/// at the cap, or every unmet link when none is.
+fn oracle_classification(
+    field: &SinrField,
+    cfg: &ControlConfig,
+    powers: &[f64],
+) -> (Verdict, Vec<u32>) {
+    let sinrs = field.sinrs(powers);
+    let met = |sinr: f64| sinr >= cfg.target_sinr * (1.0 - 4.0 * cfg.tol);
+    let unmet: Vec<u32> = (0..field.len())
+        .filter(|&i| field.is_live(i) && !met(sinrs[i]))
+        .map(|i| i as u32)
+        .collect();
+    if unmet.is_empty() {
+        return (Verdict::Converged, unmet);
+    }
+    let at_cap: Vec<u32> = unmet
+        .iter()
+        .copied()
+        .filter(|&i| powers[i as usize] >= cfg.max_power * (1.0 - 1e-12))
+        .collect();
+    let capped = if at_cap.is_empty() { unmet } else { at_cap };
+    (Verdict::PowerCapped, capped)
+}
+
+/// The session's control loop with the given target, budget and
+/// tolerance, on the continuous or a 12-rung geometric ladder.
+fn control_cfg(target: f64, max_iters: usize, tol: f64, geometric: bool) -> ControlConfig {
+    let mut cfg = PowerLoopConfig::for_range_scale(25.0).control();
+    cfg.target_sinr = target;
+    cfg.max_iters = max_iters;
+    cfg.tol = tol;
+    if geometric {
+        cfg.ladder = PowerLadder::Geometric { levels: 12 };
+    }
+    cfg
+}
+
+/// Runs a cold [`relax`] under `cfg` on a clumped random field, then
+/// (continuous ladder, no divergence) churns it — [`churn_step`]s, or
+/// nudges of a few units that keep short links short when `nudge` —
+/// and runs a warm one, checking each verdict and capped list against
+/// [`oracle_classification`]. A diverging run keeps the full
+/// classification's capped list. Returns the `(warm, verdict)` of every
+/// run so coverage can be asserted.
+fn check_relax_classification(
+    seed: u64,
+    clump: usize,
+    cfg: ControlConfig,
+    steps: usize,
+    nudge: bool,
+) -> Vec<(bool, Verdict)> {
+    let arena = Rect::new(0.0, 0.0, 150.0, 150.0);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let gain = GainModel::terrain();
+    let budget = LinkBudget::cdma64();
+    let floor = test_floor();
+    let mut model = clumped_model(&mut rng, &arena, 5, clump);
+    let mut field = SinrField::build(
+        &gain,
+        budget,
+        &model.positions,
+        &model.receiver,
+        None,
+        floor,
+    );
+    let check = |field: &SinrField, scratch: &ControlScratch, verdict: Verdict, warm: bool| {
+        let (expect, capped) = oracle_classification(field, &cfg, &scratch.powers);
+        assert_eq!(
+            scratch.capped, capped,
+            "capped list (seed {seed}, clump {clump}, warm {warm}, {cfg:?})"
+        );
+        if verdict != Verdict::Diverging {
+            assert_eq!(
+                verdict, expect,
+                "verdict (seed {seed}, clump {clump}, warm {warm}, {cfg:?})"
+            );
+        }
+    };
+    let mut seen = Vec::new();
+    let mut scratch = ControlScratch::new();
+    let cold = relax(&field, &cfg, &mut scratch, false);
+    check(&field, &scratch, cold.verdict, false);
+    seen.push((false, cold.verdict));
+    if cfg.ladder != PowerLadder::Continuous || cold.verdict == Verdict::Diverging {
+        return seen;
+    }
+    let mut dirty = Vec::new();
+    field.take_dirty(&mut dirty);
+    for _ in 0..steps {
+        if nudge {
+            let live = model.live();
+            let node = live[rng.gen_range(0..live.len())];
+            let at = model.positions[node as usize];
+            let pos = Point::new(
+                at.x + rng.gen_range(-3.0..3.0),
+                at.y + rng.gen_range(-3.0..3.0),
+            );
+            model.positions[node as usize] = pos;
+            field.apply(&FieldEvent::Move { node, pos });
+        } else {
+            churn_step(&mut rng, &mut model, &mut field, &arena);
+        }
+    }
+    field.take_dirty(&mut dirty);
+    scratch.fit(field.len(), cfg.start_power());
+    for &k in &dirty {
+        scratch.mark(k);
+    }
+    let warm = relax(&field, &cfg, &mut scratch, true);
+    check(&field, &scratch, warm.verdict, true);
+    seen.push((true, warm.verdict));
+    seen
+}
+
+/// One churned [`PowerSession`] run: every settle's events must equal
+/// a full-scan lowering of [`PowerSession::powers`] against a mirrored
+/// range table kept here (updated by joins, exogenous range changes and
+/// the lowering itself). Returns the number of events of each settle.
+fn check_session_lowering(seed: u64, geometric: bool, max_iters: usize) -> Vec<usize> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let arena = Rect::new(0.0, 0.0, 120.0, 120.0);
+    let mut cfg = PowerLoopConfig::for_range_scale(25.0);
+    cfg.target_sinr = 3.0;
+    cfg.max_iters = max_iters;
+    if geometric {
+        cfg.ladder = PowerLadder::Geometric { levels: 12 };
+    }
+    let placement = Placement::Uniform { arena };
+    let ranges = RangeDist::paper();
+    let mut net = Network::new(50.0);
+    for _ in 0..24 {
+        net.join(NodeConfig::new(
+            placement.sample(&mut rng),
+            ranges.sample(&mut rng),
+        ));
+    }
+    let mut session = PowerSession::new(cfg, &net);
+    let mut mirror: Vec<f64> = vec![0.0; net.peek_next_id().0 as usize];
+    for id in net.iter_nodes() {
+        mirror[id.index()] = net.config(id).expect("listed").range;
+    }
+    let workload = MixWorkload {
+        steps: 60,
+        join_prob: 0.25,
+        leave_prob: 0.2,
+        maxdisp: 25.0,
+        placement,
+        ranges,
+    };
+    let mut emitted = Vec::new();
+    for step in 0..=workload.steps {
+        if step > 0 {
+            let e = if rng.gen_bool(0.2) && net.node_count() > 0 {
+                let k = rng.gen_range(0..net.node_count());
+                let node = net.iter_nodes().nth(k).expect("k < count");
+                Event::SetRange {
+                    node,
+                    range: rng.gen_range(1.0..60.0),
+                }
+            } else {
+                workload.next_event(&net, &mut rng)
+            };
+            match &e {
+                Event::Join { cfg } => {
+                    let id = net.peek_next_id();
+                    apply_topology(&mut net, &e);
+                    session.apply_join(id.0, cfg.pos, cfg.range);
+                    if mirror.len() <= id.index() {
+                        mirror.resize(id.index() + 1, 0.0);
+                    }
+                    mirror[id.index()] = cfg.range;
+                }
+                Event::Leave { node } => {
+                    apply_topology(&mut net, &e);
+                    session.apply_leave(node.0);
+                }
+                Event::Move { node, to } => {
+                    apply_topology(&mut net, &e);
+                    session.apply_move(node.0, *to);
+                }
+                Event::SetRange { node, range } => {
+                    apply_topology(&mut net, &e);
+                    session.note_range(node.0, *range);
+                    mirror[node.index()] = *range;
+                }
+            }
+        }
+        if step % 4 != 0 {
+            continue;
+        }
+        let (events, report) = session.settle();
+        let events = events.to_vec();
+        let mut expect = Vec::new();
+        if report.links >= 2 {
+            let field = session.field();
+            for (i, &p) in session.powers()[..field.len()].iter().enumerate() {
+                if !field.is_live(i) {
+                    continue;
+                }
+                let range = cfg.range_for_power(p);
+                if (range - mirror[i]).abs() > cfg.range_epsilon {
+                    expect.push(Event::SetRange {
+                        node: NodeId(i as u32),
+                        range,
+                    });
+                    mirror[i] = range;
+                }
+            }
+        }
+        assert_eq!(
+            events, expect,
+            "settle after step {step} (seed {seed}, geometric {geometric}, budget {max_iters})"
+        );
+        for e in &events {
+            apply_topology(&mut net, e);
+        }
+        emitted.push(events.len());
+    }
+    emitted
 }
 
 proptest! {
@@ -291,6 +556,82 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    /// A drained [`relax`] classifies only the links near the cap; the
+    /// verdict and capped list must still equal a classification that
+    /// recomputes every SINR, after cold and warm runs, on overloaded
+    /// clumps (`PowerCapped`), under tight budgets (`Diverging`), and at
+    /// tolerances from `1e-3` down to below the screen's `1e-12` floor.
+    #[test]
+    fn relax_classification_matches_full_sinr_oracle(
+        seed in 300u64..364,
+        clump in 0usize..9,
+        target_roll in 0usize..3,
+        budget_roll in 0usize..3,
+        tol_roll in 0usize..3,
+        ladder_roll in 0u32..2,
+        steps in 1usize..8,
+        nudge_roll in 0u32..2,
+    ) {
+        let cfg = control_cfg(
+            [2.0, 4.0, 16.0][target_roll],
+            [1, 3, 200][budget_roll],
+            [1e-6, 1e-3, 1e-13][tol_roll],
+            ladder_roll == 1,
+        );
+        check_relax_classification(seed, clump, cfg, steps, nudge_roll == 1);
+    }
+
+    /// Over a churned session, each settle emits exactly what a
+    /// full-scan lowering of the powers against the mirrored ranges
+    /// emits — warm settles lower only the written or re-noted links,
+    /// cold ones (geometric ladder, after a divergence) every link.
+    #[test]
+    fn session_settles_equal_a_full_scan_lowering(
+        seed in 400u64..432,
+        ladder_roll in 0u32..2,
+        budget_roll in 0usize..2,
+    ) {
+        check_session_lowering(seed, ladder_roll == 1, [2, 200][budget_roll]);
+    }
+}
+
+/// The two properties above are not vacuous: over a fixed seed range
+/// they reach every verdict, warm and cold, and settles that emit.
+#[test]
+fn classification_and_lowering_properties_cover_every_regime() {
+    let mut seen = Vec::new();
+    for seed in 0..24u64 {
+        for (clump, target, max_iters) in [(0, 2.0, 200), (8, 16.0, 200), (4, 4.0, 1)] {
+            for nudge in [false, true] {
+                let cfg = control_cfg(target, max_iters, 1e-6, false);
+                seen.extend(check_relax_classification(seed, clump, cfg, 4, nudge));
+            }
+        }
+    }
+    for warm in [false, true] {
+        for verdict in [Verdict::Converged, Verdict::PowerCapped, Verdict::Diverging] {
+            if warm && verdict == Verdict::Diverging {
+                // Only reachable by a warm run whose churn overloads
+                // the budget; the cold arm covers the full path.
+                continue;
+            }
+            assert!(
+                seen.contains(&(warm, verdict)),
+                "no {verdict:?} run with warm = {warm}"
+            );
+        }
+    }
+    let emitted: usize = (0..4u64)
+        .map(|seed| {
+            check_session_lowering(seed, false, 200)
+                .iter()
+                .sum::<usize>()
+        })
+        .sum();
+    assert!(emitted > 0, "warm settles must emit corrections");
 }
 
 /// End-to-end: a session that tracked a long churn stream leaves the
