@@ -10,16 +10,14 @@
 //! where `I_i(p)` is the noise-plus-interference at `i`'s receiver.
 //! The right-hand side is a *standard interference function*
 //! (positive, monotone, scalable), so with the max-power clamp the
-//! iteration converges from any starting point — synchronously
-//! ([`run_with`], the classic all-links sweep) or **asynchronously**
-//! ([`relax`], the active-set worklist that only re-updates links
-//! whose interference actually changed; Yates' framework covers
-//! totally asynchronous update orders, so both land on the same
-//! unique fixed point). Started from the minimum power the iteration
-//! converges monotonically from below, which is what [`run_with`] does
-//! and what the tests pin. [`crate::PowerLoop`] runs the sweep;
-//! [`crate::PowerSession`] runs every settle through [`relax`] on the
-//! calling thread.
+//! iteration converges from any starting point and in any update
+//! order (Yates' framework covers totally asynchronous updates). The
+//! one solver here, [`relax`], is that iteration run
+//! **asynchronously**: an active-set worklist that only re-updates
+//! links whose interference actually changed. Started cold from the
+//! minimum power it climbs monotonically to the fixed point; started
+//! warm it re-relaxes from the previous equilibrium.
+//! [`crate::PowerLoop`] runs it cold, [`crate::PowerSession`] warm.
 //!
 //! Real handsets cannot emit arbitrary powers: [`PowerLadder`]
 //! optionally quantizes every update **up** to the next discrete
@@ -27,17 +25,18 @@
 //! the state space finite, so discrete runs reach an exact fixed
 //! point). On a discrete ladder the quantized update map is monotone
 //! on a finite lattice: any update order started from the all-minimum
-//! vector climbs to the **least** fixed point, so the active-set
-//! relaxation reaches the exact sweep result — but a warm start above
-//! that fixed point need not descend to it, which is why warm
-//! restarts are a continuous-ladder tool (see [`relax`]).
+//! vector climbs to the **least** fixed point, so a cold relaxation
+//! lands on it exactly — but a warm start above that fixed point need
+//! not descend to it, which is why warm restarts are a
+//! continuous-ladder tool (see [`relax`]).
 //!
-//! Feasibility is read off the fixed point: if every link meets its
-//! target the instance is [`Feasibility::Converged`]; if some links
-//! sit at the power cap below target the instance is overloaded
-//! ([`Feasibility::PowerCapped`] names them — the textbook near-far
-//! outcome); if the update budget runs out before the fixed point the
-//! instance is [`Feasibility::Diverging`].
+//! Feasibility is read off the fixed point as a [`Verdict`]: if every
+//! link meets its target the instance is [`Verdict::Converged`]; if
+//! some links sit at the power cap below target the instance is
+//! overloaded ([`Verdict::PowerCapped`], the textbook near-far
+//! outcome, with the links in [`ControlScratch::capped`]); if the
+//! update budget runs out before the fixed point the instance is
+//! [`Verdict::Diverging`].
 
 use crate::sinr::SinrField;
 use std::collections::VecDeque;
@@ -110,9 +109,9 @@ pub struct ControlConfig {
     /// Relative-change convergence tolerance for continuous ladders
     /// (discrete ladders stop on exact fixed points).
     pub tol: f64,
-    /// Iteration budget: synchronous sweeps for [`run_with`], sweep
-    /// *equivalents* (budget × live links single-link updates) for
-    /// [`relax`]. Exhausting it is [`Feasibility::Diverging`].
+    /// Iteration budget in sweep *equivalents*: [`relax`] may write
+    /// `max_iters × live links` single-link updates. Exhausting it is
+    /// [`Verdict::Diverging`].
     pub max_iters: usize,
 }
 
@@ -138,86 +137,60 @@ impl ControlConfig {
             .quantize_up(self.min_power, self.min_power, self.max_power)
     }
 
-    /// Asserts the configuration is runnable.
-    ///
-    /// # Panics
-    /// Panics on a non-positive target, an empty/inverted power
-    /// interval, a degenerate ladder, a non-positive tolerance, or a
-    /// zero iteration budget.
-    pub fn validate(&self) {
-        assert!(
-            self.target_sinr.is_finite() && self.target_sinr > 0.0,
-            "target_sinr must be positive, got {}",
-            self.target_sinr
-        );
-        assert!(
-            self.min_power > 0.0 && self.min_power <= self.max_power && self.max_power.is_finite(),
-            "need 0 < min_power <= max_power, got [{}, {}]",
-            self.min_power,
-            self.max_power
-        );
-        if let PowerLadder::Geometric { levels } = self.ladder {
-            assert!(levels >= 2, "a discrete ladder needs >= 2 levels");
+    /// Checks the configuration is runnable, naming the first bad
+    /// knob: a non-positive target, a power interval that is empty,
+    /// inverted or not finite, a degenerate ladder, a non-positive
+    /// tolerance, or a zero iteration budget.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.target_sinr.is_finite() && self.target_sinr > 0.0) {
+            return Err(format!(
+                "target_sinr must be positive, got {:?}",
+                self.target_sinr
+            ));
         }
-        assert!(self.tol > 0.0, "tol must be positive");
-        assert!(self.max_iters >= 1, "need an iteration budget");
+        if !(self.min_power > 0.0 && self.min_power <= self.max_power && self.max_power.is_finite())
+        {
+            return Err(format!(
+                "need finite 0 < min_power <= max_power, got [{:?}, {:?}]",
+                self.min_power, self.max_power
+            ));
+        }
+        if matches!(self.ladder, PowerLadder::Geometric { levels } if levels < 2) {
+            return Err("a discrete ladder needs >= 2 levels".into());
+        }
+        if self.tol.is_nan() || self.tol <= 0.0 {
+            return Err("tol must be positive".into());
+        }
+        if self.max_iters == 0 {
+            return Err("need an iteration budget".into());
+        }
+        Ok(())
     }
 }
 
-/// How a control-loop run ended.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Feasibility {
-    /// Fixed point with every link at or above target: the instance
-    /// is feasible and `powers` is (within tolerance / quantization)
-    /// the minimal power vector serving it.
+/// How a control-loop run ended. The capped links of a
+/// [`Verdict::PowerCapped`] run live in [`ControlScratch::capped`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Fixed point with every live link at or above target: the
+    /// instance is feasible and the powers are (within tolerance /
+    /// quantization) the minimal vector serving it.
     Converged,
-    /// Fixed point with the listed links pinned at `max_power` below
-    /// target: the instance is overloaded (the near-far outcome);
-    /// everyone else still meets target *given* the capped powers.
-    PowerCapped {
-        /// Link indices stuck at the cap below target, ascending.
-        capped: Vec<usize>,
-    },
+    /// Fixed point with links pinned at `max_power` below target: the
+    /// instance is overloaded (the near-far outcome); everyone else
+    /// still meets target *given* the capped powers.
+    PowerCapped,
     /// The update budget ran out before a fixed point (continuous
     /// loops approach infeasible fixed points asymptotically; this is
     /// the in-budget divergence signal).
     Diverging,
 }
 
-impl Feasibility {
-    /// Whether every link met its target.
-    pub fn is_feasible(&self) -> bool {
-        matches!(self, Feasibility::Converged)
-    }
-}
-
-/// [`Feasibility`] without the capped-link payload — the `Copy`
-/// verdict scratch-based runs return; the capped indices live in
-/// [`ControlScratch::capped`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// Fixed point, every live link at or above target.
-    Converged,
-    /// Fixed point with links pinned at the cap below target.
-    PowerCapped,
-    /// Update budget exhausted before a fixed point.
-    Diverging,
-}
-
-/// Report of one [`run_with`] sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepReport {
-    /// Synchronous iterations executed.
-    pub iterations: usize,
-    /// How the run ended.
-    pub verdict: Verdict,
-}
-
 /// Report of one [`relax`] pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelaxReport {
     /// Single-link power writes performed (the active-set analogue of
-    /// `iterations × n`; the whole point is that this stays small when
+    /// sweeps × links; the whole point is that this stays small when
     /// little changed).
     pub updates: u64,
     /// Single-link Foschini–Miljanic evaluations (one interference row
@@ -227,10 +200,10 @@ pub struct RelaxReport {
     pub verdict: Verdict,
 }
 
-/// Reusable control-loop state: power/SINR slabs, the active-set
+/// Reusable control-loop state: the power slab, the active-set
 /// worklist, the written-link flags, and the capped-link list. Create
-/// once, feed to [`run_with`] / [`relax`] forever — steady-state runs
-/// allocate nothing.
+/// once, feed to [`relax`] forever — steady-state runs allocate
+/// nothing.
 ///
 /// `powers` persists across calls; that is what makes warm-started
 /// relaxation possible. The slabs are indexed by link id and only
@@ -240,14 +213,9 @@ pub struct ControlScratch {
     /// Current power vector (one entry per link slot). Warm state:
     /// survives across calls.
     pub powers: Vec<f64>,
-    /// SINRs under `powers` as of the last [`run_with`]. [`relax`]
-    /// leaves it alone: it classifies from the few links near the cap.
-    pub sinrs: Vec<f64>,
     /// Live links pinned at the cap below target as of the last
     /// classification, ascending.
     pub capped: Vec<u32>,
-    /// Double buffer for the synchronous sweep.
-    next: Vec<f64>,
     /// Active-set FIFO.
     queue: VecDeque<u32>,
     /// Membership flags for `queue`.
@@ -268,9 +236,6 @@ impl ControlScratch {
     pub fn fit(&mut self, n: usize, start: f64) {
         if self.powers.len() < n {
             self.powers.resize(n, start);
-        }
-        if self.next.len() < n {
-            self.next.resize(n, 0.0);
         }
         if self.queued.len() < n {
             self.queued.resize(n, false);
@@ -308,18 +273,6 @@ impl ControlScratch {
     pub(crate) fn take_written(&mut self, i: usize) -> bool {
         self.written.get_mut(i).is_some_and(std::mem::take)
     }
-
-    /// Converts a scratch-based verdict into the owning
-    /// [`Feasibility`] (cloning the capped list).
-    pub fn feasibility(&self, verdict: Verdict) -> Feasibility {
-        match verdict {
-            Verdict::Converged => Feasibility::Converged,
-            Verdict::PowerCapped => Feasibility::PowerCapped {
-                capped: self.capped.iter().map(|&i| i as usize).collect(),
-            },
-            Verdict::Diverging => Feasibility::Diverging,
-        }
-    }
 }
 
 /// One Foschini–Miljanic update for link `i` under `powers`: the
@@ -348,21 +301,20 @@ const CAP_SCREEN_MIN_TOL: f64 = 1e-12;
 /// Classifies the fixed point in `powers` into `capped` and returns
 /// `Converged` or `PowerCapped` (callers that ran out of budget
 /// override with `Diverging`). Only live links with power at least
-/// `floor` are examined, their SINR read from `sinr_of`; every other
-/// live link must be known to meet its target.
+/// `floor` are examined; every other live link must be known to meet
+/// its target.
 fn classify(
     field: &SinrField,
     cfg: &ControlConfig,
     powers: &[f64],
     floor: f64,
-    sinr_of: impl Fn(usize) -> f64,
     capped: &mut Vec<u32>,
 ) -> Verdict {
     let gamma = cfg.target_sinr;
     // Meeting the target "within tolerance": one more tolerance-sized
     // power step would clear it.
     let met = |sinr: f64| sinr >= gamma * (1.0 - 4.0 * cfg.tol);
-    let unmet = |i: usize, p: f64| p >= floor && field.is_live(i) && !met(sinr_of(i));
+    let unmet = |i: usize, p: f64| p >= floor && field.is_live(i) && !met(field.sinr(powers, i));
     let powers = &powers[..field.len()];
     capped.clear();
     let mut all_met = true;
@@ -392,80 +344,17 @@ fn classify(
     Verdict::PowerCapped
 }
 
-/// The synchronous Foschini–Miljanic sweep into caller-owned scratch:
-/// every live link updates from the previous iterate each round,
-/// starting from the all-minimum vector. Allocation-free once
-/// `scratch` is warm. Absent slots keep power `start_power` and
-/// report SINR 0.
-///
-/// # Panics
-/// Panics if `cfg` fails [`ControlConfig::validate`].
-pub fn run_with(
-    field: &SinrField,
-    cfg: &ControlConfig,
-    scratch: &mut ControlScratch,
-) -> SweepReport {
-    cfg.validate();
-    let n = field.len();
-    let start = cfg.start_power();
-    scratch.fit(n, start);
-    scratch.powers.iter_mut().for_each(|p| *p = start);
-    let mut iterations = 0;
-    let mut fixed_point = false;
-    while iterations < cfg.max_iters {
-        iterations += 1;
-        let mut max_rel = 0.0f64;
-        for i in 0..n {
-            if !field.is_live(i) {
-                scratch.next[i] = scratch.powers[i];
-                continue;
-            }
-            let q = fm_update(field, cfg, &scratch.powers, i);
-            max_rel = max_rel.max((q - scratch.powers[i]).abs() / scratch.powers[i]);
-            scratch.next[i] = q;
-        }
-        std::mem::swap(&mut scratch.powers, &mut scratch.next);
-        let done = match cfg.ladder {
-            PowerLadder::Continuous => max_rel <= cfg.tol,
-            // Discrete state space: stop only on the exact fixed point.
-            PowerLadder::Geometric { .. } => max_rel == 0.0,
-        };
-        if done {
-            fixed_point = true;
-            break;
-        }
-    }
-    field.sinrs_into(&scratch.powers, &mut scratch.sinrs);
-    let sinrs = &scratch.sinrs;
-    let verdict = classify(
-        field,
-        cfg,
-        &scratch.powers,
-        f64::NEG_INFINITY,
-        |i| sinrs[i],
-        &mut scratch.capped,
-    );
-    SweepReport {
-        iterations,
-        verdict: if fixed_point {
-            verdict
-        } else {
-            Verdict::Diverging
-        },
-    }
-}
-
 /// The active-set (asynchronous) Foschini–Miljanic relaxation: a FIFO
 /// worklist of links whose interference changed since their last
 /// update, instead of sweeping all N links per round. Allocation-free
 /// once `scratch` is warm. This is the solver behind every
-/// [`crate::PowerSession::settle`].
+/// [`crate::PowerLoop::run`] and [`crate::PowerSession::settle`].
 ///
 /// * `warm == false`: resets every power to the start rung and
-///   enqueues every live link — the event-driven equivalent of
-///   [`run_with`] from cold. On a continuous ladder both converge to
-///   the same (unique) fixed point within tolerance; on a discrete
-///   ladder both climb to the exact least fixed point.
+///   enqueues every live link. On a continuous ladder it converges to
+///   the unique fixed point within tolerance; on a discrete ladder it
+///   climbs to the exact least fixed point, as every update order
+///   from the all-minimum vector does.
 /// * `warm == true`: keeps `scratch.powers` (the previous
 ///   equilibrium) and relaxes only from the links already marked via
 ///   [`ControlScratch::mark`] — seed it with the field's dirty rows
@@ -495,17 +384,17 @@ pub fn run_with(
 /// so only their SINRs are computed; the verdict and
 /// [`ControlScratch::capped`] equal a full classification. An
 /// exhausted budget (or a `tol` too small for the margin to beat
-/// rounding) classifies every link. `scratch.sinrs` is not touched.
+/// rounding) classifies every link.
 ///
 /// # Panics
-/// Panics if `cfg` fails [`ControlConfig::validate`].
+/// Panics if `cfg` fails [`ControlConfig::check`].
 pub fn relax(
     field: &SinrField,
     cfg: &ControlConfig,
     scratch: &mut ControlScratch,
     warm: bool,
 ) -> RelaxReport {
-    cfg.validate();
+    cfg.check().unwrap_or_else(|e| panic!("{e}"));
     let n = field.len();
     let start = cfg.start_power();
     scratch.fit(n, start);
@@ -570,15 +459,7 @@ pub fn relax(
     } else {
         cfg.max_power * (1.0 - 4.0 * cfg.tol)
     };
-    let powers = &scratch.powers;
-    let verdict = classify(
-        field,
-        cfg,
-        powers,
-        floor,
-        |i| field.sinr(powers, i),
-        &mut scratch.capped,
-    );
+    let verdict = classify(field, cfg, &scratch.powers, floor, &mut scratch.capped);
     RelaxReport {
         updates,
         evaluations,
@@ -609,10 +490,10 @@ mod tests {
         )
     }
 
-    /// A cold synchronous sweep into a fresh scratch.
-    fn sweep(field: &SinrField, cfg: &ControlConfig) -> (SweepReport, ControlScratch) {
+    /// A cold relaxation into a fresh scratch.
+    fn cold(field: &SinrField, cfg: &ControlConfig) -> (RelaxReport, ControlScratch) {
         let mut scratch = ControlScratch::new();
-        let report = run_with(field, cfg, &mut scratch);
+        let report = relax(field, cfg, &mut scratch, false);
         (report, scratch)
     }
 
@@ -626,10 +507,10 @@ mod tests {
             &[1, 0, 3, 2],
         );
         let cfg = ControlConfig::new(4.0, 1e-3, 1e6);
-        let (report, out) = sweep(&field, &cfg);
+        let (report, out) = cold(&field, &cfg);
         assert_eq!(report.verdict, Verdict::Converged);
-        assert!(report.iterations < cfg.max_iters);
-        for (i, &s) in out.sinrs.iter().enumerate() {
+        assert!(out.capped.is_empty());
+        for (i, s) in field.sinrs(&out.powers).into_iter().enumerate() {
             assert!(
                 (s / 4.0 - 1.0).abs() < 1e-3,
                 "link {i} SINR {s} should sit at the target"
@@ -639,8 +520,9 @@ mod tests {
     }
 
     /// Monotone convergence from below: every synchronous iterate
-    /// dominates the previous one, and the final vector dominates
-    /// them all — the standard-interference-function signature.
+    /// dominates the previous one (the standard-interference-function
+    /// signature), and the relaxation lands on the point those
+    /// iterates approach.
     #[test]
     fn iterates_are_monotone_from_min_power() {
         let field = field_of(
@@ -648,7 +530,7 @@ mod tests {
             &[1, 0, 3, 2],
         );
         let cfg = ControlConfig::new(6.0, 1e-3, 1e6);
-        // Re-run the loop manually, capturing iterates.
+        // Run the synchronous iteration manually, capturing iterates.
         let mut powers = vec![cfg.min_power; field.len()];
         for _ in 0..60 {
             let prev = powers.clone();
@@ -664,7 +546,7 @@ mod tests {
                 );
             }
         }
-        let (report, out) = sweep(&field, &cfg);
+        let (report, out) = cold(&field, &cfg);
         assert_eq!(report.verdict, Verdict::Converged);
         for (ran, manual) in out.powers.iter().zip(&powers) {
             // Both converge from below to the same fixed point; the
@@ -693,20 +575,19 @@ mod tests {
             .collect();
         let field = field_of(&coords, &receiver);
         let cfg = ControlConfig::new(16.0, 1e-3, 1e4);
-        let (report, out) = sweep(&field, &cfg);
+        let (report, out) = cold(&field, &cfg);
         assert_eq!(report.verdict, Verdict::PowerCapped);
-        let Feasibility::PowerCapped { capped } = out.feasibility(report.verdict) else {
-            unreachable!("PowerCapped verdict");
-        };
-        assert!(!capped.is_empty());
-        for i in capped {
+        assert!(!out.capped.is_empty());
+        for &i in &out.capped {
+            let i = i as usize;
             assert!(out.powers[i] >= cfg.max_power * (1.0 - 1e-9));
-            assert!(out.sinrs[i] < 16.0);
+            assert!(field.sinr(&out.powers, i) < 16.0);
         }
     }
 
     /// Tight budget on a feasible-but-slow instance reports
-    /// `Diverging` instead of a wrong verdict.
+    /// `Diverging` instead of a wrong verdict, after exactly the
+    /// budgeted number of writes.
     #[test]
     fn exhausted_budget_reports_diverging() {
         let field = field_of(
@@ -715,9 +596,10 @@ mod tests {
         );
         let mut cfg = ControlConfig::new(8.0, 1e-3, 1e6);
         cfg.max_iters = 2;
-        let (report, _) = sweep(&field, &cfg);
+        let (report, out) = cold(&field, &cfg);
         assert_eq!(report.verdict, Verdict::Diverging);
-        assert_eq!(report.iterations, 2);
+        assert_eq!(report.updates, 2 * 4, "budget = max_iters × live links");
+        assert_eq!(out.pending(), 0, "an exhausted run drains its worklist");
     }
 
     /// Discrete ladders reach an exact fixed point whose powers are
@@ -730,11 +612,12 @@ mod tests {
             &[1, 0, 3, 2],
         );
         let mut cfg = ControlConfig::new(4.0, 1e-3, 1e5);
-        let (_, cont) = sweep(&field, &cfg);
+        let (_, cont) = cold(&field, &cfg);
         cfg.ladder = PowerLadder::Geometric { levels: 24 };
-        let (report, disc) = sweep(&field, &cfg);
+        let (report, disc) = cold(&field, &cfg);
         assert_eq!(report.verdict, Verdict::Converged);
         let rungs = cfg.ladder.levels(cfg.min_power, cfg.max_power);
+        let sinrs = field.sinrs(&disc.powers);
         for (i, &p) in disc.powers.iter().enumerate() {
             assert!(
                 rungs.iter().any(|&r| (r - p).abs() < 1e-9 * r),
@@ -744,12 +627,15 @@ mod tests {
                 p >= cont.powers[i] * (1.0 - 1e-9),
                 "ceiling quantization stays above the continuous solution"
             );
-            assert!(disc.sinrs[i] >= 4.0 * (1.0 - 1e-3), "target still met");
+            assert!(sinrs[i] >= 4.0 * (1.0 - 1e-3), "target still met");
         }
-        // Fixed point: one more run from the discrete solution is a
-        // no-op (run_with restarts from min power and must land on the
-        // same rungs — the fixed point is unique from below).
-        let (_, again) = sweep(&field, &cfg);
+        // Exact fixed point: marking every link and relaxing warm from
+        // the discrete solution writes nothing.
+        let mut again = disc.clone();
+        for i in 0..field.len() as u32 {
+            again.mark(i);
+        }
+        assert_eq!(relax(&field, &cfg, &mut again, true).updates, 0);
         assert_eq!(again.powers, disc.powers);
     }
 
@@ -780,19 +666,16 @@ mod tests {
         // A single node with no receiver: dead direct path, power
         // pinned at the cap and reported infeasible.
         let field = field_of(&[(0.0, 0.0)], &[0]);
-        let (report, out) = sweep(&field, &ControlConfig::new(4.0, 1e-3, 10.0));
-        assert_eq!(
-            out.feasibility(report.verdict),
-            Feasibility::PowerCapped { capped: vec![0] }
-        );
+        let (report, out) = cold(&field, &ControlConfig::new(4.0, 1e-3, 10.0));
+        assert_eq!(report.verdict, Verdict::PowerCapped);
+        assert_eq!(out.capped, vec![0]);
         assert_eq!(out.powers, vec![10.0]);
     }
 
-    /// Cold active-set relaxation lands on the sweep's fixed point —
-    /// same powers (within tolerance), same verdict, same capped set —
-    /// and both repeat exactly on a reused scratch.
+    /// Cold relaxation on a reused scratch repeats exactly: same
+    /// update and evaluation counts, same verdict, same power bits.
     #[test]
-    fn cold_relax_matches_sync_sweep_continuous() {
+    fn cold_relax_repeats_exactly_on_a_reused_scratch() {
         let field = field_of(
             &[
                 (0.0, 0.0),
@@ -805,42 +688,12 @@ mod tests {
             &[1, 0, 3, 2, 5, 4],
         );
         let cfg = ControlConfig::new(4.0, 1e-3, 1e6);
-        let (sweep_report, mut swept) = sweep(&field, &cfg);
-        let mut scratch = ControlScratch::new();
-        let report = relax(&field, &cfg, &mut scratch, false);
-        assert_eq!(report.verdict, sweep_report.verdict);
-        assert_eq!(scratch.capped, swept.capped);
-        for (i, (&a, &s)) in scratch.powers.iter().zip(&swept.powers).enumerate() {
-            let rel = (a - s).abs() / s;
-            assert!(rel < 5e-3, "link {i}: relax {a} vs sweep {s} (rel {rel})");
-        }
+        let (report, mut scratch) = cold(&field, &cfg);
+        assert_eq!(report.verdict, Verdict::Converged);
         assert!(report.updates > 0);
-        // Cold runs on a reused scratch repeat exactly: same iteration
-        // and update counts, same powers.
-        let powers = swept.powers.clone();
-        assert_eq!(run_with(&field, &cfg, &mut swept), sweep_report);
-        assert_eq!(swept.powers, powers);
         let powers = scratch.powers.clone();
         assert_eq!(relax(&field, &cfg, &mut scratch, false), report);
         assert_eq!(scratch.powers, powers);
-    }
-
-    /// On a discrete ladder the relaxation climbs to the *exact* least
-    /// fixed point the sweep finds — bitwise equal rungs.
-    #[test]
-    fn cold_relax_matches_sync_sweep_geometric_exactly() {
-        let field = field_of(
-            &[(0.0, 0.0), (7.0, 0.0), (40.0, 3.0), (46.0, 3.0)],
-            &[1, 0, 3, 2],
-        );
-        let mut cfg = ControlConfig::new(4.0, 1e-3, 1e5);
-        cfg.ladder = PowerLadder::Geometric { levels: 24 };
-        let (sweep_report, swept) = sweep(&field, &cfg);
-        let mut scratch = ControlScratch::new();
-        let report = relax(&field, &cfg, &mut scratch, false);
-        assert_eq!(scratch.powers, swept.powers, "exact rung-for-rung match");
-        assert_eq!(report.verdict, sweep_report.verdict);
-        assert_eq!(scratch.capped, swept.capped);
     }
 
     /// A warm restart at equilibrium with an empty worklist is a no-op:
@@ -886,24 +739,5 @@ mod tests {
         assert_eq!(report.updates, 0, "every link is within tol of its request");
         assert_eq!(report.verdict, Verdict::PowerCapped);
         assert_eq!(scratch.capped, vec![2]);
-    }
-
-    /// Overloaded instance under relaxation: the budget trips and the
-    /// verdict is Diverging (continuous loops approach the infeasible
-    /// fixed point asymptotically) or PowerCapped — never Converged.
-    #[test]
-    fn relax_never_calls_an_overload_feasible() {
-        let mut coords = vec![(0.0, 0.0)];
-        for k in 0..6 {
-            coords.push((10.0 + 0.1 * k as f64, 0.0));
-        }
-        let receiver: Vec<u32> = std::iter::once(1)
-            .chain(std::iter::repeat_n(0, 6))
-            .collect();
-        let field = field_of(&coords, &receiver);
-        let cfg = ControlConfig::new(16.0, 1e-3, 1e4);
-        let mut scratch = ControlScratch::new();
-        let report = relax(&field, &cfg, &mut scratch, false);
-        assert_ne!(report.verdict, Verdict::Converged);
     }
 }

@@ -1,23 +1,20 @@
 //! Lowering the control loop onto the event engine.
 //!
 //! The paper treats power changes as exogenous inputs; [`PowerLoop`]
-//! makes them *endogenous*: it reads the current [`Network`] geometry
-//! (and optionally a batch of pending joiners), runs the
-//! Foschini–Miljanic loop of [`crate::control`] over the induced
-//! uplinks (every node aims at its nearest neighbor), and lowers the
+//! makes them *endogenous*: it reads the current [`Network`] geometry,
+//! runs a cold Foschini–Miljanic relaxation ([`crate::control::relax`])
+//! over the induced uplinks (per [`ReceiverPolicy`]), and lowers the
 //! converged powers back into ordinary [`Event`]s:
 //!
-//! * a present node whose converged range moved emits
-//!   [`Event::SetRange`] — the §5.2 power raise/drop, now driven by
-//!   interference instead of a distribution;
-//! * an infeasible (power-capped) present node emits [`Event::Leave`]
-//!   under [`PowerLoopConfig::drop_infeasible`] (admission control /
-//!   duty-cycling), otherwise it clamps at the capped range;
-//! * a pending joiner emits [`Event::Join`] carrying its converged
-//!   range (or is rejected when infeasible under `drop_infeasible`).
+//! * a node whose converged range moved emits [`Event::SetRange`] —
+//!   the §5.2 power raise/drop, now driven by interference instead of
+//!   a distribution;
+//! * an infeasible (power-capped) node emits [`Event::Leave`] under
+//!   [`PowerLoopConfig::drop_infeasible`] (admission control /
+//!   duty-cycling), otherwise it clamps at the capped range.
 //!
 //! The recoding strategies never see the physics — just a stream of
-//! set-range / join / leave events whose magnitudes happen to be the
+//! set-range / leave events whose magnitudes happen to be the
 //! closed-loop equilibrium.
 //!
 //! **Power ↔ range.** A node transmitting at `p` is *in range of*
@@ -32,13 +29,13 @@
 //! decode disc of the physical layer, and the two representations
 //! convert losslessly.
 
-use crate::control::{self, ControlConfig, ControlScratch, Feasibility, PowerLadder};
+use crate::control::{self, ControlConfig, ControlScratch, PowerLadder, Verdict};
 use crate::gain::GainModel;
 use crate::sinr::{LinkBudget, SinrField};
 use minim_geom::Point;
 use minim_graph::NodeId;
 use minim_net::event::Event;
-use minim_net::{Network, NodeConfig};
+use minim_net::Network;
 
 /// Who each transmitter aims at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +84,8 @@ pub struct PowerLoopConfig {
     /// Minimum |range change| that emits a [`Event::SetRange`]
     /// (suppresses no-op churn from converged nodes).
     pub range_epsilon: f64,
-    /// Lower infeasible nodes to [`Event::Leave`] / rejected joins
-    /// instead of clamping them at `max_range`.
+    /// Lower infeasible nodes to [`Event::Leave`] instead of clamping
+    /// them at `max_range`.
     pub drop_infeasible: bool,
     /// Who each transmitter aims at.
     pub receivers: ReceiverPolicy,
@@ -140,6 +137,36 @@ impl PowerLoopConfig {
             max_iters: self.max_iters,
         }
     }
+
+    /// Checks a loop with this configuration can run, naming the first
+    /// bad knob: the gain model, the link budget, the
+    /// [`ControlConfig`] it runs (a power interval that is not finite
+    /// fails here), and `floor_frac` in `[0, 1)`. [`PowerLoop::new`]
+    /// and [`crate::PowerSession::new`] panic on an error; scenario
+    /// specs reject it up front.
+    pub fn check(&self) -> Result<(), String> {
+        self.gain.check()?;
+        self.budget.check()?;
+        self.control().check()?;
+        if !(0.0..1.0).contains(&self.floor_frac) {
+            return Err(format!(
+                "floor_frac must be in [0, 1), got {}",
+                self.floor_frac
+            ));
+        }
+        Ok(())
+    }
+
+    /// The interferer gain below which [`SinrField`] drops a term:
+    /// `floor_frac` of the noise floor at `max_power` (0 keeps every
+    /// interferer).
+    pub fn gain_floor(&self) -> f64 {
+        if self.floor_frac > 0.0 {
+            self.floor_frac * self.budget.noise / self.power_for_range(self.max_range)
+        } else {
+            0.0
+        }
+    }
 }
 
 /// The transmit power whose noise-limited decode disc has radius `r`:
@@ -164,16 +191,13 @@ pub fn range_for_power(gain: &GainModel, budget: LinkBudget, target_sinr: f64, p
 /// What one closed-loop run did, beyond the events it emitted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerLoopReport {
-    /// Verdict of the control loop.
-    pub feasibility: Feasibility,
-    /// Iterations the loop ran.
-    pub iterations: usize,
-    /// Present nodes found infeasible (power-capped), ascending.
+    /// How the relaxation ended.
+    pub verdict: Verdict,
+    /// Single-link power writes the relaxation performed.
+    pub updates: u64,
+    /// Nodes found infeasible (power-capped), ascending; empty unless
+    /// the verdict is [`Verdict::PowerCapped`].
     pub infeasible: Vec<NodeId>,
-    /// Pending joiners rejected under
-    /// [`PowerLoopConfig::drop_infeasible`] (indices into the joiner
-    /// slice), ascending.
-    pub rejected_joiners: Vec<usize>,
     /// Links driven by the loop (0 when the network had < 2 nodes).
     pub links: usize,
 }
@@ -182,7 +206,7 @@ pub struct PowerLoopReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerLoopOutcome {
     /// Events in application order: set-range (ascending node id),
-    /// then leaves (ascending), then joins (joiner order).
+    /// then leaves (ascending).
     pub events: Vec<Event>,
     /// Loop diagnostics.
     pub report: PowerLoopReport,
@@ -196,15 +220,11 @@ pub struct PowerLoop {
 
 impl PowerLoop {
     /// A driver with the given configuration.
+    ///
+    /// # Panics
+    /// Panics if `cfg` fails [`PowerLoopConfig::check`].
     pub fn new(cfg: PowerLoopConfig) -> Self {
-        cfg.gain.validate();
-        cfg.budget.validate();
-        cfg.control().validate();
-        assert!(
-            cfg.floor_frac >= 0.0 && cfg.floor_frac < 1.0,
-            "floor_frac must be in [0, 1), got {}",
-            cfg.floor_frac
-        );
+        cfg.check().unwrap_or_else(|e| panic!("{e}"));
         PowerLoop { cfg }
     }
 
@@ -213,39 +233,26 @@ impl PowerLoop {
         &self.cfg
     }
 
-    /// Runs one closed-loop pass over `net` plus the pending
-    /// `joiners`, returning the events that realize the equilibrium.
-    /// Purely deterministic: no randomness, same inputs → same
-    /// events.
-    pub fn run(&self, net: &Network, joiners: &[NodeConfig]) -> PowerLoopOutcome {
+    /// Runs one cold closed-loop pass over `net`, returning the events
+    /// that realize the equilibrium. Purely deterministic: no
+    /// randomness, same inputs → same events.
+    pub fn run(&self, net: &Network) -> PowerLoopOutcome {
         let cfg = &self.cfg;
-        // Transmitters: present nodes in ascending id order, then the
-        // pending joiners.
+        // Transmitters: the present nodes in ascending id order.
         let ids: Vec<NodeId> = net.iter_nodes().collect();
         let positions: Vec<Point> = ids
             .iter()
             .map(|&id| net.config(id).expect("listed node exists").pos)
-            .chain(joiners.iter().map(|cfg| cfg.pos))
             .collect();
         let n = positions.len();
-        let control = cfg.control();
-
         if n < 2 {
-            // Nothing to drive: a lone joiner is admitted at the
-            // minimum range, a lone node left untouched.
-            let events = joiners
-                .iter()
-                .map(|j| Event::Join {
-                    cfg: NodeConfig::new(j.pos, cfg.min_range),
-                })
-                .collect();
+            // Nothing to drive: a lone node is left untouched.
             return PowerLoopOutcome {
-                events,
+                events: Vec::new(),
                 report: PowerLoopReport {
-                    feasibility: Feasibility::Converged,
-                    iterations: 0,
+                    verdict: Verdict::Converged,
+                    updates: 0,
                     infeasible: Vec::new(),
-                    rejected_joiners: Vec::new(),
                     links: 0,
                 },
             };
@@ -255,69 +262,52 @@ impl PowerLoop {
             ReceiverPolicy::NearestNeighbor => nearest_neighbor_receivers(&positions),
             ReceiverPolicy::Sinks { every } => sink_receivers(&positions, every),
         };
-        let gain_floor = if cfg.floor_frac > 0.0 {
-            cfg.floor_frac * cfg.budget.noise / control.max_power
-        } else {
-            0.0
-        };
         let walls = (!net.obstacles().is_empty()).then(|| net.obstacle_index());
         let field = SinrField::build(
-            &cfg.gain, cfg.budget, &positions, &receiver, walls, gain_floor,
+            &cfg.gain,
+            cfg.budget,
+            &positions,
+            &receiver,
+            walls,
+            cfg.gain_floor(),
         );
         let mut scratch = ControlScratch::new();
-        let report = control::run_with(&field, &control, &mut scratch);
-        let feasibility = scratch.feasibility(report.verdict);
-        let powers = &scratch.powers;
+        let report = control::relax(&field, &cfg.control(), &mut scratch, false);
         // Only a fixed point names infeasible nodes; a budget-exhausted
         // run has no verdict on individual links.
-        let is_capped = |i: usize| {
-            matches!(feasibility, Feasibility::PowerCapped { .. })
-                && scratch.capped.binary_search(&(i as u32)).is_ok()
+        let capped: &[u32] = if report.verdict == Verdict::PowerCapped {
+            &scratch.capped
+        } else {
+            &[]
         };
 
-        let mut set_ranges = Vec::new();
+        let mut events = Vec::new();
         let mut leaves = Vec::new();
         let mut infeasible = Vec::new();
         for (i, &id) in ids.iter().enumerate() {
-            let new_range = cfg.range_for_power(powers[i]);
-            if is_capped(i) {
+            if capped.binary_search(&(i as u32)).is_ok() {
                 infeasible.push(id);
                 if cfg.drop_infeasible {
                     leaves.push(Event::Leave { node: id });
                     continue;
                 }
             }
+            let new_range = cfg.range_for_power(scratch.powers[i]);
             let old = net.config(id).expect("listed node exists").range;
             if (new_range - old).abs() > cfg.range_epsilon {
-                set_ranges.push(Event::SetRange {
+                events.push(Event::SetRange {
                     node: id,
                     range: new_range,
                 });
             }
         }
-        let mut joins = Vec::new();
-        let mut rejected_joiners = Vec::new();
-        for (k, j) in joiners.iter().enumerate() {
-            let i = ids.len() + k;
-            if is_capped(i) && cfg.drop_infeasible {
-                rejected_joiners.push(k);
-                continue;
-            }
-            joins.push(Event::Join {
-                cfg: NodeConfig::new(j.pos, cfg.range_for_power(powers[i])),
-            });
-        }
-
-        let mut events = set_ranges;
         events.extend(leaves);
-        events.extend(joins);
         PowerLoopOutcome {
             events,
             report: PowerLoopReport {
-                feasibility,
-                iterations: report.iterations,
+                verdict: report.verdict,
+                updates: report.updates,
                 infeasible,
-                rejected_joiners,
                 links: n,
             },
         }
@@ -380,6 +370,7 @@ fn nearest_among(
 mod tests {
     use super::*;
     use minim_net::event::apply_topology;
+    use minim_net::NodeConfig;
 
     fn join_all(net: &mut Network, coords: &[(f64, f64)], range: f64) -> Vec<NodeId> {
         coords
@@ -397,8 +388,8 @@ mod tests {
             25.0,
         );
         let lp = PowerLoop::new(PowerLoopConfig::for_range_scale(25.0));
-        let out = lp.run(&net, &[]);
-        assert!(out.report.feasibility.is_feasible());
+        let out = lp.run(&net);
+        assert_eq!(out.report.verdict, Verdict::Converged);
         assert_eq!(out.report.links, 4);
         assert!(!out.events.is_empty(), "ranges must move off the seed");
         for e in &out.events {
@@ -407,47 +398,12 @@ mod tests {
         }
         net.check_topology();
         // The loop is a fixed point: running it again emits nothing.
-        let again = lp.run(&net, &[]);
+        let again = lp.run(&net);
         assert!(
             again.events.is_empty(),
             "equilibrium must be stable, got {:?}",
             again.events
         );
-    }
-
-    #[test]
-    fn joiners_are_admitted_with_converged_ranges() {
-        let mut net = Network::new(25.0);
-        join_all(&mut net, &[(0.0, 0.0), (10.0, 0.0)], 20.0);
-        let lp = PowerLoop::new(PowerLoopConfig::for_range_scale(25.0));
-        let joiners = [
-            NodeConfig::new(Point::new(5.0, 8.0), 0.0),
-            NodeConfig::new(Point::new(40.0, 0.0), 0.0),
-        ];
-        let out = lp.run(&net, &joiners);
-        let joins: Vec<_> = out
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Join { cfg } => Some(*cfg),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(joins.len(), 2);
-        for (j, orig) in joins.iter().zip(&joiners) {
-            assert_eq!(j.pos, orig.pos);
-            let cfg = lp.config();
-            assert!(j.range >= cfg.min_range && j.range <= cfg.max_range);
-        }
-        // Joins come after set-ranges in the event order.
-        let first_join = out
-            .events
-            .iter()
-            .position(|e| matches!(e, Event::Join { .. }))
-            .unwrap();
-        assert!(out.events[first_join..]
-            .iter()
-            .all(|e| matches!(e, Event::Join { .. })));
     }
 
     #[test]
@@ -460,8 +416,8 @@ mod tests {
         let mut cfg = PowerLoopConfig::for_range_scale(2.0);
         cfg.target_sinr = 32.0;
         cfg.drop_infeasible = true;
-        let out = PowerLoop::new(cfg).run(&net, &[]);
-        assert!(!out.report.feasibility.is_feasible());
+        let out = PowerLoop::new(cfg).run(&net);
+        assert_eq!(out.report.verdict, Verdict::PowerCapped);
         assert!(!out.report.infeasible.is_empty());
         let leaves: Vec<NodeId> = out
             .events
@@ -487,8 +443,7 @@ mod tests {
         join_all(&mut net, &coords, 5.0);
         let mut cfg = PowerLoopConfig::for_range_scale(2.0);
         cfg.target_sinr = 32.0;
-        let lp = PowerLoop::new(cfg);
-        let out = lp.run(&net, &[]);
+        let out = PowerLoop::new(cfg).run(&net);
         assert!(!out.report.infeasible.is_empty());
         assert!(out
             .events
@@ -511,19 +466,12 @@ mod tests {
     fn lone_node_and_empty_network_are_no_ops() {
         let lp = PowerLoop::new(PowerLoopConfig::for_range_scale(25.0));
         let empty = Network::new(25.0);
-        assert!(lp.run(&empty, &[]).events.is_empty());
+        assert!(lp.run(&empty).events.is_empty());
         let mut one = Network::new(25.0);
         one.join(NodeConfig::new(Point::new(1.0, 1.0), 10.0));
-        let out = lp.run(&one, &[]);
+        let out = lp.run(&one);
         assert!(out.events.is_empty());
         assert_eq!(out.report.links, 0);
-        // A lone joiner is admitted at the minimum range.
-        let out = lp.run(&empty, &[NodeConfig::new(Point::new(0.0, 0.0), 0.0)]);
-        assert_eq!(out.events.len(), 1);
-        let Event::Join { cfg } = &out.events[0] else {
-            panic!("expected a join");
-        };
-        assert_eq!(cfg.range, lp.config().min_range);
     }
 
     #[test]
@@ -549,7 +497,7 @@ mod tests {
             if walled {
                 net.add_obstacle(Segment::new(Point::new(7.0, -4.0), Point::new(7.0, 4.0)));
             }
-            let out = PowerLoop::new(PowerLoopConfig::for_range_scale(25.0)).run(&net, &[]);
+            let out = PowerLoop::new(PowerLoopConfig::for_range_scale(25.0)).run(&net);
             let ranges: Vec<f64> = out
                 .events
                 .iter()
@@ -625,16 +573,17 @@ mod tests {
         );
         let mut cfg = PowerLoopConfig::for_range_scale(25.0);
         cfg.target_sinr = 14.0;
-        let mesh = PowerLoop::new(cfg).run(&net, &[]);
-        assert!(
-            mesh.report.feasibility.is_feasible(),
-            "nearest-neighbor uplinks stay feasible: {:?}",
-            mesh.report.feasibility
+        let mesh = PowerLoop::new(cfg).run(&net);
+        assert_eq!(
+            mesh.report.verdict,
+            Verdict::Converged,
+            "nearest-neighbor uplinks stay feasible"
         );
         cfg.receivers = ReceiverPolicy::Sinks { every: 7 };
-        let cell = PowerLoop::new(cfg).run(&net, &[]);
-        assert!(
-            !cell.report.feasibility.is_feasible(),
+        let cell = PowerLoop::new(cfg).run(&net);
+        assert_ne!(
+            cell.report.verdict,
+            Verdict::Converged,
             "six uplinks into one shared sink at γ=14 must overload"
         );
         assert!(!cell.report.infeasible.is_empty());

@@ -54,27 +54,23 @@ impl GainModel {
         }
     }
 
-    /// Asserts the parameters are physically sensible.
-    ///
-    /// # Panics
-    /// Panics when `ref_dist <= 0`, `alpha < 1`, or `wall_loss`
-    /// outside `[0, 1]`.
-    pub fn validate(&self) {
-        assert!(
-            self.ref_dist.is_finite() && self.ref_dist > 0.0,
-            "ref_dist must be positive, got {}",
-            self.ref_dist
-        );
-        assert!(
-            self.alpha.is_finite() && self.alpha >= 1.0,
-            "alpha must be >= 1, got {}",
-            self.alpha
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.wall_loss),
-            "wall_loss must be in [0, 1], got {}",
-            self.wall_loss
-        );
+    /// Checks the parameters are physically sensible: a finite
+    /// `ref_dist > 0`, a finite `alpha >= 1`, and `wall_loss` in
+    /// `[0, 1]`.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.ref_dist.is_finite() && self.ref_dist > 0.0) {
+            return Err(format!("ref_dist must be positive, got {}", self.ref_dist));
+        }
+        if !(self.alpha.is_finite() && self.alpha >= 1.0) {
+            return Err(format!("alpha must be >= 1, got {}", self.alpha));
+        }
+        if !(0.0..=1.0).contains(&self.wall_loss) {
+            return Err(format!(
+                "wall_loss must be in [0, 1], got {}",
+                self.wall_loss
+            ));
+        }
+        Ok(())
     }
 
     /// `(d0 / max(d, d0))^alpha` — the unobstructed path gain at
@@ -197,17 +193,18 @@ mod tests {
             wall_loss: 1.0,
         };
         assert!((m.path_gain(4.0) - 4.0f64.powf(-2.5)).abs() < 1e-15);
-        m.validate();
+        assert_eq!(m.check(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
-    fn validate_rejects_sub_linear_alpha() {
-        GainModel {
+    fn check_rejects_sub_linear_alpha() {
+        let err = GainModel {
             ref_dist: 1.0,
             alpha: 0.5,
             wall_loss: 0.5,
         }
-        .validate();
+        .check()
+        .unwrap_err();
+        assert!(err.contains("alpha"), "{err}");
     }
 }

@@ -18,17 +18,22 @@
 //!   set: [`SinrField`] precomputes direct gains and sparse
 //!   interferer lists so each control iteration is a pass over
 //!   static geometry.
-//! * [`control`] — the Foschini–Miljanic iteration with a max-power
-//!   cap, continuous or discrete [`PowerLadder`]s, and feasibility
-//!   detection: [`Feasibility::Converged`] /
-//!   [`Feasibility::PowerCapped`] (the near-far verdict) /
-//!   [`Feasibility::Diverging`] (budget exhausted).
-//! * [`driver`] — [`PowerLoop`] lowers converged powers back into
-//!   the delta-driven event engine as ordinary set-range / join /
-//!   leave [`minim_net::event::Event`]s, so Minim/CP/BBB respond to
-//!   *endogenous* power churn. The power ↔ range mapping is the
-//!   noise-limited decode disc, making the paper's range abstraction
-//!   exactly the physical layer's equilibrium.
+//! * [`control`] — the Foschini–Miljanic iteration ([`relax`], an
+//!   active-set worklist, run cold or warm) with a max-power cap,
+//!   continuous or discrete [`PowerLadder`]s, and feasibility
+//!   detection: [`Verdict::Converged`] / [`Verdict::PowerCapped`]
+//!   (the near-far verdict) / [`Verdict::Diverging`] (budget
+//!   exhausted).
+//! * [`driver`] — [`PowerLoop`] runs one cold relaxation and lowers
+//!   the converged powers back into the delta-driven event engine as
+//!   ordinary set-range / leave [`minim_net::event::Event`]s, so
+//!   Minim/CP/BBB respond to *endogenous* power churn. The power ↔
+//!   range mapping is the noise-limited decode disc, making the
+//!   paper's range abstraction exactly the physical layer's
+//!   equilibrium.
+//! * [`session`] — [`PowerSession`] keeps the field and the powers
+//!   across churn and re-settles warm, emitting set-range
+//!   corrections.
 //!
 //! `minim-sim` exposes the loop as a scenario phase
 //! (`PhaseSpec::PowerControl`) with a target-SINR sweep axis, and
@@ -45,10 +50,7 @@ pub mod session;
 pub mod sinr;
 
 pub use accum::{weighted_sum, weighted_sum_scalar, weighted_sum_simd, LANES};
-pub use control::{
-    relax, run_with, ControlConfig, ControlScratch, Feasibility, PowerLadder, RelaxReport,
-    SweepReport, Verdict,
-};
+pub use control::{relax, ControlConfig, ControlScratch, PowerLadder, RelaxReport, Verdict};
 pub use driver::{
     power_for_range, range_for_power, PowerLoop, PowerLoopConfig, PowerLoopOutcome,
     PowerLoopReport, ReceiverPolicy,

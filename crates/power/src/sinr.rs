@@ -89,22 +89,19 @@ impl LinkBudget {
         }
     }
 
-    /// Asserts the budget is physically sensible.
-    ///
-    /// # Panics
-    /// Panics when the processing gain is below 1 or the noise is not
-    /// strictly positive.
-    pub fn validate(&self) {
-        assert!(
-            self.processing_gain.is_finite() && self.processing_gain >= 1.0,
-            "processing_gain must be >= 1, got {}",
-            self.processing_gain
-        );
-        assert!(
-            self.noise.is_finite() && self.noise > 0.0,
-            "noise must be positive, got {}",
-            self.noise
-        );
+    /// Checks the budget is physically sensible: a finite processing
+    /// gain of at least 1 and a finite, strictly positive noise.
+    pub fn check(&self) -> Result<(), String> {
+        if !(self.processing_gain.is_finite() && self.processing_gain >= 1.0) {
+            return Err(format!(
+                "processing_gain must be >= 1, got {}",
+                self.processing_gain
+            ));
+        }
+        if !(self.noise.is_finite() && self.noise > 0.0) {
+            return Err(format!("noise must be positive, got {}", self.noise));
+        }
+        Ok(())
     }
 }
 
@@ -488,8 +485,9 @@ impl SinrField {
         gain_floor: f64,
     ) -> SinrField {
         assert_eq!(positions.len(), receiver.len(), "one receiver per node");
-        gain.validate();
-        budget.validate();
+        gain.check()
+            .and(budget.check())
+            .unwrap_or_else(|e| panic!("{e}"));
         let n = positions.len();
         // Never scan farther than the floor distance — beyond it even
         // an unobstructed interferer is below the floor.
@@ -716,16 +714,7 @@ impl SinrField {
 
     /// SINR of every slot under `powers` (absent slots report 0).
     pub fn sinrs(&self, powers: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.sinrs_into(powers, &mut out);
-        out
-    }
-
-    /// [`SinrField::sinrs`] into a caller-owned buffer — the hot-loop
-    /// variant; allocation-free once `out` has capacity.
-    pub fn sinrs_into(&self, powers: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.len()).map(|i| self.sinr(powers, i)));
+        (0..self.len()).map(|i| self.sinr(powers, i)).collect()
     }
 
     /// Drains the dirty-row set (rows whose interferer list or direct

@@ -344,7 +344,7 @@ mod tests {
         use minim_geom::{sample, Point};
         use minim_net::workload::Placement;
         use minim_net::{Network, NodeConfig};
-        use minim_power::{Feasibility, PowerLadder, PowerLoop, PowerLoopConfig, ReceiverPolicy};
+        use minim_power::{PowerLadder, PowerLoop, PowerLoopConfig, ReceiverPolicy, Verdict};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
@@ -398,17 +398,17 @@ mod tests {
             panic!("near-far sweeps the target SINR");
         };
         let net = deploy(&nf, 80, 7);
-        let low = loop_for(&nf, targets[0]).run(&net, &[]);
-        assert!(
-            low.report.feasibility.is_feasible(),
-            "lowest target must converge: {:?}",
-            low.report.feasibility
+        let low = loop_for(&nf, targets[0]).run(&net);
+        assert_eq!(
+            low.report.verdict,
+            Verdict::Converged,
+            "lowest target must converge"
         );
-        let high = loop_for(&nf, *targets.last().unwrap()).run(&net, &[]);
-        assert!(
-            matches!(high.report.feasibility, Feasibility::PowerCapped { .. }),
-            "top target must overload the hot spots: {:?}",
-            high.report.feasibility
+        let high = loop_for(&nf, *targets.last().unwrap()).run(&net);
+        assert_eq!(
+            high.report.verdict,
+            Verdict::PowerCapped,
+            "top target must overload the hot spots"
         );
 
         let ic = interference_clusters();
@@ -416,7 +416,7 @@ mod tests {
             panic!("interference-clusters sweeps N");
         };
         let net = deploy(&ic, *ns.last().unwrap(), 7);
-        let out = loop_for(&ic, 6.0).run(&net, &[]);
+        let out = loop_for(&ic, 6.0).run(&net);
         assert!(
             !out.report.infeasible.is_empty(),
             "largest N must duty-cycle some nodes"

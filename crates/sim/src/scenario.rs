@@ -757,7 +757,7 @@ impl Scenario {
         }
         match spec.ranges {
             RangeDist::Interval { minr, maxr } => {
-                if !(0.0 <= minr && minr <= maxr) {
+                if !(0.0 <= minr && minr <= maxr && maxr.is_finite()) {
                     return spec_err(format!("invalid range interval ({minr}, {maxr})"));
                 }
             }
@@ -767,7 +767,7 @@ impl Scenario {
                 long_fraction,
             } => {
                 for (lo, hi) in [short, long] {
-                    if !(0.0 <= lo && lo <= hi) {
+                    if !(0.0 <= lo && lo <= hi && hi.is_finite()) {
                         return spec_err(format!("invalid range interval ({lo}, {hi})"));
                     }
                 }
@@ -859,8 +859,8 @@ impl Scenario {
                 if vs.is_empty() {
                     return spec_err("sweep needs >= 1 value");
                 }
-                if vs.iter().any(|&v| v < 0.0) {
-                    return spec_err("average ranges must be non-negative");
+                if vs.iter().any(|&v| !(v.is_finite() && v >= 0.0)) {
+                    return spec_err("average ranges must be finite and non-negative");
                 }
             }
             SweepAxis::RaiseFactor(vs) => {
@@ -941,7 +941,28 @@ impl Scenario {
             }
             SweepAxis::Single => {}
         }
-        Ok(Scenario { spec })
+        let scenario = Scenario { spec };
+        // Every power phase must build a loop that can run at every
+        // sweep point: a huge range bound or target SINR sends the
+        // power interval to infinity.
+        for plan in scenario.resolve_points() {
+            for phase in plan.base.iter().chain(&plan.measured) {
+                let Some(cfg) = power_loop_config(phase, plan.ranges) else {
+                    continue;
+                };
+                if let Err(e) = cfg.check() {
+                    let name = match phase {
+                        PhaseSpec::PowerChurn { .. } => "power-churn",
+                        _ => "power-control",
+                    };
+                    return spec_err(format!(
+                        "{name} phase at target SINR {:?}: {e}",
+                        cfg.target_sinr
+                    ));
+                }
+            }
+        }
+        Ok(scenario)
     }
 
     /// The validated spec.
@@ -1199,29 +1220,12 @@ fn generate_phase(
             }
             vec![events]
         }
-        PhaseSpec::PowerControl {
-            target_sinr,
-            ladder,
-            drop_infeasible,
-            sink_every,
-        } => {
+        PhaseSpec::PowerControl { .. } => {
             // The closed loop reads the ghost geometry and emits the
             // equilibrium as ordinary events — no randomness consumed,
             // so determinism across strategies/workers is structural.
-            let mut cfg = PowerLoopConfig::for_range_scale(ranges.upper_bound().max(1.0));
-            cfg.target_sinr = target_sinr;
-            cfg.ladder = if ladder == 0 {
-                PowerLadder::Continuous
-            } else {
-                PowerLadder::Geometric { levels: ladder }
-            };
-            cfg.drop_infeasible = drop_infeasible;
-            cfg.receivers = if sink_every == 0 {
-                ReceiverPolicy::NearestNeighbor
-            } else {
-                ReceiverPolicy::Sinks { every: sink_every }
-            };
-            let outcome = PowerLoop::new(cfg).run(ghost, &[]);
+            let cfg = power_loop_config(phase, ranges).expect("a power phase");
+            let outcome = PowerLoop::new(cfg).run(ghost);
             for e in &outcome.events {
                 apply_topology(ghost, e);
             }
@@ -1232,8 +1236,8 @@ fn generate_phase(
             join_prob,
             leave_prob,
             maxdisp,
-            target_sinr,
             slice,
+            ..
         } => {
             // Exogenous churn drawn like a Mix phase, but with the
             // continuous power loop held closed: an incremental
@@ -1248,11 +1252,7 @@ fn generate_phase(
                 placement: placement.clone(),
                 ranges,
             };
-            let mut cfg = PowerLoopConfig::for_range_scale(ranges.upper_bound().max(1.0));
-            cfg.target_sinr = target_sinr;
-            cfg.ladder = PowerLadder::Continuous;
-            cfg.drop_infeasible = false;
-            cfg.receivers = ReceiverPolicy::NearestNeighbor;
+            let cfg = power_loop_config(phase, ranges).expect("a power phase");
             let mut session = PowerSession::new(cfg, ghost);
             let mut events = Vec::with_capacity(steps);
             let settle =
@@ -1296,6 +1296,34 @@ fn generate_phase(
             vec![events]
         }
     }
+}
+
+/// The closed-loop configuration a power phase runs when node ranges
+/// follow `ranges`, or `None` for a phase without a power loop.
+/// [`PhaseSpec::PowerChurn`] keeps the session's defaults: continuous
+/// ladder, nearest-neighbor uplinks, infeasible links clamped.
+fn power_loop_config(phase: &PhaseSpec, ranges: RangeDist) -> Option<PowerLoopConfig> {
+    let mut cfg = PowerLoopConfig::for_range_scale(ranges.upper_bound().max(1.0));
+    match *phase {
+        PhaseSpec::PowerControl {
+            target_sinr,
+            ladder,
+            drop_infeasible,
+            sink_every,
+        } => {
+            cfg.target_sinr = target_sinr;
+            if ladder > 0 {
+                cfg.ladder = PowerLadder::Geometric { levels: ladder };
+            }
+            cfg.drop_infeasible = drop_infeasible;
+            if sink_every > 0 {
+                cfg.receivers = ReceiverPolicy::Sinks { every: sink_every };
+            }
+        }
+        PhaseSpec::PowerChurn { target_sinr, .. } => cfg.target_sinr = target_sinr,
+        _ => return None,
+    }
+    Some(cfg)
 }
 
 /// Runs one replicate of one sweep point: generate every phase on a
@@ -2232,6 +2260,50 @@ mod tests {
 
         let negative_sweep = power_spec().sweep(SweepAxis::TargetSinr(vec![4.0, -1.0]));
         assert!(Scenario::new(negative_sweep).is_err());
+    }
+
+    /// A range bound or target SINR that sends the power interval to
+    /// infinity is a spec error naming the phase, not a panic inside
+    /// the loop; an unbounded range is a spec error for every spec, not
+    /// a panic inside the spatial index.
+    #[test]
+    fn power_phases_reject_a_power_interval_that_is_not_finite() {
+        let huge = RangeDist::Interval {
+            minr: 10.0,
+            maxr: 1e300,
+        };
+        let err = Scenario::new(power_spec().ranges(huge)).unwrap_err().0;
+        assert!(
+            err.contains("power-control phase") && err.contains("min_power"),
+            "{err}"
+        );
+        let err = Scenario::new(churn_spec().ranges(huge)).unwrap_err().0;
+        assert!(err.contains("power-churn phase"), "{err}");
+        // An unbounded range is rejected for every spec, power or not.
+        let unbounded = RangeDist::Interval {
+            minr: 10.0,
+            maxr: f64::INFINITY,
+        };
+        let err = Scenario::new(power_spec().ranges(unbounded)).unwrap_err().0;
+        assert!(err.contains("invalid range interval"), "{err}");
+        assert!(Scenario::new(mix_spec().ranges(unbounded)).is_err());
+        let unbounded_sweep = mix_spec().sweep(SweepAxis::AvgRange(vec![10.0, f64::INFINITY]));
+        assert!(Scenario::new(unbounded_sweep).is_err());
+        // Large but finite bounds still run.
+        let large = RangeDist::Interval {
+            minr: 10.0,
+            maxr: 1e100,
+        };
+        assert!(Scenario::new(power_spec().ranges(large)).is_ok());
+        // Every target-SINR sweep value builds its own loop.
+        let err = Scenario::new(power_spec().sweep(SweepAxis::TargetSinr(vec![4.0, 1e308])))
+            .unwrap_err()
+            .0;
+        assert!(err.contains("target SINR 1e308"), "{err}");
+        let err = Scenario::new(churn_spec().sweep(SweepAxis::TargetSinr(vec![1e308])))
+            .unwrap_err()
+            .0;
+        assert!(err.contains("power-churn phase"), "{err}");
     }
 
     fn churn_spec() -> ScenarioSpec {

@@ -18,7 +18,7 @@ use minim::core::{Minim, RecodingStrategy};
 use minim::geom::Point;
 use minim::net::event::Event;
 use minim::net::{Network, NodeConfig};
-use minim::power::{Feasibility, PowerLoop, PowerLoopConfig};
+use minim::power::{PowerLoop, PowerLoopConfig, Verdict};
 use minim::sim::presets;
 use minim::sim::scenario::{ExperimentConfig, Scenario, SweepAxis};
 
@@ -43,12 +43,12 @@ fn main() {
 
     let loop_cfg = PowerLoopConfig::for_range_scale(25.0);
     let lp = PowerLoop::new(loop_cfg);
-    let outcome = lp.run(&net, &[]);
+    let outcome = lp.run(&net);
     println!(
-        "closed loop: {} links, {} iterations, feasibility {:?}",
-        outcome.report.links, outcome.report.iterations, outcome.report.feasibility
+        "closed loop: {} links, {} power updates, verdict {:?}",
+        outcome.report.links, outcome.report.updates, outcome.report.verdict
     );
-    assert!(outcome.report.feasibility.is_feasible());
+    assert_eq!(outcome.report.verdict, Verdict::Converged);
 
     // The equilibrium comes back as ordinary set-range events; the
     // recoding strategy restores CA1/CA2 after each one.
@@ -67,23 +67,22 @@ fn main() {
         recodings
     );
     // Equilibrium is a fixed point: a second pass emits nothing.
-    assert!(lp.run(&net, &[]).events.is_empty());
+    assert!(lp.run(&net).events.is_empty());
     println!("second pass emits nothing — the equilibrium is a fixed point\n");
 
     // Overload the cell: a brutal SINR target under the same cap must
     // be *detected* as infeasible, not iterated forever.
     let mut hard = loop_cfg;
     hard.target_sinr = 48.0;
-    let overloaded = PowerLoop::new(hard).run(&net, &[]);
-    let Feasibility::PowerCapped { capped } = &overloaded.report.feasibility else {
-        panic!(
-            "expected the overloaded cell to be power-capped, got {:?}",
-            overloaded.report.feasibility
-        );
-    };
+    let overloaded = PowerLoop::new(hard).run(&net);
+    assert_eq!(
+        overloaded.report.verdict,
+        Verdict::PowerCapped,
+        "expected the overloaded cell to be power-capped"
+    );
     println!(
         "target SINR 48 overloads the cell: {} of {} links power-capped below target",
-        capped.len(),
+        overloaded.report.infeasible.len(),
         overloaded.report.links
     );
 

@@ -9,14 +9,19 @@
 //!   is **bit-identical** to a field rebuilt from scratch on the final
 //!   geometry (same slots, same receivers, same direct-gain bits, same
 //!   CSR rows — with and without walls),
-//! * cold event-driven relaxation reaches the full synchronous sweep's
-//!   fixed point — within tolerance on the continuous ladder (unique
-//!   fixed point, Yates), **exactly** on the geometric ladder (both
-//!   climb from all-min to the least fixed point), with the same
-//!   [`Feasibility`] verdict,
+//! * cold event-driven relaxation reaches the fixed point of the
+//!   synchronous sweep ([`sweep`], the reference implementation, which
+//!   lives only here) — within tolerance on the continuous ladder
+//!   (unique fixed point, Yates), **exactly** on the geometric ladder
+//!   (both climb from all-min to the least fixed point), with the same
+//!   verdict and capped list,
 //! * warm relaxation from a previous equilibrium, re-seeded with only
 //!   the patched field's dirty rows, agrees with a cold solve of the
 //!   patched field, and
+//! * a batch [`PowerLoop`] and the first settle of a fresh
+//!   [`PowerSession`] on the same network emit **exactly** the same
+//!   events — both are one cold [`relax`] — across id gaps, walls,
+//!   both ladders and overloaded targets,
 //! * a [`PowerSession`] tracking churn incrementally lands on the same
 //!   equilibrium a from-scratch [`PowerLoop`] computes on the final
 //!   topology (its corrections leave nothing for the batch loop to
@@ -40,9 +45,9 @@ use minim::net::workload::{MixWorkload, Placement, RangeDist};
 use minim::net::{Network, NodeConfig};
 use minim::power::sinr::FieldEvent;
 use minim::power::{
-    relax, run_with, weighted_sum_scalar, weighted_sum_simd, ControlConfig, ControlScratch,
-    Feasibility, GainModel, LinkBudget, PowerLadder, PowerLoop, PowerLoopConfig, PowerSession,
-    SinrField, Verdict, LANES, NO_RECEIVER,
+    relax, weighted_sum_scalar, weighted_sum_simd, ControlConfig, ControlScratch, GainModel,
+    LinkBudget, PowerLadder, PowerLoop, PowerLoopConfig, PowerSession, SinrField, Verdict, LANES,
+    NO_RECEIVER,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -216,6 +221,129 @@ fn oracle_classification(
         .collect();
     let capped = if at_cap.is_empty() { unmet } else { at_cap };
     (Verdict::PowerCapped, capped)
+}
+
+/// A run's verdict with the links it names: the capped list of a
+/// [`Verdict::PowerCapped`] run, nothing otherwise.
+fn named(verdict: Verdict, capped: &[u32]) -> (Verdict, Vec<u32>) {
+    let capped = if verdict == Verdict::PowerCapped {
+        capped.to_vec()
+    } else {
+        Vec::new()
+    };
+    (verdict, capped)
+}
+
+/// The synchronous Foschini–Miljanic sweep, the reference [`relax`] is
+/// checked against: every live link updates from the previous iterate
+/// each round, starting from the all-minimum vector, until no link
+/// moves by more than `tol` (relative; by anything on a geometric
+/// ladder) or `max_iters` rounds run out. Returns the powers, the
+/// verdict and the capped list, classified over every live link by
+/// [`oracle_classification`].
+fn sweep(field: &SinrField, cfg: &ControlConfig) -> (Vec<f64>, Verdict, Vec<u32>) {
+    let processing_gain = field.budget().processing_gain;
+    let mut powers = vec![cfg.start_power(); field.len()];
+    for _ in 0..cfg.max_iters {
+        let mut max_rel = 0.0f64;
+        let next: Vec<f64> = (0..field.len())
+            .map(|i| {
+                if !field.is_live(i) {
+                    return powers[i];
+                }
+                let g = field.direct_gain(i);
+                let desired = if g > 0.0 {
+                    cfg.target_sinr * field.interference(&powers, i) / (processing_gain * g)
+                } else {
+                    f64::INFINITY
+                };
+                let q = cfg.ladder.quantize_up(
+                    desired.clamp(cfg.min_power, cfg.max_power),
+                    cfg.min_power,
+                    cfg.max_power,
+                );
+                max_rel = max_rel.max((q - powers[i]).abs() / powers[i]);
+                q
+            })
+            .collect();
+        powers = next;
+        let done = match cfg.ladder {
+            PowerLadder::Continuous => max_rel <= cfg.tol,
+            PowerLadder::Geometric { .. } => max_rel == 0.0,
+        };
+        if done {
+            let (verdict, capped) = oracle_classification(field, cfg, &powers);
+            return (powers, verdict, capped);
+        }
+    }
+    let (_, capped) = oracle_classification(field, cfg, &powers);
+    (powers, Verdict::Diverging, capped)
+}
+
+/// A random network with id gaps: `n` nodes in one to four clusters
+/// of random spread (tight clusters overload high targets, stragglers
+/// beyond the range cap are noise-limited), with random ranges and
+/// three walls when `walls`; then a third of the nodes leave again.
+fn gapped_network(rng: &mut StdRng, n: usize, walls: bool) -> Network {
+    let arena = Rect::new(0.0, 0.0, 150.0, 150.0);
+    let mut net = Network::new(50.0);
+    if walls {
+        for _ in 0..3 {
+            let at = sample::uniform_point(rng, &arena);
+            net.add_obstacle(Segment::new(at, Point::new(at.x + 4.0, at.y + 25.0)));
+        }
+    }
+    let centers: Vec<Point> = (0..rng.gen_range(1..5))
+        .map(|_| sample::uniform_point(rng, &arena))
+        .collect();
+    let placement = Placement::Clustered {
+        centers,
+        spread: rng.gen_range(2.0..30.0),
+        arena,
+    };
+    for _ in 0..n {
+        net.join(NodeConfig::new(
+            placement.sample(rng),
+            rng.gen_range(5.0..40.0),
+        ));
+    }
+    for _ in 0..n / 3 {
+        let k = rng.gen_range(0..net.node_count());
+        let id = net.iter_nodes().nth(k).expect("k < count");
+        net.remove_node(id);
+    }
+    net
+}
+
+/// Runs the batch [`PowerLoop`] and the first settle of a fresh
+/// [`PowerSession`] on one [`gapped_network`] and checks they agree
+/// exactly: events, verdict, update count and infeasible ids. Returns
+/// the verdict.
+fn check_loop_matches_cold_session(
+    seed: u64,
+    n: usize,
+    walls: bool,
+    geometric: bool,
+    target: f64,
+) -> Verdict {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let net = gapped_network(&mut rng, n, walls);
+    let mut cfg = PowerLoopConfig::for_range_scale(25.0);
+    cfg.target_sinr = target;
+    if geometric {
+        cfg.ladder = PowerLadder::Geometric { levels: 12 };
+    }
+    let batch = PowerLoop::new(cfg).run(&net);
+    let mut session = PowerSession::new(cfg, &net);
+    let (events, report) = session.settle();
+    let case = format!("seed {seed}, n {n}, walls {walls}, geometric {geometric}, target {target}");
+    assert_eq!(events, &batch.events[..], "events ({case})");
+    assert_eq!(report.verdict, batch.report.verdict, "verdict ({case})");
+    assert_eq!(report.updates, batch.report.updates, "updates ({case})");
+    let (_, capped) = named(report.verdict, session.capped());
+    let capped: Vec<NodeId> = capped.into_iter().map(NodeId).collect();
+    assert_eq!(batch.report.infeasible, capped, "infeasible ids ({case})");
+    report.verdict
 }
 
 /// The session's control loop with the given target, budget and
@@ -474,26 +602,24 @@ proptest! {
         if geometric {
             cfg.ladder = PowerLadder::Geometric { levels: 12 };
         }
-        let mut sweep = ControlScratch::new();
-        let sweep_report = run_with(&field, &cfg, &mut sweep);
+        let (swept, sweep_verdict, sweep_capped) = sweep(&field, &cfg);
         let mut active = ControlScratch::new();
         let relax_report = relax(&field, &cfg, &mut active, false);
         prop_assert_eq!(
-            sweep.feasibility(sweep_report.verdict),
-            active.feasibility(relax_report.verdict),
-            "feasibility verdicts diverged (seed {}, geometric {})", seed, geometric
+            named(sweep_verdict, &sweep_capped),
+            named(relax_report.verdict, &active.capped),
+            "verdicts diverged (seed {}, geometric {})", seed, geometric
         );
         if geometric {
             prop_assert_eq!(
-                &sweep.powers, &active.powers,
+                &swept, &active.powers,
                 "geometric rungs must match exactly (seed {})", seed
             );
-        } else if matches!(sweep_report.verdict, Verdict::Converged | Verdict::PowerCapped) {
-            for i in 0..field.len() {
+        } else if sweep_verdict != Verdict::Diverging {
+            for (i, (&a, &b)) in swept.iter().zip(&active.powers).enumerate() {
                 if !field.is_live(i) {
                     continue;
                 }
-                let (a, b) = (sweep.powers[i], active.powers[i]);
                 prop_assert!(
                     (a - b).abs() <= 5e-3 * a.abs().max(b.abs()),
                     "fixed points diverged at row {i}: sweep {a} vs relax {b} (seed {seed})"
@@ -539,8 +665,8 @@ proptest! {
         let mut cold = ControlScratch::new();
         let cold_report = relax(&field, &cfg, &mut cold, false);
         prop_assert_eq!(
-            warm.feasibility(warm_report.verdict),
-            cold.feasibility(cold_report.verdict),
+            named(warm_report.verdict, &warm.capped),
+            named(cold_report.verdict, &cold.capped),
             "warm and cold verdicts diverged (seed {})", seed
         );
         if warm_report.verdict != Verdict::Diverging {
@@ -559,6 +685,27 @@ proptest! {
 }
 
 proptest! {
+    /// The batch loop is a cold session: on random networks with id
+    /// gaps, with and without walls, on both ladders and at targets that
+    /// overload some instances, [`PowerLoop::run`] emits exactly the
+    /// events of a fresh [`PowerSession`]'s first settle.
+    #[test]
+    fn batch_loop_equals_cold_session(
+        seed in 500u64..756,
+        n in 6usize..40,
+        walls_roll in 0u32..2,
+        ladder_roll in 0u32..2,
+        target_roll in 0usize..3,
+    ) {
+        check_loop_matches_cold_session(
+            seed,
+            n,
+            walls_roll == 1,
+            ladder_roll == 1,
+            [1.0, 4.0, 16.0][target_roll],
+        );
+    }
+
     /// A drained [`relax`] classifies only the links near the cap; the
     /// verdict and capped list must still equal a classification that
     /// recomputes every SINR, after cold and warm runs, on overloaded
@@ -595,6 +742,32 @@ proptest! {
         budget_roll in 0usize..2,
     ) {
         check_session_lowering(seed, ladder_roll == 1, [2, 200][budget_roll]);
+    }
+}
+
+/// The loop-vs-session property is not vacuous: over a fixed seed
+/// range it reaches both fixed-point verdicts on both ladders.
+#[test]
+fn loop_vs_session_property_reaches_overload() {
+    for geometric in [false, true] {
+        let mut seen = Vec::new();
+        for seed in 0..12u64 {
+            for target in [1.0, 4.0, 16.0] {
+                seen.push(check_loop_matches_cold_session(
+                    seed,
+                    30,
+                    seed % 2 == 1,
+                    geometric,
+                    target,
+                ));
+            }
+        }
+        for verdict in [Verdict::Converged, Verdict::PowerCapped] {
+            assert!(
+                seen.contains(&verdict),
+                "no {verdict:?} instance (geometric {geometric})"
+            );
+        }
     }
 }
 
@@ -704,11 +877,8 @@ fn session_equilibrium_leaves_nothing_for_the_batch_loop() {
         }
         // The from-scratch batch loop on the final topology must agree:
         // every correction it still wants is a sub-tolerance nudge.
-        let outcome = PowerLoop::new(cfg).run(&net, &[]);
-        if !matches!(
-            outcome.report.feasibility,
-            Feasibility::Converged | Feasibility::PowerCapped { .. }
-        ) {
+        let outcome = PowerLoop::new(cfg).run(&net);
+        if outcome.report.verdict == Verdict::Diverging {
             continue;
         }
         for e in &outcome.events {
