@@ -441,16 +441,24 @@ fn cmd_serve_replay(argv: &[String]) -> ExitCode {
     };
     let mut eng = Engine::open_dir(&args.dir, opts)
         .unwrap_or_else(|e| die(&format!("{}: {e}", args.dir.display())));
+    let layer = |name: &str| {
+        let (count, mean) = minim_obs::snapshot()
+            .histogram(name)
+            .map_or((0, 0.0), |h| (h.count, h.mean_ns()));
+        format!("{name} n={count} mean={}", fmt_ns(mean.round() as u64))
+    };
     let r = *eng.recovery_report();
     println!(
         "serve-replay: recovered {} events (snapshot {} + {} replayed, \
-         {} bytes truncated, {} corrupt frames, {} snapshots discarded)",
+         {} bytes truncated, {} corrupt frames, {} snapshots discarded), {}, {}",
         r.events_total,
         r.snapshot_seq,
         r.frames_replayed,
         r.bytes_truncated,
         r.corrupt_frames,
-        r.snapshots_discarded
+        r.snapshots_discarded,
+        layer("serve.recover.snapshot_ns"),
+        layer("serve.recover.replay_ns")
     );
 
     if args.gen > 0 {
@@ -462,13 +470,6 @@ fn cmd_serve_replay(argv: &[String]) -> ExitCode {
                 .unwrap_or_else(|e| die(&format!("apply failed at step {step}: {e}")));
         }
         println!("serve-replay: journaled {} fresh events", args.gen);
-        let metrics = eng.metrics_snapshot();
-        let layer = |name: &str| {
-            let (count, mean) = metrics
-                .histogram(name)
-                .map_or((0, 0.0), |h| (h.count, h.mean_ns()));
-            format!("{name} n={count} mean={}", fmt_ns(mean.round() as u64))
-        };
         println!(
             "serve-replay: layers {}, {}, {}, {}",
             layer("serve.append_ns"),

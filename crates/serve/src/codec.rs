@@ -1,156 +1,248 @@
-//! JSON codecs for journal events and network snapshots.
+//! The binary codec for journal records and network snapshots.
 //!
-//! Events and snapshots travel through the dependency-free
-//! [`minim_sim::json`] module. Determinism matters more than beauty
-//! here: `f64`s render with Rust's shortest-roundtrip formatting, so a
-//! value survives encode → decode **bit-identically**, and object keys
-//! keep insertion order, so the same state always produces the same
-//! bytes — which is what lets recovery tests compare whole files.
+//! One fixed-layout, little-endian encoding serves both. Every payload
+//! opens with a format byte, [`FORMAT`]; a payload of the retired v1
+//! JSON format opens with `{` and is refused ([`CodecError::Format`]
+//! names it). `f64`s are stored as their IEEE-754 bits, so a value
+//! survives encode → decode bit-identically, and the same state always
+//! produces the same bytes, which is what lets the recovery tests
+//! compare whole snapshots.
 //!
-//! Wire schemas (compact, single-line):
+//! ## Journal record
 //!
-//! ```json
-//! {"t":"join","x":1.5,"y":2.0,"r":5.0}
-//! {"t":"leave","node":7}
-//! {"t":"move","node":7,"x":3.0,"y":4.0}
-//! {"t":"set_range","node":7,"range":6.5}
-//! ```
+//! One record per applied event: the event plus the writes its
+//! strategy decided on, so that recovery redoes them without planning.
 //!
-//! Snapshots carry everything [`Network`] needs to reconstruct itself
-//! plus the strategy name and applied-event count, and embed the
-//! source network's fingerprint so a restore can self-verify.
+//! | bytes | field |
+//! |---|---|
+//! | 1 | format, [`FORMAT`] |
+//! | 1 | kind: 0 join, 1 leave, 2 move, 3 set-range |
+//! | 24 | join: `x`, `y`, `range` (`f64` each) |
+//! | 4 | leave: `node` (`u32`) |
+//! | 20 | move: `node` (`u32`), `x`, `y` (`f64`) |
+//! | 12 | set-range: `node` (`u32`), `range` (`f64`) |
+//! | 8 · k | writes to the end: `node` (`u32`), `color` (`u32`, ≥ 1), node ids strictly ascending |
+//!
+//! A Minim join that recodes nobody else is 34 bytes. The record holds
+//! no write count: the writes fill the rest of the payload, whose
+//! length the journal frame stores and checksums.
+//!
+//! ## Snapshot
+//!
+//! Everything [`Network`] needs to rebuild itself, the strategy and the
+//! applied-event count, and the source network's fingerprint, so that
+//! a restore verifies itself.
+//!
+//! | bytes | field |
+//! |---|---|
+//! | 1 | format, [`FORMAT`] |
+//! | 1 | strategy: 0 Minim, 1 CP, 2 BBB |
+//! | 1 | flat spatial index: 0 or 1 |
+//! | 8 | events applied (`u64`) |
+//! | 8 | cell hint (`f64`) |
+//! | 4 | id watermark, the next join's id (`u32`) |
+//! | 8 + 8 + 4 | fingerprint: nodes, edges (`u64`), max color (`u32`) |
+//! | 4 + 32 · w | obstacle count (`u32`), then `ax`, `ay`, `bx`, `by` (`f64`) each |
+//! | 4 + 32 · n | node count (`u32`), then per node in ascending id order: `id` (`u32`), `x`, `y`, `range` (`f64`), `color` (`u32`, 0 = uncolored) |
 
-use minim_core::StrategyKind;
+use minim_core::{ColorPlan, StrategyKind};
 use minim_geom::{Point, Segment};
 use minim_graph::{Color, NodeId};
 use minim_net::event::Event;
 use minim_net::{Network, NetworkFingerprint, NodeConfig};
-use minim_sim::json::{self, Json};
 
-/// Snapshot schema version; bumped on incompatible layout changes.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// The format byte that opens every record and snapshot payload.
+pub const FORMAT: u8 = 2;
 
-/// A decoding failure: malformed JSON or a well-formed document that
-/// doesn't match the expected schema.
-#[derive(Debug)]
+/// A payload that does not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// The text was not valid JSON.
-    Parse(json::ParseError),
-    /// The JSON didn't have the expected shape; the message names the
-    /// missing/mistyped field.
-    Schema(String),
+    /// The leading byte names a format this build does not read; `{`
+    /// is the retired v1 JSON format.
+    Format(u8),
+    /// The payload ended inside its layout, or bytes follow its end.
+    Length,
+    /// A field holds a value the layout forbids; names the field.
+    Invalid(&'static str),
+    /// The rebuilt snapshot's fingerprint differs from the stored one.
+    Fingerprint {
+        /// The fingerprint stored at encode time.
+        stored: NetworkFingerprint,
+        /// The fingerprint of the rebuilt network.
+        rebuilt: NetworkFingerprint,
+    },
 }
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::Parse(e) => write!(f, "json parse error: {e}"),
-            CodecError::Schema(msg) => write!(f, "schema error: {msg}"),
+            CodecError::Format(b'{') => write!(f, "format v1 (JSON) is not read by this build"),
+            CodecError::Format(tag) => write!(f, "unknown format byte {tag}"),
+            CodecError::Length => write!(f, "payload length does not match its layout"),
+            CodecError::Invalid(what) => write!(f, "invalid {what}"),
+            CodecError::Fingerprint { stored, rebuilt } => write!(
+                f,
+                "snapshot fingerprint mismatch: stored {stored:?}, rebuilt {rebuilt:?}"
+            ),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-impl From<json::ParseError> for CodecError {
-    fn from(e: json::ParseError) -> Self {
-        CodecError::Parse(e)
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_point(out: &mut Vec<u8>, p: Point) {
+    put_f64(out, p.x);
+    put_f64(out, p.y);
+}
+
+/// A cursor over a payload; every read fails with
+/// [`CodecError::Length`] past the end.
+struct Reader<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Checks the format byte and positions the cursor after it.
+    fn open(bytes: &'a [u8]) -> Result<Reader<'a>, CodecError> {
+        match bytes.first() {
+            Some(&FORMAT) => Ok(Reader { bytes: &bytes[1..] }),
+            Some(&tag) => Err(CodecError::Format(tag)),
+            None => Err(CodecError::Length),
+        }
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .bytes
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Length)?;
+        self.bytes = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, CodecError> {
+        self.take().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, CodecError> {
+        self.take().map(u64::from_le_bytes)
+    }
+
+    fn f64(&mut self) -> Result<f64, CodecError> {
+        self.take().map(f64::from_le_bytes)
+    }
+
+    fn point(&mut self) -> Result<Point, CodecError> {
+        Ok(Point::new(self.f64()?, self.f64()?))
+    }
+
+    fn node(&mut self) -> Result<NodeId, CodecError> {
+        self.u32().map(NodeId)
+    }
+
+    /// A `u32` color field: 0 reads as uncolored.
+    fn color(&mut self) -> Result<Option<Color>, CodecError> {
+        Ok(match self.u32()? {
+            0 => None,
+            c => Some(Color::new(c)),
+        })
+    }
+
+    fn finish(&self) -> Result<(), CodecError> {
+        if self.bytes.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::Length)
+        }
     }
 }
 
-fn schema(msg: impl Into<String>) -> CodecError {
-    CodecError::Schema(msg.into())
-}
+// ------------------------------------------------------------- records
 
-fn field<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, CodecError> {
-    doc.get(key)
-        .ok_or_else(|| schema(format!("missing `{key}`")))
-}
-
-fn f64_field(doc: &Json, key: &str) -> Result<f64, CodecError> {
-    field(doc, key)?
-        .as_f64()
-        .ok_or_else(|| schema(format!("`{key}` must be a number")))
-}
-
-fn u64_field(doc: &Json, key: &str) -> Result<u64, CodecError> {
-    field(doc, key)?
-        .as_u64()
-        .ok_or_else(|| schema(format!("`{key}` must be a non-negative integer")))
-}
-
-// -------------------------------------------------------------- events
-
-/// Encodes an event as a compact single-line JSON document.
-pub fn encode_event(event: &Event) -> String {
-    let doc = match event {
-        Event::Join { cfg } => Json::obj(vec![
-            ("t", Json::Str("join".into())),
-            ("x", Json::Num(cfg.pos.x)),
-            ("y", Json::Num(cfg.pos.y)),
-            ("r", Json::Num(cfg.range)),
-        ]),
-        Event::Leave { node } => Json::obj(vec![
-            ("t", Json::Str("leave".into())),
-            ("node", Json::Num(f64::from(node.0))),
-        ]),
-        Event::Move { node, to } => Json::obj(vec![
-            ("t", Json::Str("move".into())),
-            ("node", Json::Num(f64::from(node.0))),
-            ("x", Json::Num(to.x)),
-            ("y", Json::Num(to.y)),
-        ]),
-        Event::SetRange { node, range } => Json::obj(vec![
-            ("t", Json::Str("set_range".into())),
-            ("node", Json::Num(f64::from(node.0))),
-            ("range", Json::Num(*range)),
-        ]),
-    };
-    doc.to_string_compact()
-}
-
-/// Decodes an event from its JSON text.
-pub fn decode_event(text: &str) -> Result<Event, CodecError> {
-    let doc = json::parse(text)?;
-    let tag = field(&doc, "t")?
-        .as_str()
-        .ok_or_else(|| schema("`t` must be a string"))?;
-    let node_of = |doc: &Json| -> Result<NodeId, CodecError> {
-        let raw = u64_field(doc, "node")?;
-        u32::try_from(raw)
-            .map(NodeId)
-            .map_err(|_| schema("`node` out of u32 range"))
-    };
-    match tag {
-        "join" => {
-            let pos = Point::new(f64_field(&doc, "x")?, f64_field(&doc, "y")?);
-            let range = f64_field(&doc, "r")?;
-            if !(range.is_finite() && range >= 0.0) {
-                return Err(schema("`r` must be finite and non-negative"));
-            }
-            Ok(Event::Join {
-                cfg: NodeConfig::new(pos, range),
-            })
+/// Appends the record of `event` and its `writes` to `out`. The writes
+/// must come in strictly ascending node order, as
+/// [`minim_core::RecodeOutcome::recoded`] lists them. Allocates nothing
+/// once `out` has the capacity.
+pub fn encode_record(
+    event: &Event,
+    writes: impl IntoIterator<Item = (NodeId, Color)>,
+    out: &mut Vec<u8>,
+) {
+    out.push(FORMAT);
+    match event {
+        Event::Join { cfg } => {
+            out.push(0);
+            put_point(out, cfg.pos);
+            put_f64(out, cfg.range);
         }
-        "leave" => Ok(Event::Leave {
-            node: node_of(&doc)?,
-        }),
-        "move" => Ok(Event::Move {
-            node: node_of(&doc)?,
-            to: Point::new(f64_field(&doc, "x")?, f64_field(&doc, "y")?),
-        }),
-        "set_range" => {
-            let range = f64_field(&doc, "range")?;
-            if !(range.is_finite() && range >= 0.0) {
-                return Err(schema("`range` must be finite and non-negative"));
-            }
-            Ok(Event::SetRange {
-                node: node_of(&doc)?,
-                range,
-            })
+        Event::Leave { node } => {
+            out.push(1);
+            put_u32(out, node.0);
         }
-        other => Err(schema(format!("unknown event tag `{other}`"))),
+        Event::Move { node, to } => {
+            out.push(2);
+            put_u32(out, node.0);
+            put_point(out, *to);
+        }
+        Event::SetRange { node, range } => {
+            out.push(3);
+            put_u32(out, node.0);
+            put_f64(out, *range);
+        }
     }
+    for (node, color) in writes {
+        put_u32(out, node.0);
+        put_u32(out, color.index());
+    }
+}
+
+/// Decodes a record: returns its event and replaces `writes` with its
+/// writes. Checks the layout only (the writes are ascending and name
+/// real colors); whether the event and writes fit a network is for
+/// the replaying engine to check.
+pub fn decode_record(payload: &[u8], writes: &mut ColorPlan) -> Result<Event, CodecError> {
+    let mut r = Reader::open(payload)?;
+    let event = match r.u8()? {
+        0 => Event::Join {
+            cfg: NodeConfig::new(r.point()?, r.f64()?),
+        },
+        1 => Event::Leave { node: r.node()? },
+        2 => Event::Move {
+            node: r.node()?,
+            to: r.point()?,
+        },
+        3 => Event::SetRange {
+            node: r.node()?,
+            range: r.f64()?,
+        },
+        _ => return Err(CodecError::Invalid("event kind")),
+    };
+    writes.clear();
+    while !r.bytes.is_empty() {
+        let node = r.node()?;
+        let color = r.color()?.ok_or(CodecError::Invalid("write color 0"))?;
+        if writes.last().is_some_and(|&(prev, _)| prev >= node) {
+            return Err(CodecError::Invalid("write order"));
+        }
+        writes.push((node, color));
+    }
+    Ok(event)
 }
 
 // ----------------------------------------------------------- snapshots
@@ -166,167 +258,116 @@ pub struct SnapshotDoc {
     pub events_applied: u64,
 }
 
-fn strategy_by_name(name: &str) -> Option<StrategyKind> {
-    StrategyKind::ALL.into_iter().find(|k| k.label() == name)
-}
-
-/// Encodes the full network state as a pretty-printed JSON document.
-pub fn encode_snapshot(net: &Network, strategy: StrategyKind, events_applied: u64) -> String {
+/// Encodes the full network state.
+pub fn encode_snapshot(net: &Network, strategy: StrategyKind, events_applied: u64) -> Vec<u8> {
     let fp = net.fingerprint();
-    let nodes: Vec<Json> = net
-        .describe()
-        .into_iter()
-        .map(|(id, pos, range, color)| {
-            Json::Arr(vec![
-                Json::Num(f64::from(id.0)),
-                Json::Num(pos.x),
-                Json::Num(pos.y),
-                Json::Num(range),
-                color.map_or(Json::Null, |c| Json::Num(f64::from(c.index()))),
-            ])
-        })
-        .collect();
-    let obstacles: Vec<Json> = net
-        .obstacles()
-        .iter()
-        .map(|s| {
-            Json::Arr(vec![
-                Json::Num(s.a.x),
-                Json::Num(s.a.y),
-                Json::Num(s.b.x),
-                Json::Num(s.b.y),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("v", Json::Num(SNAPSHOT_VERSION as f64)),
-        ("strategy", Json::Str(strategy.label().into())),
-        ("events_applied", Json::Num(events_applied as f64)),
-        ("cell_hint", Json::Num(net.cell_size_hint())),
-        ("flat", Json::Bool(net.is_flat())),
-        ("next_id", Json::Num(f64::from(net.peek_next_id().0))),
-        ("fp_nodes", Json::Num(fp.nodes as f64)),
-        ("fp_edges", Json::Num(fp.edges as f64)),
-        ("fp_max_color", Json::Num(f64::from(fp.max_color))),
-        ("obstacles", Json::Arr(obstacles)),
-        ("nodes", Json::Arr(nodes)),
-    ])
-    .to_string_pretty()
+    let nodes = net.describe();
+    let walls = net.obstacles();
+    let mut out = Vec::with_capacity(64 + 32 * (walls.len() + nodes.len()));
+    out.push(FORMAT);
+    let strategy_byte = StrategyKind::ALL.iter().position(|&k| k == strategy);
+    out.push(strategy_byte.expect("ALL lists every strategy") as u8);
+    out.push(u8::from(net.is_flat()));
+    put_u64(&mut out, events_applied);
+    put_f64(&mut out, net.cell_size_hint());
+    put_u32(&mut out, fp.next_id);
+    put_u64(&mut out, fp.nodes as u64);
+    put_u64(&mut out, fp.edges as u64);
+    put_u32(&mut out, fp.max_color);
+    put_u32(&mut out, walls.len() as u32);
+    for s in walls {
+        put_point(&mut out, s.a);
+        put_point(&mut out, s.b);
+    }
+    put_u32(&mut out, nodes.len() as u32);
+    for (id, pos, range, color) in nodes {
+        put_u32(&mut out, id.0);
+        put_point(&mut out, pos);
+        put_f64(&mut out, range);
+        put_u32(&mut out, color.map_or(0, Color::index));
+    }
+    out
 }
 
 /// Decodes and **verifies** a snapshot: the network is rebuilt
 /// (obstacles first, then nodes in id order, then colors), and its
 /// fingerprint must match the one stored at encode time — a mismatch
-/// means the document was damaged in a CRC-preserving way or the
+/// means the payload was damaged in a CRC-preserving way or the
 /// rebuild logic has drifted, and the snapshot is rejected.
-pub fn decode_snapshot(text: &str) -> Result<SnapshotDoc, CodecError> {
-    let doc = json::parse(text)?;
-    let version = u64_field(&doc, "v")?;
-    if version != SNAPSHOT_VERSION {
-        return Err(schema(format!("unsupported snapshot version {version}")));
-    }
-    let strategy_name = field(&doc, "strategy")?
-        .as_str()
-        .ok_or_else(|| schema("`strategy` must be a string"))?;
-    let strategy = strategy_by_name(strategy_name)
-        .ok_or_else(|| schema(format!("unknown strategy `{strategy_name}`")))?;
-    let events_applied = u64_field(&doc, "events_applied")?;
-    let cell_hint = f64_field(&doc, "cell_hint")?;
-    let flat = field(&doc, "flat")?
-        .as_bool()
-        .ok_or_else(|| schema("`flat` must be a boolean"))?;
-    let next_id = u32::try_from(u64_field(&doc, "next_id")?)
-        .map_err(|_| schema("`next_id` out of u32 range"))?;
+pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotDoc, CodecError> {
+    let finite = |v: f64, what| {
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(CodecError::Invalid(what))
+        }
+    };
+    let mut r = Reader::open(payload)?;
+    let strategy = *StrategyKind::ALL
+        .get(usize::from(r.u8()?))
+        .ok_or(CodecError::Invalid("strategy"))?;
+    let flat = match r.u8()? {
+        0 => false,
+        1 => true,
+        _ => return Err(CodecError::Invalid("flat flag")),
+    };
+    let events_applied = r.u64()?;
+    let cell_hint = r.f64()?;
+    let next_id = r.u32()?;
+    let stored = NetworkFingerprint {
+        nodes: r.u64()? as usize,
+        next_id,
+        edges: r.u64()? as usize,
+        max_color: r.u32()?,
+    };
 
     let mut net = if flat {
         Network::new_flat(cell_hint)
     } else {
         Network::new(cell_hint)
     };
-
-    // Obstacles go in while the network is empty: `add_obstacle` rewires
-    // affected links, and with zero nodes that's free.
-    for wall in field(&doc, "obstacles")?
-        .as_arr()
-        .ok_or_else(|| schema("`obstacles` must be an array"))?
-    {
-        let quad = wall
-            .as_arr()
-            .filter(|q| q.len() == 4)
-            .ok_or_else(|| schema("each obstacle must be [x1,y1,x2,y2]"))?;
-        let coord = |i: usize| -> Result<f64, CodecError> {
-            quad[i]
-                .as_f64()
-                .ok_or_else(|| schema("obstacle coordinates must be numbers"))
-        };
-        net.add_obstacle(Segment::new(
-            Point::new(coord(0)?, coord(1)?),
-            Point::new(coord(2)?, coord(3)?),
-        ));
+    // Obstacles go in while the network is empty: `add_obstacle`
+    // rewires affected links, and with zero nodes that's free.
+    for _ in 0..r.u32()? {
+        let a = r.point()?;
+        let b = r.point()?;
+        for v in [a.x, a.y, b.x, b.y] {
+            finite(v, "obstacle coordinate")?;
+        }
+        net.add_obstacle(Segment::new(a, b));
     }
-
-    // Nodes are emitted by `describe` in ascending id order; insert in
-    // that order, then lay colors on top.
+    // Nodes come in ascending id order; insert in that order, then lay
+    // colors on top.
     let mut colors: Vec<(NodeId, Color)> = Vec::new();
-    for row in field(&doc, "nodes")?
-        .as_arr()
-        .ok_or_else(|| schema("`nodes` must be an array"))?
-    {
-        let cells = row
-            .as_arr()
-            .filter(|r| r.len() == 5)
-            .ok_or_else(|| schema("each node must be [id,x,y,range,color]"))?;
-        let id = cells[0]
-            .as_u64()
-            .and_then(|v| u32::try_from(v).ok())
-            .map(NodeId)
-            .ok_or_else(|| schema("node id must be a u32"))?;
-        let x = cells[1]
-            .as_f64()
-            .ok_or_else(|| schema("node x must be a number"))?;
-        let y = cells[2]
-            .as_f64()
-            .ok_or_else(|| schema("node y must be a number"))?;
-        let range = cells[3]
-            .as_f64()
-            .filter(|r| r.is_finite() && *r >= 0.0)
-            .ok_or_else(|| schema("node range must be finite and non-negative"))?;
-        net.insert_node(id, NodeConfig::new(Point::new(x, y), range));
-        match &cells[4] {
-            Json::Null => {}
-            c => {
-                let idx = c
-                    .as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .filter(|v| *v >= 1)
-                    .ok_or_else(|| schema("node color must be a positive integer"))?;
-                colors.push((id, Color::new(idx)));
-            }
+    let mut prev: Option<NodeId> = None;
+    for _ in 0..r.u32()? {
+        let id = r.node()?;
+        if prev.is_some_and(|p| p >= id) {
+            return Err(CodecError::Invalid("node order"));
+        }
+        prev = Some(id);
+        let pos = r.point()?;
+        finite(pos.x, "node position")?;
+        finite(pos.y, "node position")?;
+        let range = finite(r.f64()?, "node range")?;
+        if range < 0.0 {
+            return Err(CodecError::Invalid("node range"));
+        }
+        net.insert_node(id, NodeConfig::new(pos, range));
+        if let Some(c) = r.color()? {
+            colors.push((id, c));
         }
     }
+    r.finish()?;
     for (id, c) in colors {
         net.set_color(id, c);
     }
     net.restore_id_watermark(next_id);
 
-    let stored = NetworkFingerprint {
-        nodes: field(&doc, "fp_nodes")?
-            .as_usize()
-            .ok_or_else(|| schema("`fp_nodes` must be an integer"))?,
-        next_id,
-        edges: field(&doc, "fp_edges")?
-            .as_usize()
-            .ok_or_else(|| schema("`fp_edges` must be an integer"))?,
-        max_color: u32::try_from(u64_field(&doc, "fp_max_color")?)
-            .map_err(|_| schema("`fp_max_color` out of u32 range"))?,
-    };
     let rebuilt = net.fingerprint();
     if rebuilt != stored {
-        return Err(schema(format!(
-            "snapshot fingerprint mismatch: stored {stored:?}, rebuilt {rebuilt:?}"
-        )));
+        return Err(CodecError::Fingerprint { stored, rebuilt });
     }
-
     Ok(SnapshotDoc {
         net,
         strategy,
@@ -338,57 +379,85 @@ pub fn decode_snapshot(text: &str) -> Result<SnapshotDoc, CodecError> {
 mod tests {
     use super::*;
 
-    fn sample_events() -> Vec<Event> {
+    fn sample_records() -> Vec<(Event, ColorPlan)> {
         vec![
-            Event::Join {
-                cfg: NodeConfig::new(Point::new(0.125, -3.75), 5.5),
-            },
-            Event::Leave { node: NodeId(3) },
-            Event::Move {
-                node: NodeId(1),
-                to: Point::new(0.1 + 0.2, 9.0), // deliberately non-representable sum
-            },
-            Event::SetRange {
-                node: NodeId(2),
-                range: 7.25,
-            },
+            (
+                Event::Join {
+                    cfg: NodeConfig::new(Point::new(0.125, -3.75), 5.5),
+                },
+                vec![(NodeId(2), Color::new(3)), (NodeId(9), Color::new(1))],
+            ),
+            (Event::Leave { node: NodeId(3) }, vec![]),
+            (
+                Event::Move {
+                    node: NodeId(1),
+                    to: Point::new(0.1 + 0.2, 9.0), // deliberately non-representable sum
+                },
+                vec![(NodeId(1), Color::new(u32::MAX))],
+            ),
+            (
+                Event::SetRange {
+                    node: NodeId(2),
+                    range: 7.25,
+                },
+                vec![],
+            ),
         ]
     }
 
     #[test]
-    fn events_roundtrip_bit_identically() {
-        for e in sample_events() {
-            let text = encode_event(&e);
-            let back = decode_event(&text).unwrap();
-            assert_eq!(back, e, "through {text}");
+    fn records_roundtrip_bit_identically() {
+        let mut writes = ColorPlan::new();
+        for (event, plan) in sample_records() {
+            let mut bytes = Vec::new();
+            encode_record(&event, plan.iter().copied(), &mut bytes);
+            assert_eq!(bytes[0], FORMAT);
+            let back = decode_record(&bytes, &mut writes).unwrap();
+            assert_eq!(back, event);
+            assert_eq!(writes, plan);
             // Second generation must be byte-identical (stable output).
-            assert_eq!(encode_event(&back), text);
+            let mut again = Vec::new();
+            encode_record(&back, writes.iter().copied(), &mut again);
+            assert_eq!(again, bytes);
         }
     }
 
     #[test]
-    fn event_decode_rejects_malformed_documents() {
-        assert!(matches!(
-            decode_event("{\"t\":\"join\",\"x\":1.0}"),
-            Err(CodecError::Schema(_))
-        ));
-        assert!(matches!(
-            decode_event("{\"t\":\"warp\",\"node\":1}"),
-            Err(CodecError::Schema(_))
-        ));
-        assert!(matches!(
-            decode_event("{\"t\":\"leave\",\"node\":-1}"),
-            Err(CodecError::Schema(_))
-        ));
-        assert!(matches!(
-            decode_event("not json"),
-            Err(CodecError::Parse(_))
-        ));
-        // Trailing garbage is a parse error (hardened json module).
-        assert!(matches!(
-            decode_event("{\"t\":\"leave\",\"node\":1} extra"),
-            Err(CodecError::Parse(_))
-        ));
+    fn record_decode_rejects_malformed_payloads() {
+        let mut join = Vec::new();
+        let (event, plan) = &sample_records()[0];
+        encode_record(event, plan.iter().copied(), &mut join);
+        let mut writes = ColorPlan::new();
+        let decode = |bytes: &[u8], writes: &mut ColorPlan| decode_record(bytes, writes);
+
+        assert_eq!(decode(&[], &mut writes), Err(CodecError::Length));
+        assert_eq!(
+            decode(b"{\"t\":\"leave\",\"node\":1}", &mut writes),
+            Err(CodecError::Format(b'{'))
+        );
+        assert_eq!(
+            decode(&[FORMAT, 9], &mut writes),
+            Err(CodecError::Invalid("event kind"))
+        );
+        // A short body, and a partial write.
+        assert_eq!(decode(&join[..20], &mut writes), Err(CodecError::Length));
+        assert_eq!(
+            decode(&join[..join.len() - 1], &mut writes),
+            Err(CodecError::Length)
+        );
+        // Color 0 and a write order that is not strictly ascending.
+        let mut bad = join.clone();
+        bad[30..34].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            decode(&bad, &mut writes),
+            Err(CodecError::Invalid("write color 0"))
+        );
+        let mut bad = join.clone();
+        bad[34..38].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            decode(&bad, &mut writes),
+            Err(CodecError::Invalid("write order"))
+        );
     }
 
     #[test]
@@ -407,39 +476,39 @@ mod tests {
         }
         strategy.apply(&mut net, &Event::Leave { node: NodeId(5) });
 
-        let text = encode_snapshot(&net, StrategyKind::Minim, 41);
-        let doc = decode_snapshot(&text).unwrap();
+        let bytes = encode_snapshot(&net, StrategyKind::Minim, 41);
+        let doc = decode_snapshot(&bytes).unwrap();
         assert_eq!(doc.strategy, StrategyKind::Minim);
         assert_eq!(doc.events_applied, 41);
         assert_eq!(doc.net.state_digest(), net.state_digest());
         assert_eq!(doc.net.describe(), net.describe());
         assert_eq!(doc.net.obstacles(), net.obstacles());
         // Re-encoding the restored network reproduces the exact bytes.
-        assert_eq!(encode_snapshot(&doc.net, doc.strategy, 41), text);
+        assert_eq!(encode_snapshot(&doc.net, doc.strategy, 41), bytes);
     }
 
     #[test]
-    fn snapshot_rejects_fingerprint_mismatch() {
+    fn snapshot_rejects_fingerprint_mismatch_and_bad_layout() {
         let mut net = Network::new(5.0);
         net.insert_node(NodeId(0), NodeConfig::new(Point::new(0.0, 0.0), 4.0));
-        let text = encode_snapshot(&net, StrategyKind::Cp, 1);
-        let tampered = text.replace("\"fp_nodes\": 1", "\"fp_nodes\": 2");
-        assert_ne!(tampered, text, "replacement must hit");
+        let bytes = encode_snapshot(&net, StrategyKind::Cp, 1);
+        // The stored node count sits after format, strategy, flat,
+        // events applied, cell hint and id watermark.
+        let mut tampered = bytes.clone();
+        tampered[23] = 2;
         assert!(matches!(
             decode_snapshot(&tampered),
-            Err(CodecError::Schema(_))
+            Err(CodecError::Fingerprint { .. })
         ));
-    }
-
-    #[test]
-    fn snapshot_rejects_bad_version() {
-        let mut net = Network::new(5.0);
-        net.insert_node(NodeId(0), NodeConfig::new(Point::new(0.0, 0.0), 4.0));
-        let text = encode_snapshot(&net, StrategyKind::Bbb, 1);
-        let bumped = text.replace("\"v\": 1", "\"v\": 99");
-        assert!(matches!(
-            decode_snapshot(&bumped),
-            Err(CodecError::Schema(_))
-        ));
+        let mut bumped = bytes.clone();
+        bumped[0] = 99;
+        assert_eq!(decode_snapshot(&bumped).err(), Some(CodecError::Format(99)));
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(decode_snapshot(&trailing).err(), Some(CodecError::Length));
+        assert_eq!(
+            decode_snapshot(&bytes[..bytes.len() - 1]).err(),
+            Some(CodecError::Length)
+        );
     }
 }

@@ -1,17 +1,20 @@
 //! The crash-safe engine facade.
 //!
 //! [`Engine`] wraps a [`Network`] + [`RecodingStrategy`] pair with
-//! durability: every event is **journaled before it is applied**
-//! (write-ahead logging), the journal is fsynced in configurable
-//! batches, and the full state is periodically checkpointed into a
-//! checksummed snapshot, at which point the journal rotates to a fresh
-//! segment and the superseded files are deleted.
+//! durability. [`Engine::apply`] applies each event through the
+//! strategy, then journals one record: the event plus the `(node,
+//! color)` writes the strategy decided on (physical redo logging, as
+//! in ARIES). The journal is fsynced in configurable batches, and the
+//! full state is periodically checkpointed into a checksummed snapshot,
+//! at which point the journal rotates to a fresh segment and the
+//! superseded files are deleted. Both use the binary layouts of
+//! [`crate::codec`].
 //!
 //! ## On-disk layout
 //!
 //! The engine owns a flat directory:
 //!
-//! * `snap-<seq>` — one checksummed frame holding the snapshot JSON;
+//! * `snap-<seq>` — one checksummed frame holding the snapshot;
 //!   snapshot `seq` is the state at the *start* of segment `seq`.
 //! * `wal-<seq>`  — journal segments: one frame per event. A
 //!   generation is `snap-<S>` followed by segments `wal-<S>`,
@@ -41,31 +44,59 @@
 //! last one present. Recovery so never has to find a write cursor
 //! inside an old file, and a clean open writes nothing.
 //!
+//! ## Apply order and failed writes
+//!
+//! An event is checked, applied in memory, encoded into a reused frame
+//! buffer, appended, and fsynced per `sync_every`. It is acknowledged
+//! when [`Engine::apply`] returns `Ok` with the engine not quarantined.
+//! Because the record needs the strategy's decision, the event is
+//! applied *before* it is journaled, so a failed segment roll or
+//! append leaves memory one event ahead of disk: `apply` returns `Err`
+//! and the engine quarantines. A failed fsync leaves memory ahead of
+//! durable disk in the same way: `apply` returns `Ok` for the applied
+//! event, and the engine quarantines. In both cases the in-memory
+//! state is never acknowledged, and reopening recovers what the disk
+//! holds.
+//!
 //! ## Recovery
 //!
 //! [`Engine::open`] loads the newest decodable snapshot (each is
 //! CRC-framed *and* self-verifies its fingerprint on rebuild), then
-//! replays the journal suffix through the strategy. The scanner tells
-//! a clean end (EOF or zero padding) from a torn tail (a broken last
-//! frame with only zeros after it) and from corruption (a broken frame
-//! or a zero header with non-zero bytes after it); see
-//! [`crate::journal`]. A torn tail or corruption truncates the segment
-//! at the last valid boundary, and later segments are deleted; the
-//! [`RecoveryReport`] says exactly how many events were replayed, how
-//! many bytes were cut, and how many frames were corrupt.
-//! A frame whose CRC holds but whose payload does not decode is
-//! corruption or a codec bug, not a torn write, and acknowledged
-//! frames may follow it: recovery replays the prefix before it, keeps
-//! every byte on disk, and opens in read-only quarantine with a reason
-//! naming the segment and byte offset. Because PRs 1–8 proved
-//! the strategies bit-deterministic, replaying the same prefix
-//! reproduces the pre-crash state *exactly* — recovery is not
-//! approximate, and the tests assert it with whole-state digests.
+//! redoes the journal suffix without calling any planner. Each record
+//! runs the event's topology step, commits the recorded writes, and
+//! checks CA1/CA2 around the event node and the written nodes
+//! ([`conflict::validate_delta`]). Recovery so reproduces the
+//! acknowledged coloring exactly, whatever planner tie-break the
+//! running build has.
+//!
+//! The scanner tells a clean end (EOF or zero padding) from a torn
+//! tail (a broken last frame with only zeros after it) and from
+//! corruption (a broken frame or a zero header with non-zero bytes
+//! after it); see [`crate::journal`]. A torn tail or corruption
+//! truncates the segment at the last valid boundary, and later
+//! segments are deleted; the [`RecoveryReport`] says exactly how many
+//! events were replayed, how many bytes were cut, and how many frames
+//! were corrupt.
+//!
+//! A frame whose CRC holds but whose record cannot be redone is
+//! corruption or a writer bug, not a torn write, and acknowledged
+//! frames may follow it. That covers a payload that does not decode
+//! (a v1 JSON frame among them), an event the engine would have
+//! rejected at [`Engine::apply`] (an absent node, a non-finite or
+//! negative value), a write to a node that is not live after the
+//! topology step, and writes that fail the CA1/CA2 check. Recovery
+//! rebuilds the state of the prefix before that frame, keeps every
+//! byte on disk, and opens in read-only quarantine with a reason
+//! naming the segment and byte offset.
+//!
+//! A v1 directory (JSON payloads) is refused, not migrated: its
+//! snapshot fails to decode, so [`Engine::open`] returns
+//! [`EngineError::Corrupt`] naming format v1.
 //!
 //! ## Quarantine
 //!
 //! After any write-path failure (failed append, fsync, rotation), or
-//! when recovery meets an undecodable frame, the engine degrades to
+//! when recovery meets a record it cannot redo, the engine degrades to
 //! **read-only quarantine**: state accessors keep working, every
 //! mutation returns [`EngineError::Quarantined`], and the reason is
 //! preserved. This is the post-`fsync`-failure posture:
@@ -74,18 +105,19 @@
 
 use std::io;
 
-use minim_core::{RecodingStrategy, StrategyKind};
+use minim_core::{commit_plan, validation_seeds, ColorPlan, RecodingStrategy, StrategyKind};
 use minim_geom::Point;
-use minim_net::event::{AppliedEvent, Event};
+use minim_graph::conflict;
+use minim_net::event::{apply_topology_delta, AppliedEvent, Event};
 use minim_net::Network;
 
 use crate::codec;
 use crate::fs::{DiskFs, FaultFs};
 use crate::journal::{self, ScanEnd, FRAME_HEADER};
 
-/// Physical size of a journal segment. 256 KiB holds over 3,000 events
-/// of a typical 76-byte frame, so its zero fill (about 0.5 ms with the
-/// fsyncs) costs well under a microsecond per event.
+/// Physical size of a journal segment. 256 KiB holds about 8,000 events
+/// at the 31-byte mean frame of Minim churn, so its zero fill (about
+/// 0.5 ms with the fsyncs) costs well under a microsecond per event.
 pub const SEGMENT_BYTES: u64 = 256 * 1024;
 
 /// Tuning knobs for [`Engine::open_with`].
@@ -144,8 +176,8 @@ pub enum EngineError {
         detail: String,
     },
     /// The event references state that doesn't exist (e.g. a leave for
-    /// an absent node). Rejected *before* journaling, so bad input
-    /// never poisons the log.
+    /// an absent node). Rejected *before* it is applied or journaled,
+    /// so bad input never poisons the log.
     InvalidEvent {
         /// What was wrong.
         detail: String,
@@ -187,8 +219,8 @@ pub struct RecoveryReport {
     /// Journal bytes discarded past the last valid frame boundary.
     pub bytes_truncated: u64,
     /// Structurally complete frames that failed their CRC (dropped) or
-    /// their payload decode (kept on disk, engine quarantined). Torn
-    /// tails count only toward `bytes_truncated`.
+    /// their redo (kept on disk, engine quarantined). Torn tails count
+    /// only toward `bytes_truncated`.
     pub corrupt_frames: u64,
     /// Total events reflected in the recovered state (snapshot base +
     /// replayed suffix). Recovered state ≡ a fresh engine fed exactly
@@ -211,6 +243,54 @@ fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
         return None;
     }
     digits.parse().ok()
+}
+
+/// Rejects events that reference absent nodes, carry non-finite
+/// coordinates, or carry a non-finite or negative range. [`Engine::apply`]
+/// runs it before applying, and recovery before redoing a record, so
+/// neither a buggy caller nor a damaged record reaches a panicking
+/// network mutator.
+fn check_event(net: &Network, event: &Event) -> Result<(), String> {
+    let invalid = |what: &str| Err(format!("{event:?} has {what}"));
+    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+    let valid_range = |r: f64| r.is_finite() && r >= 0.0;
+    let node = match event {
+        Event::Join { cfg } => {
+            if !finite(&cfg.pos) {
+                return invalid("a non-finite position");
+            }
+            if !valid_range(cfg.range) {
+                return invalid("a non-finite or negative range");
+            }
+            return Ok(());
+        }
+        Event::Move { to, .. } if !finite(to) => return invalid("a non-finite position"),
+        Event::SetRange { range, .. } if !valid_range(*range) => {
+            return invalid("a non-finite or negative range")
+        }
+        Event::Leave { node } | Event::Move { node, .. } | Event::SetRange { node, .. } => *node,
+    };
+    if net.config(node).is_none() {
+        return Err(format!("{event:?} targets absent node {node:?}"));
+    }
+    Ok(())
+}
+
+/// Redoes one journal record on `net`: the event's topology step, then
+/// the recorded writes, then the CA1/CA2 check around the event node
+/// and the written nodes. `writes` is scratch. On `Err` the network
+/// may hold part of the record.
+fn redo(net: &mut Network, payload: &[u8], writes: &mut ColorPlan) -> Result<(), String> {
+    let event = codec::decode_record(payload, writes).map_err(|e| e.to_string())?;
+    check_event(net, &event)?;
+    let (_, delta) = apply_topology_delta(net, &event, None);
+    if let Some(&(node, _)) = writes.iter().find(|&&(n, _)| !net.contains(n)) {
+        return Err(format!("{event:?} records a write to absent node {node:?}"));
+    }
+    let outcome = commit_plan(net, writes);
+    let seeds = validation_seeds(&delta, &outcome);
+    conflict::validate_delta(net.graph(), net.assignment(), &seeds)
+        .map_err(|v| format!("{event:?} and its writes leave {v}"))
 }
 
 /// The crash-safe facade over a network + strategy pair. See the
@@ -286,37 +366,54 @@ impl Engine {
         let mut report = RecoveryReport::default();
 
         // Newest decodable snapshot wins. Each candidate must pass its
-        // frame CRC, parse, and rebuild to its stored fingerprint.
+        // frame CRC, decode, and rebuild to its stored fingerprint.
+        let t_snapshot = std::time::Instant::now();
         let mut base: Option<(u64, codec::SnapshotDoc)> = None;
+        let mut newest_error = None;
         for &s in snaps.iter().rev() {
             match Engine::load_snapshot(fs.as_mut(), s) {
                 Ok(doc) => {
                     base = Some((s, doc));
                     break;
                 }
-                Err(_) => report.snapshots_discarded += 1,
+                Err(e) => {
+                    newest_error.get_or_insert(e);
+                    report.snapshots_discarded += 1;
+                }
             }
         }
         let (base_seq, snap) = base.ok_or_else(|| EngineError::Corrupt {
-            detail: format!("no decodable snapshot among {} candidates", snaps.len()),
+            detail: format!(
+                "no decodable snapshot among {} candidates; newest: {}",
+                snaps.len(),
+                newest_error.map_or_else(String::new, |e| e.to_string())
+            ),
         })?;
         report.snapshot_seq = base_seq;
+        minim_obs::observe_ns!(
+            "serve.recover.snapshot_ns",
+            t_snapshot.elapsed().as_nanos() as u64
+        );
 
+        let t_replay = std::time::Instant::now();
         let mut net = snap.net;
         let strategy_kind = snap.strategy;
-        let mut strategy = strategy_kind.build();
         let mut events_applied = snap.events_applied;
         let mut quarantine = None;
+        let mut writes = ColorPlan::new();
+        // Payloads redone so far, to rebuild the prefix if a record
+        // fails halfway through its redo.
+        let mut redone: Vec<Vec<u8>> = Vec::new();
 
-        // Replay journal segments from the base forward, in order: the
+        // Redo journal segments from the base forward, in order: the
         // generation's own segments, and any an interrupted rotation or
         // a discarded newer snapshot left behind.
         let mut halted = false;
         for &w in wals.iter().filter(|&&w| w >= base_seq) {
             if halted {
                 // Past a truncated segment: the events in it depend
-                // on state we cut away. Past an undecodable frame, the
-                // bytes stay on disk for inspection.
+                // on state we cut away. Past a record that failed its
+                // redo, the bytes stay on disk for inspection.
                 if quarantine.is_none() {
                     let _ = fs.remove(&wal_name(w));
                 }
@@ -326,30 +423,31 @@ impl Engine {
             let bytes = fs
                 .read(&name)
                 .map_err(|source| EngineError::Io { op: "read", source })?;
-            let scanned = journal::scan(&bytes);
+            let mut scanned = journal::scan(&bytes);
 
-            // Replay the valid prefix, watching for frames whose CRC
-            // holds but whose payload doesn't decode (writer bug or
+            // Redo the valid prefix, watching for frames whose CRC
+            // holds but whose record can't be redone (writer bug or
             // CRC-colliding rot). Such a frame is not a torn write:
             // the frames after it were acknowledged, so nothing is
             // cut. Recovery stops there and opens read-only.
             let mut offset = 0usize;
-            for payload in &scanned.frames {
-                match codec::decode_event(&String::from_utf8_lossy(payload)) {
-                    Ok(event) => {
-                        strategy.apply(&mut net, &event);
-                        events_applied += 1;
-                        report.frames_replayed += 1;
-                        offset += FRAME_HEADER + payload.len();
+            for payload in std::mem::take(&mut scanned.frames) {
+                if let Err(e) = redo(&mut net, &payload, &mut writes) {
+                    report.corrupt_frames += 1;
+                    quarantine = Some(format!("bad record in {name} at byte {offset}: {e}"));
+                    halted = true;
+                    // The failed redo may have applied part of the
+                    // record: rebuild the prefix before it.
+                    net = Engine::load_snapshot(fs.as_mut(), base_seq)?.net;
+                    for p in &redone {
+                        redo(&mut net, p, &mut writes).expect("a redone record redoes again");
                     }
-                    Err(e) => {
-                        report.corrupt_frames += 1;
-                        quarantine =
-                            Some(format!("undecodable frame in {name} at byte {offset}: {e}"));
-                        halted = true;
-                        break;
-                    }
+                    break;
                 }
+                events_applied += 1;
+                report.frames_replayed += 1;
+                offset += FRAME_HEADER + payload.len();
+                redone.push(payload);
             }
             if halted {
                 continue;
@@ -367,6 +465,10 @@ impl Engine {
             }
         }
         report.events_total = events_applied;
+        minim_obs::observe_ns!(
+            "serve.recover.replay_ns",
+            t_replay.elapsed().as_nanos() as u64
+        );
 
         // Stale generations below the base are leftovers of an
         // interrupted rotation; clear them (best-effort — recovery
@@ -387,7 +489,7 @@ impl Engine {
         Ok(Engine {
             fs,
             net,
-            strategy,
+            strategy: strategy_kind.build(),
             strategy_kind,
             opts,
             gen: base_seq,
@@ -420,8 +522,7 @@ impl Engine {
         } else {
             Network::new(opts.cell_hint)
         };
-        let doc = codec::encode_snapshot(&net, opts.strategy, 0);
-        let frame = journal::encode_frame(doc.as_bytes());
+        let frame = journal::encode_frame(&codec::encode_snapshot(&net, opts.strategy, 0));
         fs.replace(&snap_name(0), &frame)
             .map_err(|source| EngineError::Io {
                 op: "genesis snapshot",
@@ -461,8 +562,7 @@ impl Engine {
                 ),
             });
         }
-        let text = String::from_utf8_lossy(&scanned.frames[0]);
-        codec::decode_snapshot(&text).map_err(|e| EngineError::Corrupt {
+        codec::decode_snapshot(&scanned.frames[0]).map_err(|e| EngineError::Corrupt {
             detail: format!("snapshot {seq}: {e}"),
         })
     }
@@ -483,63 +583,35 @@ impl Engine {
         }
     }
 
-    /// Rejects events that reference absent nodes, carry non-finite
-    /// coordinates, or carry a non-finite or negative range *before*
-    /// they reach the journal, so a buggy caller can't poison the log
-    /// with frames that will not decode or will panic on replay.
-    fn check_event(&self, event: &Event) -> Result<(), EngineError> {
-        let invalid = |what: &str| {
-            Err(EngineError::InvalidEvent {
-                detail: format!("{event:?} has {what}"),
-            })
-        };
-        let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
-        let valid_range = |r: f64| r.is_finite() && r >= 0.0;
-        let node = match event {
-            Event::Join { cfg } => {
-                if !finite(&cfg.pos) {
-                    return invalid("a non-finite position");
-                }
-                if !valid_range(cfg.range) {
-                    return invalid("a non-finite or negative range");
-                }
-                return Ok(());
-            }
-            Event::Move { to, .. } if !finite(to) => return invalid("a non-finite position"),
-            Event::SetRange { range, .. } if !valid_range(*range) => {
-                return invalid("a non-finite or negative range")
-            }
-            Event::Leave { node } | Event::Move { node, .. } | Event::SetRange { node, .. } => {
-                *node
-            }
-        };
-        if self.net.config(node).is_none() {
-            return Err(EngineError::InvalidEvent {
-                detail: format!("{event:?} targets absent node {node:?}"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Journals `event`, fsyncs per policy, applies it through the
-    /// strategy, and auto-snapshots if the interval elapsed. On any
-    /// write failure the engine quarantines; see the module docs for
-    /// which failures still apply the event in memory.
+    /// Applies `event` through the strategy, journals it with the
+    /// writes the strategy decided on, fsyncs per policy, and
+    /// auto-snapshots if the interval elapsed. On any write failure the
+    /// engine quarantines; see the module docs for what memory and disk
+    /// then hold.
     pub fn apply(&mut self, event: &Event) -> Result<AppliedEvent, EngineError> {
         let _span = minim_obs::span!("serve.apply");
         self.guard()?;
-        self.check_event(event)?;
+        check_event(&self.net, event).map_err(|detail| EngineError::InvalidEvent { detail })?;
 
-        let payload = codec::encode_event(event);
+        let (applied, outcome) = self.strategy.apply(&mut self.net, event);
+        self.events_applied += 1;
+        self.events_since_snapshot += 1;
+
         self.frame.clear();
-        journal::encode_frame_into(payload.as_bytes(), &mut self.frame);
+        self.frame.resize(FRAME_HEADER, 0);
+        let writes = outcome
+            .recoded
+            .iter()
+            .map(|&(node, _, color)| (node, color));
+        codec::encode_record(event, writes, &mut self.frame);
+        journal::seal_frame(&mut self.frame);
         let frame_len = self.frame.len() as u64;
+        // From here on a failure leaves the event in memory only.
         self.make_room(frame_len)?;
         let t_append = std::time::Instant::now();
         if let Err(source) = self.fs.append(&self.seg_name, &self.frame) {
-            // Not applied: the frame may be torn on disk, and recovery
-            // will truncate it — memory and disk agree the event never
-            // happened.
+            // The frame may be torn on disk, and recovery will truncate
+            // it: the disk says the event never happened.
             self.quarantine_now(format!("journal append failed: {source}"));
             return Err(EngineError::Io {
                 op: "append",
@@ -547,34 +619,22 @@ impl Engine {
             });
         }
         minim_obs::observe_ns!("serve.append_ns", t_append.elapsed().as_nanos() as u64);
+        minim_obs::counter!("serve.events", 1);
         self.seg_used += frame_len;
         self.appends_since_sync += 1;
 
-        let mut sync_failure = None;
         if self.opts.sync_every > 0 && self.appends_since_sync >= self.opts.sync_every {
             let t_sync = std::time::Instant::now();
-            match self.fs.sync(&self.seg_name) {
-                Ok(()) => {
-                    minim_obs::observe_ns!("serve.fsync_ns", t_sync.elapsed().as_nanos() as u64);
-                    self.appends_since_sync = 0;
-                }
-                Err(source) => sync_failure = Some(source),
+            if let Err(source) = self.fs.sync(&self.seg_name) {
+                // Post-fsync-failure the page cache can no longer be
+                // trusted; stop accepting writes. The event is
+                // journaled but unacknowledged, exactly as durable as
+                // any unsynced write.
+                self.quarantine_now(format!("journal fsync failed: {source}"));
+                return Ok(applied);
             }
-        }
-        minim_obs::counter!("serve.events", 1);
-
-        // The append succeeded, so the in-memory state advances even if
-        // the fsync just failed: the event is journaled-but-
-        // unacknowledged, exactly as durable as any unsynced write.
-        let (applied, _outcome) = self.strategy.apply(&mut self.net, event);
-        self.events_applied += 1;
-        self.events_since_snapshot += 1;
-
-        if let Some(source) = sync_failure {
-            // Post-fsync-failure the page cache can no longer be
-            // trusted; stop accepting writes.
-            self.quarantine_now(format!("journal fsync failed: {source}"));
-            return Ok(applied);
+            minim_obs::observe_ns!("serve.fsync_ns", t_sync.elapsed().as_nanos() as u64);
+            self.appends_since_sync = 0;
         }
 
         if self.opts.snapshot_every > 0 && self.events_since_snapshot >= self.opts.snapshot_every {
@@ -623,7 +683,7 @@ impl Engine {
         self.guard()?;
         let next = self.seq + 1;
         let doc = codec::encode_snapshot(&self.net, self.strategy_kind, self.events_applied);
-        let frame = journal::encode_frame(doc.as_bytes());
+        let frame = journal::encode_frame(&doc);
         if let Err(source) = self.fs.replace(&snap_name(next), &frame) {
             self.quarantine_now(format!("snapshot write failed: {source}"));
             return Err(EngineError::Io {
@@ -946,8 +1006,13 @@ mod tests {
         events
     }
 
-    fn frame_len(event: &Event) -> u64 {
-        journal::encode_frame(codec::encode_event(event).as_bytes()).len() as u64
+    /// Bytes the record of `event` with `outcome`'s writes takes in a
+    /// segment.
+    fn frame_len(event: &Event, outcome: &minim_core::RecodeOutcome) -> u64 {
+        let mut payload = Vec::new();
+        let writes = outcome.recoded.iter().map(|&(n, _, c)| (n, c));
+        codec::encode_record(event, writes, &mut payload);
+        journal::encode_frame(&payload).len() as u64
     }
 
     /// Fills more than one segment with `snapshot_every = 0`, then
@@ -960,25 +1025,23 @@ mod tests {
     #[test]
     fn crash_around_a_segment_roll_recovers_and_continues() {
         // Enough events that the last few spill into a second segment.
-        let mut events = spread_moves(8_000);
-        let mut bytes = 0;
-        let roll_event = events
-            .iter()
-            .position(|e| {
-                bytes += frame_len(e);
-                bytes > SEGMENT_BYTES
-            })
-            .expect("the stream overflows one segment");
-        events.truncate(roll_event + 4);
-
         // Oracle digests of every prefix (eight nodes: cheap).
+        let mut events = spread_moves(10_000);
         let mut net = Network::new(opts().cell_hint);
         let mut strategy = StrategyKind::Minim.build();
         let mut oracle = vec![net.state_digest()];
-        for e in &events {
-            strategy.apply(&mut net, e);
+        let mut bytes = 0;
+        let mut roll_event = None;
+        for (i, e) in events.iter().enumerate() {
+            let (_, outcome) = strategy.apply(&mut net, e);
             oracle.push(net.state_digest());
+            bytes += frame_len(e, &outcome);
+            if bytes > SEGMENT_BYTES {
+                roll_event.get_or_insert(i);
+            }
         }
+        let roll_event = roll_event.expect("the stream overflows one segment");
+        events.truncate(roll_event + 4);
 
         for sync_every in [0u64, 1, 3] {
             let o = EngineOptions {

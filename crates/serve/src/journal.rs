@@ -42,30 +42,33 @@ pub const FRAME_HEADER: usize = 8;
 /// multi-gigabyte allocation during recovery.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Appends `payload`, wrapped in a length-prefixed checksummed frame,
-/// to `out`.
+/// Fills in the header of a frame whose payload was written after
+/// [`FRAME_HEADER`] placeholder bytes: `frame` is the whole frame, and
+/// its length and checksum go into the first eight bytes. Writers
+/// encode in place this way, into a buffer they reuse.
 ///
 /// # Panics
-/// Panics if `payload` is empty (a zero length marks the end of a
+/// Panics if the payload is empty (a zero length marks the end of a
 /// segment) or longer than [`MAX_FRAME`].
-pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) {
+pub fn seal_frame(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
     assert!(!payload.is_empty(), "frame payload must not be empty");
     assert!(
         payload.len() <= MAX_FRAME as usize,
         "frame payload {} exceeds MAX_FRAME",
         payload.len()
     );
-    out.reserve(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Wraps `payload` in a length-prefixed checksummed frame; see
-/// [`encode_frame_into`].
+/// [`seal_frame`].
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_frame_into(payload, &mut out);
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
 }
 

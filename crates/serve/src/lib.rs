@@ -3,10 +3,11 @@
 //! Everything upstream of this crate is deterministic by proof: the
 //! strategies in `minim-core` produce bit-identical state for a given
 //! event stream (the delta and planner equivalence suites pin this).
-//! `minim-serve` turns that determinism into **crash safety**: if
-//! every applied event is durably journaled first, then any crash
-//! leaves a valid prefix of the stream on disk, and replaying that
-//! prefix reproduces the pre-crash state exactly — not approximately.
+//! `minim-serve` turns that into **crash safety**: every applied event
+//! is durably journaled together with the coloring decision it led to,
+//! so any crash leaves a valid prefix of the stream on disk, and
+//! redoing that prefix reproduces the pre-crash state exactly — not
+//! approximately, and without re-running any planner.
 //!
 //! The pieces, bottom-up:
 //!
@@ -19,11 +20,13 @@
 //! * [`journal`] — length-prefixed checksummed frames, a zero length
 //!   as the end marker, and the recovery scanner that tells a clean
 //!   end from a torn tail from corruption.
-//! * [`codec`] — events and whole-network snapshots as deterministic
-//!   JSON (shortest-roundtrip floats, stable key order).
-//! * [`engine`] — the [`Engine`] facade: journal-then-apply, batched
+//! * [`codec`] — one fixed-layout, little-endian binary encoding for
+//!   journal records (an event plus the color writes its strategy
+//!   decided on) and whole-network snapshots.
+//! * [`engine`] — the [`Engine`] facade: apply-then-journal, batched
 //!   fsync into preallocated segments, auto-snapshot + segment
-//!   rotation, and read-only quarantine after write failures.
+//!   rotation, recovery that redoes recorded writes without planning,
+//!   and read-only quarantine after write failures.
 //!
 //! The crate-level integration test (`tests/journal_recovery.rs` at
 //! the workspace root) crashes an engine at every scripted fault site
@@ -42,4 +45,4 @@ pub use codec::{CodecError, SnapshotDoc};
 pub use crc::crc32;
 pub use engine::{Engine, EngineError, EngineOptions, RecoveryReport, SEGMENT_BYTES};
 pub use fs::{DiskFs, Fault, FaultFs, MemFs};
-pub use journal::{encode_frame, encode_frame_into, scan, ScanEnd, ScannedSegment};
+pub use journal::{encode_frame, scan, seal_frame, ScanEnd, ScannedSegment};

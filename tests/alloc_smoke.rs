@@ -19,14 +19,17 @@
 //! PR 10 threads `minim-obs` instrumentation through all of these
 //! paths. The registry records by default, so every phase below pins
 //! its zero with metrics **live** — counters, gauges, histograms, and
-//! span rings must recycle like everything else. The final phase adds
-//! the serve journal: its encode path allocates by design, so its pin
-//! is differential — an identical workload costs exactly the same
+//! span rings must recycle like everything else. Phase 4 adds the
+//! serve engine: its apply path allocates (the strategy's outcome,
+//! `MemFs` growth, snapshot rotation), so its pin is differential — an identical workload costs exactly the same
 //! allocation count with observability recording as with it disabled.
 //!
-//! The last phase pins the recode planner (Minim's join/move plan, Fig
-//! 3 / Fig 8): a warm `RecodePlanner` gathering constraint masks and
+//! Phase 5 pins the recode planner (Minim's join/move plan, Fig 3 /
+//! Fig 8): a warm `RecodePlanner` gathering constraint masks and
 //! solving the matching on a dense arena reuses all of its scratch.
+//! The last phase pins the journal record encoder: an event and its
+//! color writes encode into a reused frame buffer, as `Engine::apply`
+//! does, with no allocation.
 //!
 //! The check uses a counting global allocator (this integration test
 //! is its own binary, so the allocator sees only this file's tests;
@@ -35,11 +38,13 @@
 
 use minim_core::{Minim, RecodePlanner, RecodingStrategy, KEEP_WEIGHT};
 use minim_geom::{Point, Segment};
-use minim_graph::NodeId;
+use minim_graph::{Color, NodeId};
 use minim_net::event::Event;
 use minim_net::{Network, NodeConfig};
 use minim_power::{PowerLadder, PowerLoopConfig, PowerSession};
-use minim_serve::{Engine, EngineOptions, MemFs};
+use minim_serve::codec::encode_record;
+use minim_serve::journal::FRAME_HEADER;
+use minim_serve::{seal_frame, Engine, EngineOptions, MemFs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -198,7 +203,7 @@ fn steady_state_rewire_allocates_nothing() {
     // Every phase above already ran with the minim-obs registry
     // recording (the default), so their zeros pin instrumented rewire
     // and settle. The serve engine's apply path
-    // allocates by design (event/frame encoding, MemFs growth,
+    // allocates by design (the strategy's outcome, MemFs growth,
     // snapshot rotation), so its pin is differential: two fresh
     // engines fed byte-identical workloads — one with observability
     // recording, one with it runtime-disabled — must cost *exactly*
@@ -330,6 +335,62 @@ fn steady_state_rewire_allocates_nothing() {
         0,
         "warm recode planning (gather + matching kernel) must be \
          allocation-free, saw {} allocations over 25 plans",
+        after - before
+    );
+
+    // --- Phase 6: the journal record encoder. ---
+    // Every event kind, with no write, one, and many, sealed into one
+    // reused frame buffer the way the engine journals a record.
+    let writes: Vec<(NodeId, Color)> = (0..64u32)
+        .map(|k| (NodeId(k * 3), Color::new(k % 7 + 1)))
+        .collect();
+    let records = [
+        (
+            Event::Join {
+                cfg: NodeConfig::new(Point::new(1.5, 2.5), 20.0),
+            },
+            1,
+        ),
+        (Event::Leave { node: NodeId(4) }, 0),
+        (
+            Event::Move {
+                node: NodeId(2),
+                to: Point::new(40.0, 5.0),
+            },
+            64,
+        ),
+        (
+            Event::SetRange {
+                node: NodeId(5),
+                range: 35.0,
+            },
+            2,
+        ),
+    ];
+    let mut frame = Vec::new();
+    let encode_cycle = |frame: &mut Vec<u8>| {
+        for (event, k) in &records {
+            frame.clear();
+            frame.resize(FRAME_HEADER, 0);
+            encode_record(event, writes[..*k].iter().copied(), frame);
+            seal_frame(frame);
+        }
+    };
+    for _ in 0..12 {
+        encode_cycle(&mut frame);
+    }
+
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..25 {
+        encode_cycle(&mut frame);
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+
+    assert_eq!(
+        after - before,
+        0,
+        "warm record encoding must be allocation-free, saw {} allocations \
+         over 25 cycles",
         after - before
     );
 }

@@ -14,12 +14,19 @@
 //! mutating op. Bit-identity is asserted with
 //! [`Network::state_digest`] (configs, colors, adjacency, obstacles,
 //! id watermark) plus a full `describe()` comparison.
+//!
+//! Each journal record carries its strategy's color writes, and
+//! recovery redoes them without planning. The second half of the suite
+//! plants records that recovery must refuse, and one valid record
+//! whose writes no planner would choose, which recovery must apply as
+//! recorded.
 
 use minim::core::StrategyKind;
 use minim::geom::Point;
+use minim::graph::{Color, NodeId};
 use minim::net::event::{apply_topology, Event};
 use minim::net::{Network, NodeConfig};
-use minim::serve::codec::encode_event;
+use minim::serve::codec::encode_record;
 use minim::serve::engine::EngineOptions;
 use minim::serve::fs::{Fault, MemFs};
 use minim::serve::{encode_frame, scan, Engine, EngineError, SEGMENT_BYTES};
@@ -93,9 +100,26 @@ fn churn_events_in(seed: u64, n: usize, arena: f64, edge: f64) -> Vec<Event> {
     events
 }
 
-/// Bytes `e` takes in a journal segment.
-fn frame_len(e: &Event) -> usize {
-    encode_frame(encode_event(e).as_bytes()).len()
+/// A journal frame holding the record of `event` with `writes`.
+fn record_frame(event: &Event, writes: &[(NodeId, Color)]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    encode_record(event, writes.iter().copied(), &mut payload);
+    encode_frame(&payload)
+}
+
+/// Bytes each event's record takes in a journal segment when `kind`
+/// applies `events` from an empty network.
+fn frame_lens(kind: StrategyKind, events: &[Event]) -> Vec<usize> {
+    let mut net = Network::new(CELL_HINT);
+    let mut strategy = kind.build();
+    events
+        .iter()
+        .map(|e| {
+            let (_, outcome) = strategy.apply(&mut net, e);
+            let writes: Vec<_> = outcome.recoded.iter().map(|&(n, _, c)| (n, c)).collect();
+            record_frame(e, &writes).len()
+        })
+        .collect()
 }
 
 /// The never-crashed oracle: a fresh network fed `events` through the
@@ -268,7 +292,7 @@ fn short_write_tears_are_truncated() {
         assert_eq!(r.frames_replayed, 5, "keep={keep}");
         // The torn frame sits in the zero fill; truncation cuts it and
         // the rest of the fill. With nothing written the end is clean.
-        let prefix: usize = events[..5].iter().map(frame_len).sum();
+        let prefix: usize = frame_lens(StrategyKind::Minim, &events[..5]).iter().sum();
         let cut = if keep == 0 {
             0
         } else {
@@ -471,8 +495,9 @@ fn snapshot_roundtrip_is_bit_identical_across_strategies() {
 }
 
 proptest! {
-    /// Random event streams × random crash sites × all strategies ×
-    /// both cadence knobs: recovery is always an exact oracle prefix.
+    /// Random event streams × random crash sites × both cadence
+    /// knobs, for each of Minim, CP and BBB: recovery is always an
+    /// exact oracle prefix.
     #[test]
     fn recovery_is_an_oracle_prefix(
         seed in 0u64..1_000_000,
@@ -481,46 +506,69 @@ proptest! {
         keep in 0usize..16,
         sync_every in 1u64..4,
         snapshot_every in 0u64..9,
-        kind_ix in 0usize..3,
     ) {
-        let kind = StrategyKind::ALL[kind_ix];
-        let events = churn_events(seed, n);
-        let o = opts(kind, snapshot_every, sync_every);
-
-        let clean = MemFs::new();
-        drive(&clean, o, &events);
-        let total_ops = clean.op_count();
-
-        let crash_op = ((total_ops as f64) * crash_frac) as usize;
-        let fs = MemFs::new();
-        fs.arm(crash_op, Fault::Crash { keep_unsynced: keep });
-        let acked = drive(&fs, o, &events);
-        fs.revive();
-
-        let eng = match Engine::open_with(Box::new(fs.clone()), o) {
-            Ok(eng) => eng,
-            Err(e) => {
-                // Only legitimate if the crash predates a durable
-                // genesis snapshot.
-                prop_assert!(
-                    crash_op == 0,
-                    "reopen failed after crash at op {crash_op}: {e}"
-                );
-                return Ok(());
-            }
-        };
-        let total = eng.recovery_report().events_total as usize;
-        prop_assert!(total <= events.len());
-        if sync_every == 1 {
-            prop_assert!(
-                total >= acked,
-                "lost acknowledged events: {total} < {acked} (crash at {crash_op})"
-            );
+        for kind in StrategyKind::ALL {
+            oracle_prefix_case(kind, seed, n, crash_frac, keep, sync_every, snapshot_every)?;
         }
-        let reference = oracle(kind, &events[..total]);
-        prop_assert_eq!(eng.net().state_digest(), reference.state_digest());
-        prop_assert_eq!(eng.net().describe(), reference.describe());
     }
+}
+
+/// One case of [`recovery_is_an_oracle_prefix`] for one strategy.
+fn oracle_prefix_case(
+    kind: StrategyKind,
+    seed: u64,
+    n: usize,
+    crash_frac: f64,
+    keep: usize,
+    sync_every: u64,
+    snapshot_every: u64,
+) -> Result<(), String> {
+    let events = churn_events(seed, n);
+    let o = opts(kind, snapshot_every, sync_every);
+
+    let clean = MemFs::new();
+    drive(&clean, o, &events);
+    let total_ops = clean.op_count();
+
+    let crash_op = ((total_ops as f64) * crash_frac) as usize;
+    let fs = MemFs::new();
+    fs.arm(
+        crash_op,
+        Fault::Crash {
+            keep_unsynced: keep,
+        },
+    );
+    let acked = drive(&fs, o, &events);
+    fs.revive();
+
+    let eng = match Engine::open_with(Box::new(fs.clone()), o) {
+        Ok(eng) => eng,
+        Err(e) => {
+            // Only legitimate if the crash predates a durable
+            // genesis snapshot.
+            prop_assert!(
+                crash_op == 0,
+                "{kind:?}: reopen failed after crash at op {crash_op}: {e}"
+            );
+            return Ok(());
+        }
+    };
+    let total = eng.recovery_report().events_total as usize;
+    prop_assert!(total <= events.len());
+    if sync_every == 1 {
+        prop_assert!(
+            total >= acked,
+            "{kind:?}: lost acknowledged events: {total} < {acked} (crash at {crash_op})"
+        );
+    }
+    let reference = oracle(kind, &events[..total]);
+    prop_assert_eq!(
+        eng.net().state_digest(),
+        reference.state_digest(),
+        "{kind:?}: crash at {crash_op}"
+    );
+    prop_assert_eq!(eng.net().describe(), reference.describe(), "{kind:?}");
+    Ok(())
 }
 
 /// The real-filesystem arm: journal + crash (simulated by closing the
@@ -575,12 +623,14 @@ fn diskfs_end_to_end_recovery() {
 /// so the stream crosses a segment roll as well as rotations.
 #[test]
 fn diskfs_journaled_digest_equals_bare_strategy() {
-    let events = churn_events_in(88, 8_000, 2_000.0, 0.005);
-    let snapshot_every = 5_000;
-    let journaled: usize = events[..snapshot_every].iter().map(frame_len).sum();
+    let events = churn_events_in(88, 14_000, 2_000.0, 0.005);
+    let snapshot_every = 10_000;
+    let journaled: usize = frame_lens(StrategyKind::Minim, &events[..snapshot_every])
+        .iter()
+        .sum();
     assert!(
         journaled > SEGMENT_BYTES as usize,
-        "the first generation must roll"
+        "the first generation must roll: {journaled} bytes"
     );
     let bare = oracle(StrategyKind::Minim, &events).state_digest();
     for sync_every in [1, 64] {
@@ -604,5 +654,247 @@ fn diskfs_journaled_digest_equals_bare_strategy() {
         assert_eq!(eng.net().state_digest(), bare, "sync_every={sync_every}");
         drop(eng);
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// Journals `events` through Minim into one segment, with every event
+/// acknowledged and no snapshot, and returns the store.
+fn journaled(events: &[Event]) -> MemFs {
+    let fs = MemFs::new();
+    assert_eq!(
+        drive(&fs, opts(StrategyKind::Minim, 0, 1), events),
+        events.len()
+    );
+    fs
+}
+
+/// Rewrites `wal-0` of a [`journaled`] store as its first `at` frames,
+/// then `planted`, then the rest. Returns the new segment and the byte
+/// offset of the planted frame.
+fn plant(fs: &MemFs, at: usize, planted: &[u8]) -> (Vec<u8>, usize) {
+    let original = fs.with_raw("wal-0000000000", |d| d.clone());
+    let frames: Vec<Vec<u8>> = scan(&original)
+        .frames
+        .iter()
+        .map(|p| encode_frame(p))
+        .collect();
+    let offset: usize = frames[..at].iter().map(Vec::len).sum();
+    let mut wal = frames[..at].concat();
+    wal.extend_from_slice(planted);
+    wal.extend(frames[at..].concat());
+    fs.with_raw("wal-0000000000", |d| *d = wal.clone());
+    (wal, offset)
+}
+
+/// A CRC-valid record that recovery cannot redo — whatever the reason —
+/// quarantines recovery at the oracle prefix before it, names the
+/// segment and byte offset, and keeps every byte on disk. Covers an
+/// event naming an absent node (which used to panic the network's
+/// mutators), a non-finite coordinate, writes to an absent node, a join
+/// without a write for the joiner, and writes that break CA1.
+#[test]
+fn crc_valid_unreplayable_records_quarantine_at_the_oracle_prefix() {
+    let events = churn_events(66, 14);
+    let at = 5;
+    let prefix = oracle(StrategyKind::Minim, &events[..at]);
+    let joiner = prefix.peek_next_id();
+    let far = |range| Event::Join {
+        cfg: NodeConfig::new(Point::new(1e4, 1e4), range),
+    };
+    let host = prefix.iter_nodes().next().expect("the prefix has a node");
+    let host_color = prefix.assignment().get(host).expect("colored");
+    let absent = NodeId(999);
+    let c1 = Color::new(1);
+    type Case = (&'static str, Event, Vec<(NodeId, Color)>);
+    let cases: Vec<Case> = vec![
+        (
+            "leave of an absent node",
+            Event::Leave { node: absent },
+            vec![],
+        ),
+        (
+            "move of an absent node",
+            Event::Move {
+                node: absent,
+                to: Point::new(1.0, 1.0),
+            },
+            vec![],
+        ),
+        (
+            "set-range of an absent node",
+            Event::SetRange {
+                node: absent,
+                range: 5.0,
+            },
+            vec![],
+        ),
+        (
+            "NaN coordinate",
+            Event::Join {
+                cfg: NodeConfig {
+                    pos: Point::new(f64::NAN, 1.0),
+                    range: 5.0,
+                },
+            },
+            vec![(joiner, c1)],
+        ),
+        (
+            "write to an absent node",
+            far(5.0),
+            vec![(joiner, c1), (absent, c1)],
+        ),
+        ("join without a write for the joiner", far(5.0), vec![]),
+        (
+            "writes that break CA1",
+            Event::Join {
+                cfg: NodeConfig::new(prefix.config(host).expect("host").pos, 10.0),
+            },
+            vec![(joiner, host_color)],
+        ),
+    ];
+    for (what, event, writes) in cases {
+        let fs = journaled(&events);
+        let (wal, planted_at) = plant(&fs, at, &record_frame(&event, &writes));
+        for open in ["first", "second"] {
+            let mut eng = Engine::open_with(Box::new(fs.clone()), opts(StrategyKind::Minim, 0, 1))
+                .unwrap_or_else(|e| panic!("{what}: {open} open failed: {e}"));
+            let r = *eng.recovery_report();
+            assert_eq!(r.events_total, at as u64, "{what}: {open} open");
+            assert_eq!(r.corrupt_frames, 1, "{what}: {open} open");
+            assert_eq!(r.bytes_truncated, 0, "{what}: {open} open");
+            assert_matches_oracle(StrategyKind::Minim, &events, &eng, what);
+            let reason = eng.quarantine_reason().expect("quarantined");
+            assert!(
+                reason.contains("wal-0000000000") && reason.contains(&format!("byte {planted_at}")),
+                "{what}: reason must name the segment and offset: {reason}"
+            );
+            assert!(matches!(
+                eng.apply(&events[at]),
+                Err(EngineError::Quarantined { .. })
+            ));
+            drop(eng);
+            assert_eq!(fs.with_raw("wal-0000000000", |d| d.clone()), wal, "{what}");
+        }
+    }
+}
+
+/// Recovery commits the writes a record carries; it does not plan the
+/// event again. The planted join is valid, but its writes are not the
+/// ones Minim would choose, so a recovery that re-planned would end in
+/// another coloring.
+#[test]
+fn recovery_applies_the_recorded_decision_not_a_replan() {
+    let events = churn_events(66, 14);
+    let fs = journaled(&events);
+    let mut expected = oracle(StrategyKind::Minim, &events);
+    let joiner = expected.peek_next_id();
+    // Far from everyone: Minim gives the joiner color 1.
+    let join = Event::Join {
+        cfg: NodeConfig::new(Point::new(1e4, 1e4), 10.0),
+    };
+    let recorded = Color::new(7);
+    let replanned = oracle(
+        StrategyKind::Minim,
+        &[events.clone(), vec![join.clone()]].concat(),
+    );
+    assert_ne!(replanned.assignment().get(joiner), Some(recorded));
+    plant(
+        &fs,
+        events.len(),
+        &record_frame(&join, &[(joiner, recorded)]),
+    );
+
+    let mut eng =
+        Engine::open_with(Box::new(fs.clone()), opts(StrategyKind::Minim, 0, 1)).expect("open");
+    assert!(!eng.is_quarantined(), "{:?}", eng.quarantine_reason());
+    assert_eq!(eng.recovery_report().events_total, events.len() as u64 + 1);
+    assert_eq!(eng.net().assignment().get(joiner), Some(recorded));
+    apply_topology(&mut expected, &join);
+    expected.set_color(joiner, recorded);
+    assert_eq!(eng.net().state_digest(), expected.state_digest());
+    eng.net()
+        .validate()
+        .expect("the recorded decision is valid");
+    // The recovered state takes new events.
+    eng.apply(&join).expect("apply after reopen");
+}
+
+/// A v1 directory (JSON snapshot and frames, as written before the
+/// binary format) is refused with a `Corrupt` error naming format v1,
+/// and a v1 segment behind a binary snapshot quarantines with its
+/// bytes kept.
+#[test]
+fn format_v1_directories_are_refused_by_name() {
+    let v1_snapshot = include_str!("fixtures/journal-v1/snap-0000000000.json").trim_end();
+    let v1_wal: Vec<u8> = include_str!("fixtures/journal-v1/wal-0000000000.jsonl")
+        .lines()
+        .flat_map(|line| encode_frame(line.as_bytes()))
+        .collect();
+    let o = opts(StrategyKind::Minim, 0, 1);
+
+    let fs = MemFs::new();
+    fs.with_raw("snap-0000000000", |d| {
+        *d = encode_frame(v1_snapshot.as_bytes())
+    });
+    fs.with_raw("wal-0000000000", |d| *d = v1_wal.clone());
+    match Engine::open_with(Box::new(fs.clone()), o) {
+        Ok(_) => panic!("a v1 snapshot must be refused"),
+        Err(EngineError::Corrupt { detail }) => {
+            assert!(detail.contains("format v1"), "{detail}")
+        }
+        Err(e) => panic!("expected Corrupt, got {e}"),
+    }
+    assert_eq!(fs.with_raw("wal-0000000000", |d| d.clone()), v1_wal);
+
+    // A binary genesis snapshot with the v1 segment behind it.
+    let fs = MemFs::new();
+    drop(Engine::open_with(Box::new(fs.clone()), o).expect("genesis"));
+    fs.with_raw("wal-0000000000", |d| *d = v1_wal.clone());
+    let eng = Engine::open_with(Box::new(fs.clone()), o).expect("open");
+    assert_eq!(eng.recovery_report().events_total, 0);
+    let reason = eng.quarantine_reason().expect("quarantined");
+    assert!(
+        reason.contains("format v1") && reason.contains("wal-0000000000 at byte 0"),
+        "{reason}"
+    );
+    drop(eng);
+    assert_eq!(fs.with_raw("wal-0000000000", |d| d.clone()), v1_wal);
+}
+
+/// The engine applies an event before journaling it, so a failed append
+/// leaves the event in memory but not on disk: `apply` returns `Err`,
+/// the engine quarantines, and reopening recovers the prefix without
+/// the event.
+#[test]
+fn failed_append_quarantines_and_reopen_recovers_the_prefix() {
+    let events = churn_events(21, 10);
+    let o = opts(StrategyKind::Minim, 0, 1);
+    for keep in [0usize, 9] {
+        let fs = MemFs::new();
+        // Op 0 is genesis, op 1 the segment's preallocation, then
+        // append + sync per event: fail the 6th event's append.
+        fs.arm(2 + 5 * 2, Fault::ShortWrite { keep });
+        let mut eng = Engine::open_with(Box::new(fs.clone()), o).expect("open");
+        for e in &events[..5] {
+            eng.apply(e).expect("clean prefix");
+        }
+        let err = eng.apply(&events[5]).unwrap_err();
+        assert!(matches!(err, EngineError::Io { op: "append", .. }), "{err}");
+        assert!(eng.is_quarantined());
+        assert_eq!(eng.events_applied(), 6, "memory is one event ahead");
+        assert_eq!(
+            eng.net().state_digest(),
+            oracle(StrategyKind::Minim, &events[..6]).state_digest()
+        );
+        assert!(matches!(
+            eng.apply(&events[6]),
+            Err(EngineError::Quarantined { .. })
+        ));
+        drop(eng);
+
+        let eng = Engine::open_with(Box::new(fs), o).expect("reopen");
+        assert!(!eng.is_quarantined());
+        assert_eq!(eng.recovery_report().events_total, 5, "keep={keep}");
+        assert_matches_oracle(StrategyKind::Minim, &events, &eng, "failed append");
     }
 }
