@@ -287,7 +287,6 @@ fn radio_goodput_study(cfg: &ExperimentConfig, retune_windows: &[u64]) -> Table 
                 }
                 let mut traffic_rng = StdRng::seed_from_u64(seed ^ 0xABCD);
                 let stats = run_scenario(
-                    &mut *s,
                     &mut net,
                     &schedule,
                     1000,
@@ -297,6 +296,7 @@ fn radio_goodput_study(cfg: &ExperimentConfig, retune_windows: &[u64]) -> Table 
                         ..RadioConfig::default()
                     },
                     &mut traffic_rng,
+                    |net, e| s.apply(net, e).1,
                 );
                 cols[si * 2].push(stats.lost_to_outages() as f64);
                 cols[si * 2 + 1].push(stats.goodput() * 100.0);

@@ -10,11 +10,11 @@
 //! assignment — "BBB performs badly since it recolors the entire
 //! network at each event").
 
-use crate::{EventEffect, RecodeOutcome, RecodingStrategy};
+use crate::{ColorPlan, RecodingStrategy};
 use minim_coloring::{dsatur, rlf, smallest_last, Coloring};
-use minim_geom::Point;
-use minim_graph::{conflict, Color, NodeId, UGraph};
-use minim_net::{Network, NodeConfig};
+use minim_graph::{conflict, Color, UGraph};
+use minim_net::event::AppliedEvent;
+use minim_net::{Network, TopologyDelta};
 
 /// Which global heuristic BBB runs at each event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,16 +59,6 @@ impl Bbb {
             heuristic: GlobalHeuristic::Rlf,
         }
     }
-
-    /// Recolors the whole network from scratch.
-    fn recolor_all(&self, net: &mut Network) {
-        let (ug, ids) = conflict::conflict_graph(net.graph());
-        let coloring = self.heuristic.run(&ug);
-        for (i, &id) in ids.iter().enumerate() {
-            net.assignment_mut().set(id, Color::new(coloring.colors[i]));
-        }
-        debug_assert!(net.validate().is_ok(), "BBB global recolor invalid");
-    }
 }
 
 impl RecodingStrategy for Bbb {
@@ -76,42 +66,23 @@ impl RecodingStrategy for Bbb {
         "BBB"
     }
 
-    // BBB deliberately ignores the delta's locality — recoloring the
-    // whole network at every event is exactly the behaviour the paper
-    // measures it for. The delta still flows through so the runner's
-    // accounting (edge churn, local validation seeds) is uniform
-    // across strategies.
-
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let before = net.snapshot_assignment();
-        let delta = net.insert_node(id, cfg);
-        self.recolor_all(net);
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let before = net.snapshot_assignment();
-        let delta = net.remove_node(id);
-        self.recolor_all(net);
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let before = net.snapshot_assignment();
-        let delta = net.move_node(id, to);
-        self.recolor_all(net);
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let before = net.snapshot_assignment();
-        let delta = net.set_range(id, range);
-        self.recolor_all(net);
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
+    /// Recolors the whole network from scratch: a write for every
+    /// node, of which [`crate::commit_plan`] keeps those that change a
+    /// color. BBB deliberately ignores the delta's locality —
+    /// recoloring the whole network at every event is exactly the
+    /// behaviour the paper measures it for.
+    fn plan_batched(
+        &self,
+        net: &Network,
+        _applied: &AppliedEvent,
+        _delta: &TopologyDelta,
+    ) -> ColorPlan {
+        let (ug, ids) = conflict::conflict_graph(net.graph());
+        let coloring = self.heuristic.run(&ug);
+        ids.into_iter()
+            .zip(coloring.colors)
+            .map(|(id, c)| (id, Color::new(c)))
+            .collect()
     }
 }
 
@@ -120,6 +91,7 @@ mod tests {
     use super::*;
     use crate::StrategyKind;
     use minim_net::workload::JoinWorkload;
+    use minim_net::NodeConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -36,15 +36,11 @@
 //! are > 2 hops apart and cannot constrain each other), and keeps runs
 //! deterministic.
 
-use crate::{
-    commit_plan, debug_assert_locally_valid, range_direction, ColorPlan, EventEffect,
-    RecodeOutcome, RecodingStrategy,
-};
-use minim_geom::Point;
+use crate::{ColorPlan, RecodingStrategy};
 use minim_graph::{conflict, hops};
 use minim_graph::{Color, ColorView, NodeId};
 use minim_net::event::{AppliedEvent, PowerDirection};
-use minim_net::{Network, NodeConfig, TopologyDelta};
+use minim_net::{Network, TopologyDelta};
 use std::collections::{HashMap, HashSet};
 
 /// The Chlamtac–Pinter recoding baseline.
@@ -280,42 +276,6 @@ impl RecodingStrategy for Cp {
             }
         }
     }
-
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let delta = net.insert_node(id, cfg);
-        let plan = self.plan_batched(net, &AppliedEvent::Joined(id), &delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let delta = net.remove_node(id);
-        let outcome = RecodeOutcome {
-            recoded: Vec::new(),
-            max_color_after: net.max_color_index(),
-        };
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
-
-    /// Leave + join: the mover forgets its color before rejoining.
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let delta = net.move_node(id, to);
-        let plan = self.plan_batched(net, &AppliedEvent::Moved(id), &delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let dir = range_direction(net, id, range);
-        let delta = net.set_range(id, range);
-        let plan = self.plan_batched(net, &AppliedEvent::RangeChanged(id, dir), &delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
 }
 
 #[cfg(test)]
@@ -324,6 +284,7 @@ mod tests {
     use crate::{Minim, RecodingStrategy, StrategyKind};
     use minim_geom::{sample, Point, Rect};
     use minim_net::workload::{JoinWorkload, MovementWorkload, PowerRaiseWorkload};
+    use minim_net::NodeConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -20,6 +20,12 @@
 //! the assignment is valid after every round; the maximum color index
 //! is non-increasing and the process reaches a fixpoint (each node's
 //! color is non-increasing and bounded below by 1).
+//!
+//! Gossip is a background process for quiet times, not an event rule,
+//! so it is no [`crate::RecodingStrategy`]. A caller that interleaves it
+//! with events runs [`GossipCompactor::round`] between them, as
+//! `minim_sim::experiments::hybrid_gossip_study` does every `period`
+//! events.
 
 use minim_graph::{conflict, Color, NodeId};
 use minim_net::Network;
@@ -84,103 +90,6 @@ impl GossipCompactor {
             max_color_before,
             max_color_after: net.max_color_index(),
         }
-    }
-}
-
-/// Minim with background gossip: the §6 "future work" strategy made
-/// first-class. Events are handled by [`crate::Minim`]; after every
-/// `period` events the compactor runs one gossip round (the quiet-time
-/// behaviour, interleaved). Gossip migrations are honestly charged as
-/// recodings in the returned outcomes.
-#[derive(Debug, Clone)]
-pub struct MinimWithGossip {
-    inner: crate::Minim,
-    /// Events between gossip rounds.
-    pub period: usize,
-    events_since_gossip: usize,
-}
-
-impl MinimWithGossip {
-    /// Creates the hybrid with the given gossip period (≥ 1).
-    pub fn new(period: usize) -> Self {
-        assert!(period >= 1, "gossip period must be at least 1");
-        MinimWithGossip {
-            inner: crate::Minim::default(),
-            period,
-            events_since_gossip: 0,
-        }
-    }
-
-    /// Runs gossip when due, merging its migrations into the effect's
-    /// outcome.
-    fn maybe_gossip(
-        &mut self,
-        net: &mut minim_net::Network,
-        before: &minim_graph::Assignment,
-        effect: crate::EventEffect,
-    ) -> crate::EventEffect {
-        self.events_since_gossip += 1;
-        if self.events_since_gossip < self.period {
-            return effect;
-        }
-        self.events_since_gossip = 0;
-        GossipCompactor.round(net);
-        // Recompute the combined diff against the pre-event snapshot so
-        // event recodes and gossip migrations are both counted (a node
-        // recoded twice counts once — it retunes once per event batch).
-        crate::EventEffect {
-            delta: effect.delta,
-            outcome: crate::RecodeOutcome::from_diff(net, before),
-        }
-    }
-}
-
-impl crate::RecodingStrategy for MinimWithGossip {
-    fn name(&self) -> &'static str {
-        "Minim+Gossip"
-    }
-
-    fn on_join_delta(
-        &mut self,
-        net: &mut minim_net::Network,
-        id: minim_graph::NodeId,
-        cfg: minim_net::NodeConfig,
-    ) -> crate::EventEffect {
-        let before = net.snapshot_assignment();
-        let effect = self.inner.on_join_delta(net, id, cfg);
-        self.maybe_gossip(net, &before, effect)
-    }
-
-    fn on_leave_delta(
-        &mut self,
-        net: &mut minim_net::Network,
-        id: minim_graph::NodeId,
-    ) -> crate::EventEffect {
-        let before = net.snapshot_assignment();
-        let effect = self.inner.on_leave_delta(net, id);
-        self.maybe_gossip(net, &before, effect)
-    }
-
-    fn on_move_delta(
-        &mut self,
-        net: &mut minim_net::Network,
-        id: minim_graph::NodeId,
-        to: minim_geom::Point,
-    ) -> crate::EventEffect {
-        let before = net.snapshot_assignment();
-        let effect = self.inner.on_move_delta(net, id, to);
-        self.maybe_gossip(net, &before, effect)
-    }
-
-    fn on_set_range_delta(
-        &mut self,
-        net: &mut minim_net::Network,
-        id: minim_graph::NodeId,
-        range: f64,
-    ) -> crate::EventEffect {
-        let before = net.snapshot_assignment();
-        let effect = self.inner.on_set_range_delta(net, id, range);
-        self.maybe_gossip(net, &before, effect)
     }
 }
 
@@ -272,75 +181,5 @@ mod tests {
         let stats = GossipCompactor.run(&mut net, 10);
         assert_eq!(stats.migrations, 0);
         assert_eq!(stats.max_color_after, 0);
-    }
-
-    #[test]
-    fn hybrid_strategy_stays_valid_and_compacts_colors() {
-        let mut rng = StdRng::seed_from_u64(20);
-        let join_events = JoinWorkload::paper(50).generate(&mut rng);
-        let move_rounds: Vec<_> = {
-            let mut ghost = Network::new(25.0);
-            let mut m = Minim::default();
-            for e in &join_events {
-                m.apply(&mut ghost, e);
-            }
-            (0..5)
-                .map(|_| {
-                    let round = MovementWorkload::paper(40.0, 1).generate_round(&ghost, &mut rng);
-                    for e in &round {
-                        minim_net::event::apply_topology(&mut ghost, e);
-                    }
-                    round
-                })
-                .collect()
-        };
-
-        let run = |strategy: &mut dyn RecodingStrategy| {
-            let mut net = Network::new(25.0);
-            for e in &join_events {
-                strategy.apply(&mut net, e);
-                assert!(net.validate().is_ok(), "{}", strategy.name());
-            }
-            for round in &move_rounds {
-                for e in round {
-                    strategy.apply(&mut net, e);
-                    assert!(net.validate().is_ok(), "{}", strategy.name());
-                }
-            }
-            net.max_color_index()
-        };
-        let plain = run(&mut Minim::default());
-        let hybrid = run(&mut MinimWithGossip::new(10));
-        assert!(
-            hybrid <= plain,
-            "gossip must not inflate colors: hybrid {hybrid} vs plain {plain}"
-        );
-    }
-
-    #[test]
-    fn hybrid_gossip_fires_on_schedule() {
-        let mut s = MinimWithGossip::new(3);
-        let mut net = Network::new(10.0);
-        // Three joins: gossip fires on the third (no visible effect on
-        // a compact assignment, but the counter must reset).
-        for i in 0..3 {
-            let id = net.next_id();
-            s.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(Point::new(i as f64 * 30.0, 0.0), 5.0),
-            );
-        }
-        assert_eq!(s.events_since_gossip, 0, "fired and reset");
-        let id = net.next_id();
-        s.on_join(&mut net, id, NodeConfig::new(Point::new(90.0, 0.0), 5.0));
-        assert_eq!(s.events_since_gossip, 1);
-        assert_eq!(s.name(), "Minim+Gossip");
-    }
-
-    #[test]
-    #[should_panic(expected = "period")]
-    fn hybrid_rejects_zero_period() {
-        let _ = MinimWithGossip::new(0);
     }
 }

@@ -1,12 +1,11 @@
-//! Strategy instrumentation: wrap any [`RecodingStrategy`] and collect
-//! per-event-type accounting — the bookkeeping behind the §5 metrics,
-//! reusable by examples and by downstream users evaluating their own
-//! strategies.
+//! Per-event-type accounting of a run — the bookkeeping behind the §5
+//! metrics, reusable by examples and by downstream users evaluating
+//! their own strategies. Feed [`StrategyStats::record`] each result of
+//! [`crate::run_event`].
 
-use crate::{EventEffect, RecodeOutcome, RecodingStrategy};
-use minim_geom::Point;
-use minim_graph::NodeId;
-use minim_net::{Network, NodeConfig};
+use crate::RecodeOutcome;
+use minim_net::event::AppliedEvent;
+use minim_net::TopologyDelta;
 
 /// Counters for one event type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,6 +56,25 @@ pub struct StrategyStats {
 }
 
 impl StrategyStats {
+    /// Accounts one event: what the topology step did, its delta, and
+    /// what the writes recoded.
+    pub fn record(
+        &mut self,
+        applied: &AppliedEvent,
+        delta: &TopologyDelta,
+        outcome: &RecodeOutcome,
+    ) {
+        let kind = match applied {
+            AppliedEvent::Joined(_) => &mut self.joins,
+            AppliedEvent::Left(_) => &mut self.leaves,
+            AppliedEvent::Moved(_) => &mut self.moves,
+            AppliedEvent::RangeChanged(..) => &mut self.range_changes,
+        };
+        kind.record(outcome);
+        self.peak_color = self.peak_color.max(outcome.max_color_after);
+        self.edge_churn += delta.edge_churn();
+    }
+
     /// Totals across all kinds.
     pub fn total_events(&self) -> usize {
         self.joins.events + self.leaves.events + self.moves.events + self.range_changes.events
@@ -92,130 +110,76 @@ impl std::fmt::Display for StrategyStats {
     }
 }
 
-/// A strategy wrapper that accounts every event.
-#[derive(Debug, Clone, Default)]
-pub struct Instrumented<S> {
-    inner: S,
-    /// The accumulated counters.
-    pub stats: StrategyStats,
-}
-
-impl<S: RecodingStrategy> Instrumented<S> {
-    /// Wraps `inner`.
-    pub fn new(inner: S) -> Self {
-        Instrumented {
-            inner,
-            stats: StrategyStats::default(),
-        }
-    }
-
-    /// The wrapped strategy.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    fn absorb(&mut self, effect: &EventEffect) {
-        self.stats.peak_color = self.stats.peak_color.max(effect.outcome.max_color_after);
-        self.stats.edge_churn += effect.delta.edge_churn();
-    }
-}
-
-impl<S: RecodingStrategy> RecodingStrategy for Instrumented<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let effect = self.inner.on_join_delta(net, id, cfg);
-        self.stats.joins.record(&effect.outcome);
-        self.absorb(&effect);
-        effect
-    }
-
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let effect = self.inner.on_leave_delta(net, id);
-        self.stats.leaves.record(&effect.outcome);
-        self.absorb(&effect);
-        effect
-    }
-
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let effect = self.inner.on_move_delta(net, id, to);
-        self.stats.moves.record(&effect.outcome);
-        self.absorb(&effect);
-        effect
-    }
-
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let effect = self.inner.on_set_range_delta(net, id, range);
-        self.stats.range_changes.record(&effect.outcome);
-        self.absorb(&effect);
-        effect
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Minim;
-    use minim_geom::{sample, Rect};
+    use crate::{run_event, Minim, ValidationMode, Writes};
+    use minim_geom::{sample, Point, Rect};
+    use minim_graph::Color;
+    use minim_net::event::Event;
     use minim_net::workload::{JoinWorkload, MovementWorkload};
+    use minim_net::{Network, NodeConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Runs `event` with Minim and accounts it.
+    fn run(stats: &mut StrategyStats, net: &mut Network, event: &Event) {
+        let done = run_event(
+            net,
+            event,
+            None,
+            Writes::Plan(&Minim::default()),
+            ValidationMode::Delta,
+        )
+        .expect("Minim keeps the network valid");
+        stats.record(&done.applied, &done.delta, &done.outcome);
+    }
 
     #[test]
     fn counts_every_event_kind() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut s = Instrumented::new(Minim::default());
+        let mut s = StrategyStats::default();
         let mut net = Network::new(25.0);
         for e in JoinWorkload::paper(20).generate(&mut rng) {
-            s.apply(&mut net, &e);
+            run(&mut s, &mut net, &e);
         }
         for e in MovementWorkload::paper(30.0, 1).generate_round(&net, &mut rng) {
-            s.apply(&mut net, &e);
+            run(&mut s, &mut net, &e);
         }
         let ids = net.node_ids();
         let victim = ids[rng.gen_range(0..ids.len())];
         let r = net.config(victim).unwrap().range;
-        s.on_set_range(&mut net, victim, r * 2.0);
-        s.on_set_range(&mut net, victim, r); // decrease back
-        s.on_leave(&mut net, ids[0]);
+        let range = |range| Event::SetRange {
+            node: victim,
+            range,
+        };
+        run(&mut s, &mut net, &range(r * 2.0));
+        run(&mut s, &mut net, &range(r)); // decrease back
+        run(&mut s, &mut net, &Event::Leave { node: ids[0] });
 
-        assert_eq!(s.stats.joins.events, 20);
-        assert_eq!(s.stats.moves.events, 20);
-        assert_eq!(s.stats.range_changes.events, 2);
-        assert_eq!(s.stats.leaves.events, 1);
-        assert_eq!(s.stats.total_events(), 43);
-        assert_eq!(s.stats.leaves.recodings, 0, "leaves are free");
-        assert!(
-            s.stats.joins.recodings >= 20,
-            "every join colors the joiner"
-        );
-        assert_eq!(s.stats.peak_color, {
-            // Peak is at least the current max (colors never exceeded it
-            // later without being observed).
-            let now = net.max_color_index();
-            s.stats.peak_color.max(now)
-        });
-        assert_eq!(s.name(), "Minim");
+        assert_eq!(s.joins.events, 20);
+        assert_eq!(s.moves.events, 20);
+        assert_eq!(s.range_changes.events, 2);
+        assert_eq!(s.leaves.events, 1);
+        assert_eq!(s.total_events(), 43);
+        assert_eq!(s.leaves.recodings, 0, "leaves are free");
+        assert!(s.joins.recodings >= 20, "every join colors the joiner");
+        assert!(s.peak_color >= net.max_color_index());
+        assert!(s.edge_churn > 0, "joins wire edges");
     }
 
     #[test]
     fn mean_recodings_and_display() {
-        let mut s = Instrumented::new(Minim::default());
+        let mut s = StrategyStats::default();
         let mut net = Network::new(10.0);
         let arena = Rect::paper_arena();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..5 {
-            let id = net.next_id();
-            s.on_join(
-                &mut net,
-                id,
-                NodeConfig::new(sample::uniform_point(&mut rng, &arena), 20.0),
-            );
+            let cfg = NodeConfig::new(sample::uniform_point(&mut rng, &arena), 20.0);
+            run(&mut s, &mut net, &Event::Join { cfg });
         }
-        assert!(s.stats.joins.mean_recodings() >= 1.0);
-        let text = s.stats.to_string();
+        assert!(s.joins.mean_recodings() >= 1.0);
+        let text = s.to_string();
         assert!(text.contains("5 joins"));
         assert!(text.contains("peak color"));
         assert_eq!(KindStats::default().mean_recodings(), 0.0);
@@ -223,17 +187,15 @@ mod tests {
 
     #[test]
     fn worst_event_tracks_maximum() {
-        let mut s = Instrumented::new(Minim::default());
+        let mut s = StrategyStats::default();
         let mut net = Network::new(10.0);
         // A join with duplicate-colored in-neighbors recodes > 1 node.
-        use minim_geom::Point;
-        use minim_graph::Color;
         let a = net.join(NodeConfig::new(Point::new(44.0, 50.0), 7.0));
         let b = net.join(NodeConfig::new(Point::new(56.0, 50.0), 7.0));
         net.set_color(a, Color::new(1));
         net.set_color(b, Color::new(1));
-        let id = net.next_id();
-        s.on_join(&mut net, id, NodeConfig::new(Point::new(50.0, 50.0), 7.0));
-        assert_eq!(s.stats.joins.worst_event, 2, "one duplicate + the joiner");
+        let cfg = NodeConfig::new(Point::new(50.0, 50.0), 7.0);
+        run(&mut s, &mut net, &Event::Join { cfg });
+        assert_eq!(s.joins.worst_event, 2, "one duplicate + the joiner");
     }
 }

@@ -1,8 +1,13 @@
 //! The recoding strategies — the paper's contribution and its baselines.
 //!
 //! A *recoding strategy* is a set of algorithms, one per reconfiguration
-//! event type, that restores CA1/CA2 after the event (§2). This crate
-//! implements three:
+//! event type, that restores CA1/CA2 after the event (§2). Here a
+//! strategy only decides: [`RecodingStrategy::plan_batched`] reads the
+//! network after the event's topology step and returns the `(node,
+//! color)` writes that restore CA1/CA2. [`run_event`] runs every event
+//! the same way — check, topology step, writes, commit, local
+//! validation — whether the writes come from a strategy (live) or from
+//! a journal record (recovery). This crate implements three strategies:
 //!
 //! * [`Minim`] — the paper's contribution (§4): provably **minimal**
 //!   recoding per event. Joins and moves solve a maximum-weight
@@ -18,8 +23,9 @@
 //!
 //! [`bounds`] computes the paper's minimal-recoding lower bounds so
 //! tests can verify [`Minim`] attains them *exactly* (Theorems 4.1.8,
-//! 4.2.3, 4.3.3, 4.4.4), and [`gossip`] implements the future-work
-//! extension sketched in §6 (background code-reuse compaction).
+//! 4.2.3, 4.3.3, 4.4.4), [`gossip`] implements the background
+//! code-reuse compaction sketched as future work in §6, and
+//! [`StrategyStats`] accounts a run per event type.
 
 #![deny(missing_docs)]
 
@@ -32,13 +38,12 @@ pub mod minim;
 
 pub use bbb::Bbb;
 pub use cp::Cp;
-pub use gossip::MinimWithGossip;
-pub use instrument::{Instrumented, StrategyStats};
+pub use instrument::StrategyStats;
 pub use minim::{gather_recode_inputs, plan_recode, Minim, RecodePlanner, KEEP_WEIGHT};
 
 use minim_geom::Point;
 use minim_graph::{conflict, Color, NodeId};
-use minim_net::event::{AppliedEvent, Event, PowerDirection};
+use minim_net::event::{apply_topology_delta, AppliedEvent, Event};
 use minim_net::{Network, NodeConfig, TopologyDelta};
 
 /// What a strategy did in response to one event.
@@ -69,17 +74,6 @@ impl RecodeOutcome {
     }
 }
 
-/// The full effect of one handled event: the exact topology delta the
-/// substrate reported and the recoding the strategy performed on top
-/// of it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventEffect {
-    /// What the event did to the induced digraph.
-    pub delta: TopologyDelta,
-    /// What the strategy recoded in response.
-    pub outcome: RecodeOutcome,
-}
-
 /// The color writes one event's planning decided on, in application
 /// order. Committing a plan (see [`commit_plan`]) sets each pair on
 /// the real assignment; writes that match the node's current color are
@@ -90,7 +84,7 @@ pub type ColorPlan = Vec<(NodeId, Color)>;
 /// [`RecodeOutcome`] by diffing against the pre-commit colors — the
 /// `O(plan)` equivalent of `RecodeOutcome::from_diff`'s full-assignment
 /// scan (only planned nodes can have changed).
-pub fn commit_plan(net: &mut Network, plan: &ColorPlan) -> RecodeOutcome {
+pub fn commit_plan(net: &mut Network, plan: &[(NodeId, Color)]) -> RecodeOutcome {
     let mut recoded: Vec<(NodeId, Option<Color>, Color)> = Vec::with_capacity(plan.len());
     for &(n, c) in plan {
         let old = net.assignment().get(n);
@@ -110,112 +104,221 @@ pub fn commit_plan(net: &mut Network, plan: &ColorPlan) -> RecodeOutcome {
     }
 }
 
-/// A recoding strategy: one algorithm per event type.
+/// A recoding strategy: one decision per event.
 ///
-/// Each handler applies the topology change itself (so it can observe
-/// the network both before and after) and then restores CA1/CA2. Every
-/// implementation guarantees validity on return, provided it held
-/// before the event.
-///
-/// The `*_delta` handlers are the required implementations: they
-/// receive the [`TopologyDelta`] from the mutating `Network` call and
-/// recode *from the delta* — partitions, recode sets, and new
-/// constraints all come out of it, so per-event work is
-/// `O(affected neighborhood)`, matching the paper's locality claim.
-/// The delta-less `on_*` methods are provided conveniences for
-/// callers that only need the [`RecodeOutcome`].
+/// A strategy never mutates the network. [`run_event`] applies the
+/// event's topology step, asks [`RecodingStrategy::plan_batched`] for
+/// the writes, commits them and checks CA1/CA2 around the event. The
+/// provided `on_*` and [`RecodingStrategy::apply`] conveniences run
+/// [`run_event`] with [`ValidationMode::Off`] and panic if it fails.
 pub trait RecodingStrategy {
     /// Human-readable name for tables and plots.
     fn name(&self) -> &'static str;
 
-    /// Node `id` (fresh, from [`Network::next_id`]) joins with `cfg`.
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect;
-
-    /// Node `id` leaves the network.
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect;
-
-    /// Node `id` moves to `to`.
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect;
-
-    /// Node `id` changes its transmission range to `range` (the
-    /// strategy decides how to treat increases vs decreases).
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect;
-
-    /// Convenience: join, discarding the delta.
-    fn on_join(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> RecodeOutcome {
-        self.on_join_delta(net, id, cfg).outcome
-    }
-
-    /// Convenience: leave, discarding the delta.
-    fn on_leave(&mut self, net: &mut Network, id: NodeId) -> RecodeOutcome {
-        self.on_leave_delta(net, id).outcome
-    }
-
-    /// Convenience: move, discarding the delta.
-    fn on_move(&mut self, net: &mut Network, id: NodeId, to: Point) -> RecodeOutcome {
-        self.on_move_delta(net, id, to).outcome
-    }
-
-    /// Convenience: range change, discarding the delta.
-    fn on_set_range(&mut self, net: &mut Network, id: NodeId, range: f64) -> RecodeOutcome {
-        self.on_set_range_delta(net, id, range).outcome
-    }
-
-    /// The pure planning half of the handler: plans the color writes
-    /// for an event whose **topology has already been applied** to
-    /// `net` (yielding `delta`), without mutating anything.
+    /// Decides the color writes for an event whose **topology has
+    /// already been applied** to `net` (yielding `delta`), without
+    /// mutating anything. Committing the writes must restore CA1/CA2,
+    /// provided they held before the event.
     ///
-    /// Contract: the plan depends only on state within the event's
-    /// neighborhood (the paper's locality claim), and committing it
-    /// via [`commit_plan`] leaves the network in exactly the state the
-    /// `on_*_delta` handler would have produced. Minim and CP
-    /// implement their handlers *through* this method, so the
-    /// equivalence holds by construction.
-    ///
-    /// # Panics
-    /// The default implementation panics: strategies that recolor
-    /// globally (BBB) have no local plan.
+    /// Minim and CP read only the event's neighborhood (the paper's
+    /// locality claim); BBB recolors the whole network and returns a
+    /// write for every node.
     fn plan_batched(
         &self,
-        _net: &Network,
-        _applied: &AppliedEvent,
-        _delta: &TopologyDelta,
-    ) -> ColorPlan {
-        unreachable!("this strategy has no local plan")
+        net: &Network,
+        applied: &AppliedEvent,
+        delta: &TopologyDelta,
+    ) -> ColorPlan;
+
+    /// Node `id` (fresh, from [`Network::next_id`]) joins with `cfg`.
+    fn on_join(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> RecodeOutcome {
+        run_decided(self, net, &Event::Join { cfg }, Some(id)).1
     }
 
-    /// Applies an [`Event`], returning both the topology delta and the
-    /// recoding — the simulation runner's entry point.
-    fn apply_delta(&mut self, net: &mut Network, event: &Event) -> (AppliedEvent, EventEffect) {
-        match event {
-            Event::Join { cfg } => {
-                let id = net.next_id();
-                let effect = self.on_join_delta(net, id, *cfg);
-                (AppliedEvent::Joined(id), effect)
-            }
-            Event::Leave { node } => {
-                let effect = self.on_leave_delta(net, *node);
-                (AppliedEvent::Left(*node), effect)
-            }
-            Event::Move { node, to } => {
-                let effect = self.on_move_delta(net, *node, *to);
-                (AppliedEvent::Moved(*node), effect)
-            }
-            Event::SetRange { node, range } => {
-                let dir = event
-                    .power_direction(net)
-                    .expect("SetRange target must exist");
-                let effect = self.on_set_range_delta(net, *node, *range);
-                (AppliedEvent::RangeChanged(*node, dir), effect)
-            }
+    /// Node `id` leaves the network.
+    fn on_leave(&mut self, net: &mut Network, id: NodeId) -> RecodeOutcome {
+        run_decided(self, net, &Event::Leave { node: id }, None).1
+    }
+
+    /// Node `id` moves to `to`.
+    fn on_move(&mut self, net: &mut Network, id: NodeId, to: Point) -> RecodeOutcome {
+        run_decided(self, net, &Event::Move { node: id, to }, None).1
+    }
+
+    /// Node `id` changes its transmission range to `range`.
+    fn on_set_range(&mut self, net: &mut Network, id: NodeId, range: f64) -> RecodeOutcome {
+        run_decided(self, net, &Event::SetRange { node: id, range }, None).1
+    }
+
+    /// Applies an [`Event`] and returns what happened and what was
+    /// recoded.
+    fn apply(&mut self, net: &mut Network, event: &Event) -> (AppliedEvent, RecodeOutcome) {
+        run_decided(self, net, event, None)
+    }
+}
+
+/// The conveniences' body: [`run_event`] with the strategy's own
+/// decision and [`ValidationMode::Off`], panicking on failure.
+fn run_decided<S: RecodingStrategy + ?Sized>(
+    strategy: &S,
+    net: &mut Network,
+    event: &Event,
+    join_id: Option<NodeId>,
+) -> (AppliedEvent, RecodeOutcome) {
+    match run_event(
+        net,
+        event,
+        join_id,
+        Writes::Plan(strategy),
+        ValidationMode::Off,
+    ) {
+        Ok(done) => (done.applied, done.outcome),
+        Err(e) => panic!("{}: {e}", strategy.name()),
+    }
+}
+
+/// Whether [`run_event`] checks CA1/CA2 after committing an event's
+/// writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ValidationMode {
+    /// No check in release builds. Debug builds check every event
+    /// anyway, in place of per-strategy debug assertions.
+    #[default]
+    Off,
+    /// `O(Δ)` per event: [`conflict::validate_delta`] seeded with
+    /// [`validation_seeds`] (the event's node plus everything the
+    /// writes recoded).
+    Delta,
+}
+
+/// Where [`run_event`]'s color writes come from.
+#[derive(Debug)]
+pub enum Writes<'a, S: ?Sized = dyn RecodingStrategy> {
+    /// The strategy decides them from the network after the topology
+    /// step (the live path).
+    Plan(&'a S),
+    /// A journal record carries them (recovery).
+    Recorded(&'a [(NodeId, Color)]),
+}
+
+impl<'a> Writes<'a> {
+    /// [`Writes::Recorded`], with no strategy type to infer.
+    pub fn recorded(writes: &'a [(NodeId, Color)]) -> Self {
+        Writes::Recorded(writes)
+    }
+}
+
+/// One event that [`run_event`] ran to the end.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Handled {
+    /// What the topology step did, with the node it concerned.
+    pub applied: AppliedEvent,
+    /// What the event did to the induced digraph.
+    pub delta: TopologyDelta,
+    /// What the committed writes recoded.
+    pub outcome: RecodeOutcome,
+}
+
+/// Why [`run_event`] stopped. The variant says whether anything was
+/// applied.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EventError {
+    /// The event failed its check: it targets an absent node, or
+    /// carries a non-finite position or a non-finite or negative
+    /// range. Nothing was applied.
+    Rejected(String),
+    /// The topology step was applied, and the writes name a node that
+    /// is not live (then nothing was committed) or were committed and
+    /// leave a CA1/CA2 violation. The network keeps that state.
+    Refused(String),
+}
+
+impl std::fmt::Display for EventError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EventError::Rejected(detail) | EventError::Refused(detail) => f.write_str(detail),
         }
     }
+}
 
-    /// Applies an [`Event`], dispatching to the appropriate handler.
-    fn apply(&mut self, net: &mut Network, event: &Event) -> (AppliedEvent, RecodeOutcome) {
-        let (applied, effect) = self.apply_delta(net, event);
-        (applied, effect.outcome)
+impl std::error::Error for EventError {}
+
+/// Runs one event: the event check, the topology step
+/// ([`apply_topology_delta`], with `join_id` pinning a join's id), the
+/// writes (decided by the strategy, or recorded), [`commit_plan`], and
+/// the CA1/CA2 check around the event node and the written nodes when
+/// `mode` is [`ValidationMode::Delta`] or the build has debug
+/// assertions.
+///
+/// Every event takes this path: the simulation runner, the durable
+/// engine's live apply and its recovery, and the strategies' `on_*`
+/// conveniences. Live and recovery differ only in `writes`.
+pub fn run_event<S: RecodingStrategy + ?Sized>(
+    net: &mut Network,
+    event: &Event,
+    join_id: Option<NodeId>,
+    writes: Writes<'_, S>,
+    mode: ValidationMode,
+) -> Result<Handled, EventError> {
+    check_event(net, event).map_err(EventError::Rejected)?;
+    let (applied, delta) = apply_topology_delta(net, event, join_id);
+    let planned;
+    let writes = match writes {
+        Writes::Plan(strategy) => {
+            planned = strategy.plan_batched(net, &applied, &delta);
+            &planned[..]
+        }
+        Writes::Recorded(writes) => writes,
+    };
+    if let Some(&(node, _)) = writes.iter().find(|&&(n, _)| !net.contains(n)) {
+        return Err(EventError::Refused(format!(
+            "{event:?} has a write to absent node {node:?}"
+        )));
     }
+    let outcome = commit_plan(net, writes);
+    if mode == ValidationMode::Delta || cfg!(debug_assertions) {
+        let seeds = validation_seeds(&delta, &outcome);
+        if let Err(v) = conflict::validate_delta(net.graph(), net.assignment(), &seeds) {
+            return Err(EventError::Refused(format!(
+                "{event:?} and its writes leave a CA1/CA2 violation: {v}"
+            )));
+        }
+    }
+    Ok(Handled {
+        applied,
+        delta,
+        outcome,
+    })
+}
+
+/// Rejects events that reference absent nodes, carry non-finite
+/// coordinates, or carry a non-finite or negative range, so neither a
+/// buggy caller nor a damaged journal record reaches a panicking
+/// network mutator.
+fn check_event(net: &Network, event: &Event) -> Result<(), String> {
+    let invalid = |what: &str| Err(format!("{event:?} has {what}"));
+    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
+    let valid_range = |r: f64| r.is_finite() && r >= 0.0;
+    let node = match event {
+        Event::Join { cfg } => {
+            if !finite(&cfg.pos) {
+                return invalid("a non-finite position");
+            }
+            if !valid_range(cfg.range) {
+                return invalid("a non-finite or negative range");
+            }
+            return Ok(());
+        }
+        Event::Move { to, .. } if !finite(to) => return invalid("a non-finite position"),
+        Event::SetRange { range, .. } if !valid_range(*range) => {
+            return invalid("a non-finite or negative range")
+        }
+        Event::Leave { node } | Event::Move { node, .. } | Event::SetRange { node, .. } => *node,
+    };
+    if net.config(node).is_none() {
+        return Err(format!("{event:?} targets absent node {node:?}"));
+    }
+    Ok(())
 }
 
 /// The seed set [`conflict::validate_delta`] needs for one event: the
@@ -228,23 +331,6 @@ pub fn validation_seeds(delta: &TopologyDelta, outcome: &RecodeOutcome) -> Vec<N
     seeds.sort_unstable();
     seeds.dedup();
     seeds
-}
-
-/// Debug-build check that the event left CA1/CA2 intact, done locally:
-/// seeded with [`validation_seeds`], exactly the contract of
-/// [`conflict::validate_delta`]. Compiled out in release builds.
-#[inline]
-pub(crate) fn debug_assert_locally_valid(
-    net: &Network,
-    delta: &TopologyDelta,
-    outcome: &RecodeOutcome,
-) {
-    if cfg!(debug_assertions) {
-        let seeds = validation_seeds(delta, outcome);
-        if let Err(v) = conflict::validate_delta(net.graph(), net.assignment(), &seeds) {
-            panic!("event left a local CA1/CA2 violation: {v}");
-        }
-    }
 }
 
 /// The strategies compared in §5, for sweep drivers that iterate over
@@ -284,22 +370,6 @@ impl StrategyKind {
             StrategyKind::Cp => "CP",
             StrategyKind::Bbb => "BBB",
         }
-    }
-}
-
-/// Shared helper: the direction of a range change, evaluated against
-/// the current network state (before application).
-pub(crate) fn range_direction(net: &Network, id: NodeId, new_range: f64) -> PowerDirection {
-    let current = net
-        .config(id)
-        .expect("range_direction: node must exist")
-        .range;
-    if new_range > current {
-        PowerDirection::Increase
-    } else if new_range < current {
-        PowerDirection::Decrease
-    } else {
-        PowerDirection::Unchanged
     }
 }
 
@@ -356,6 +426,65 @@ mod tests {
             assert!(net.validate().is_ok(), "{} after leave", s.name());
             assert_eq!(net.node_count(), 1);
         }
+    }
+
+    #[test]
+    fn run_event_says_whether_anything_was_applied() {
+        let mut net = Network::new(10.0);
+        let a = net.join(NodeConfig::new(Point::new(0.0, 0.0), 5.0));
+        net.set_color(a, Color::new(1));
+        let digest = net.state_digest();
+        let join = Event::Join {
+            cfg: NodeConfig::new(Point::new(1.0, 0.0), 5.0),
+        };
+        let run = |net: &mut Network, event: &Event, writes: &[(NodeId, Color)]| {
+            run_event(
+                net,
+                event,
+                None,
+                Writes::recorded(writes),
+                ValidationMode::Delta,
+            )
+        };
+
+        // A failed check applies nothing.
+        let leave = Event::Leave { node: NodeId(9) };
+        assert!(matches!(
+            run(&mut net, &leave, &[]),
+            Err(EventError::Rejected(_))
+        ));
+        assert_eq!(net.state_digest(), digest);
+
+        // A write to an absent node is refused after the topology
+        // step, before the commit.
+        let b = net.peek_next_id();
+        let err = run(
+            &mut net,
+            &join,
+            &[(b, Color::new(2)), (NodeId(9), Color::new(1))],
+        );
+        assert!(matches!(err, Err(EventError::Refused(_))), "{err:?}");
+        assert!(net.contains(b));
+        assert_eq!(net.assignment().get(b), None);
+
+        // Writes that break CA1 are refused after the commit.
+        let mut net = Network::new(10.0);
+        let a = net.join(NodeConfig::new(Point::new(0.0, 0.0), 5.0));
+        net.set_color(a, Color::new(1));
+        let b = net.peek_next_id();
+        let err = run(&mut net, &join, &[(b, Color::new(1))]);
+        assert!(matches!(err, Err(EventError::Refused(_))), "{err:?}");
+        assert_eq!(net.assignment().get(b), Some(Color::new(1)));
+
+        // Recorded writes that keep CA1/CA2 commit as they are.
+        let c = net.peek_next_id();
+        let far = Event::Join {
+            cfg: NodeConfig::new(Point::new(50.0, 0.0), 5.0),
+        };
+        let done = run(&mut net, &far, &[(c, Color::new(7))]).expect("valid writes");
+        assert_eq!(done.applied, AppliedEvent::Joined(c));
+        assert_eq!(done.outcome.recoded, vec![(c, None, Color::new(7))]);
+        assert_eq!(done.outcome.max_color_after, 7);
     }
 
     #[test]

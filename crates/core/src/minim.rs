@@ -28,16 +28,12 @@
 //! Theorem 4.4.1 (move ≡ leave + join) holds for this implementation by
 //! construction and is tested below.
 
-use crate::{
-    commit_plan, debug_assert_locally_valid, range_direction, ColorPlan, EventEffect,
-    RecodeOutcome, RecodingStrategy,
-};
-use minim_geom::Point;
+use crate::{ColorPlan, RecodingStrategy};
 use minim_graph::conflict;
 use minim_graph::{Color, NodeId};
 use minim_matching::DenseHungarian;
 use minim_net::event::{AppliedEvent, PowerDirection};
-use minim_net::{Network, NodeConfig, TopologyDelta};
+use minim_net::{Network, TopologyDelta};
 use std::cell::RefCell;
 
 /// Weight of a "keep your old color" edge in the matching instance.
@@ -70,25 +66,13 @@ impl Minim {
         Minim { keep_weight }
     }
 
-    /// The common engine of `RecodeOnJoin` and `RecodeOnMove`: recode
-    /// `1n ∪ 2n ∪ {n}` via maximum-weight matching. Called with the
-    /// event's [`TopologyDelta`]; the recode set comes straight out of
-    /// the delta's neighbor lists — no graph traversal re-derives it.
-    /// `n` may or may not hold an old color.
-    ///
-    /// Thin wrapper: [`Minim::plan_matching`] decides, [`commit_plan`]
-    /// applies.
-    fn matching_recode(&self, net: &mut Network, delta: &TopologyDelta) -> RecodeOutcome {
-        let plan = self.plan_matching(net, delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, delta, &outcome);
-        outcome
-    }
-
-    /// Plans the join/move recoding **without mutating the network**.
-    /// All reads stay within two graph hops of the recode set (the
-    /// members' external constraints), i.e. within the event's
-    /// neighborhood, as the paper's locality claim says.
+    /// The common engine of `RecodeOnJoin` and `RecodeOnMove`: plans
+    /// the recoding of `1n ∪ 2n ∪ {n}` via maximum-weight matching,
+    /// **without mutating the network**. The recode set comes straight
+    /// out of the event's [`TopologyDelta`]; `n` may or may not hold an
+    /// old color. All reads stay within two graph hops of the recode
+    /// set (the members' external constraints), i.e. within the
+    /// event's neighborhood, as the paper's locality claim says.
     ///
     /// Runs this thread's [`RecodePlanner`], reusing its scratch.
     fn plan_matching(&self, net: &Network, delta: &TopologyDelta) -> ColorPlan {
@@ -551,62 +535,27 @@ impl RecodingStrategy for Minim {
         delta: &TopologyDelta,
     ) -> ColorPlan {
         match *applied {
+            // `RecodeOnJoin` (Fig 3) and `RecodeOnMove` (Fig 8): the
+            // mover still holds an old color, and its keep-edge weighs
+            // `keep_weight` like everyone else's.
             AppliedEvent::Joined(_) | AppliedEvent::Moved(_) => self.plan_matching(net, delta),
-            // `RecodeDecreasePowOrLeave`: passive (§4.3).
+            // `RecodeDecreasePowOrLeave`: a leave removes constraints
+            // only, so nothing is ever recoded (§4.3).
             AppliedEvent::Left(_) => Vec::new(),
+            // `RecodeOnPowIncrease` (Fig 5); passive for decreases.
             AppliedEvent::RangeChanged(id, dir) => self.plan_range(net, id, dir, delta),
         }
-    }
-
-    /// `RecodeOnJoin` (Fig 3 of the paper).
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let delta = net.insert_node(id, cfg);
-        let outcome = self.matching_recode(net, &delta);
-        EventEffect { delta, outcome }
-    }
-
-    /// `RecodeDecreasePowOrLeave`: passive — a leave removes
-    /// constraints only, so the old assignment stays valid (§4.3) and
-    /// nothing is ever recoded.
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let delta = net.remove_node(id);
-        let outcome = RecodeOutcome {
-            recoded: Vec::new(),
-            max_color_after: net.max_color_index(),
-        };
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
-    }
-
-    /// `RecodeOnMove` (Fig 8): identical machinery to the join, except
-    /// the mover still holds an old color (its keep-edge weighs
-    /// `keep_weight` like everyone else's).
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let delta = net.move_node(id, to);
-        let outcome = self.matching_recode(net, &delta);
-        EventEffect { delta, outcome }
-    }
-
-    /// `RecodeOnPowIncrease` (Fig 5) for increases; passive for
-    /// decreases (§4.3).
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let dir = range_direction(net, id, range);
-        let delta = net.set_range(id, range);
-        let plan = self.plan_range(net, id, dir, &delta);
-        let outcome = commit_plan(net, &plan);
-        debug_assert_locally_valid(net, &delta, &outcome);
-        EventEffect { delta, outcome }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds;
+    use crate::{bounds, commit_plan};
     use minim_geom::{sample, Point, Rect};
     use minim_graph::NodeId;
     use minim_net::workload::JoinWorkload;
-    use minim_net::{network_from_configs, Network};
+    use minim_net::{network_from_configs, Network, NodeConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -672,7 +621,8 @@ mod tests {
             let delta = net.insert_node(id, cfg);
             let bound = bounds::minimal_bound_join(&net, id);
             // Re-run the recode on the already-inserted topology.
-            let out = m.matching_recode(&mut net, &delta);
+            let plan = m.plan_matching(&net, &delta);
+            let out = commit_plan(&mut net, &plan);
             assert_eq!(
                 out.recodings(),
                 bound,
@@ -697,7 +647,8 @@ mod tests {
             );
             let delta = net.move_node(victim, to);
             let bound = bounds::minimal_bound_move(&net, victim);
-            let out = m.matching_recode(&mut net, &delta);
+            let plan = m.plan_matching(&net, &delta);
+            let out = commit_plan(&mut net, &plan);
             assert_eq!(
                 out.recodings(),
                 bound,
@@ -790,7 +741,8 @@ mod tests {
             if let Some(c) = old_color {
                 net_b.assignment_mut().set(victim, c);
             }
-            m.matching_recode(&mut net_b, &delta);
+            let plan = m.plan_matching(&net_b, &delta);
+            commit_plan(&mut net_b, &plan);
             assert!(net_b.validate().is_ok());
 
             assert_eq!(
@@ -1018,7 +970,7 @@ mod tests {
     }
 
     #[test]
-    fn matching_recode_with_no_neighbors_is_cheap() {
+    fn join_with_no_neighbors_is_cheap() {
         let mut net = network_from_configs(10.0, &[(Point::new(0.0, 0.0), 3.0)]);
         net.set_color(n(0), c(1));
         let mut m = Minim::default();

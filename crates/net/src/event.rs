@@ -96,10 +96,10 @@ impl AppliedEvent {
 }
 
 /// Applies `event` to the network topology **only** (no recoding).
-/// Returns what happened. Recoding strategies in `minim-core` wrap this
-/// with their color logic; they typically need state *before* the
-/// application too, so they call the underlying `Network` methods
-/// directly — this helper exists for replay/debug tooling.
+/// Returns what happened. `minim_core::run_event` runs every recoded
+/// event through [`apply_topology_delta`] and then commits a
+/// strategy's color writes; this helper serves ghost networks and
+/// replay tooling, which need no colors.
 pub fn apply_topology(net: &mut Network, event: &Event) -> AppliedEvent {
     apply_topology_delta(net, event, None).0
 }

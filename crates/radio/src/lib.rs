@@ -15,7 +15,7 @@
 //!
 //! [`RadioSim`] tracks outage windows and delivery statistics;
 //! [`run_scenario`] interleaves a reconfiguration event trace (at given
-//! slot times) with traffic under any [`RecodingStrategy`], yielding
+//! slot times) with traffic under any recoding strategy, yielding
 //! the goodput comparison that `repro -- radio` tabulates: Minim's
 //! minimal recoding translates directly into fewer lost slots.
 //!
@@ -30,7 +30,7 @@
 
 #![deny(missing_docs)]
 
-use minim_core::{RecodeOutcome, RecodingStrategy};
+use minim_core::RecodeOutcome;
 use minim_graph::NodeId;
 use minim_net::event::Event;
 use minim_net::Network;
@@ -295,15 +295,16 @@ pub struct TimedEvent {
 }
 
 /// Runs `total_slots` of traffic over `net`, firing `schedule` through
-/// `strategy` at the scheduled slots and charging retune outages for
-/// every recoded node. The schedule must be sorted by `at`.
+/// `fire` at the scheduled slots and charging retune outages for every
+/// node its outcome recoded. The schedule must be sorted by `at`.
+/// `fire` is usually `|net, e| strategy.apply(net, e).1`.
 pub fn run_scenario<R: Rng + ?Sized>(
-    strategy: &mut dyn RecodingStrategy,
     net: &mut Network,
     schedule: &[TimedEvent],
     total_slots: u64,
     cfg: RadioConfig,
     rng: &mut R,
+    mut fire: impl FnMut(&mut Network, &Event) -> RecodeOutcome,
 ) -> RadioStats {
     debug_assert!(
         schedule.windows(2).all(|w| w[0].at <= w[1].at),
@@ -313,8 +314,7 @@ pub fn run_scenario<R: Rng + ?Sized>(
     let mut next = 0usize;
     for _ in 0..total_slots {
         while next < schedule.len() && schedule[next].at <= sim.now() {
-            let (_, outcome) = strategy.apply(net, &schedule[next].event);
-            sim.on_recode(&outcome);
+            sim.on_recode(&fire(net, &schedule[next].event));
             next += 1;
         }
         sim.slot(net, rng);
@@ -340,7 +340,7 @@ pub fn spread_events(events: Vec<Event>, total_slots: u64, start: u64) -> Vec<Ti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minim_core::{Minim, StrategyKind};
+    use minim_core::{Minim, RecodingStrategy, StrategyKind};
     use minim_geom::Point;
     use minim_net::workload::{JoinWorkload, MovementWorkload};
     use minim_net::NodeConfig;
@@ -454,12 +454,12 @@ mod tests {
         let joins = JoinWorkload::paper(10).generate(&mut rng);
         let schedule = spread_events(joins, 100, 0);
         let stats = run_scenario(
-            &mut strategy,
             &mut net,
             &schedule,
             100,
             RadioConfig::default(),
             &mut rng,
+            |net, e| strategy.apply(net, e).1,
         );
         assert_eq!(net.node_count(), 10, "all joins fired");
         assert!(stats.recodings >= 10);
@@ -497,7 +497,6 @@ mod tests {
             }
             let mut traffic_rng = StdRng::seed_from_u64(7);
             let stats = run_scenario(
-                &mut *s,
                 &mut net,
                 &schedule,
                 1000,
@@ -507,6 +506,7 @@ mod tests {
                     ..RadioConfig::default()
                 },
                 &mut traffic_rng,
+                |net, e| s.apply(net, e).1,
             );
             totals.push(stats);
         }

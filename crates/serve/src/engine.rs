@@ -1,14 +1,14 @@
 //! The crash-safe engine facade.
 //!
 //! [`Engine`] wraps a [`Network`] + [`RecodingStrategy`] pair with
-//! durability. [`Engine::apply`] applies each event through the
-//! strategy, then journals one record: the event plus the `(node,
-//! color)` writes the strategy decided on (physical redo logging, as
-//! in ARIES). The journal is fsynced in configurable batches, and the
-//! full state is periodically checkpointed into a checksummed snapshot,
-//! at which point the journal rotates to a fresh segment and the
-//! superseded files are deleted. Both use the binary layouts of
-//! [`crate::codec`].
+//! durability. [`Engine::apply`] runs each event through [`run_event`]
+//! with the strategy's decision, then journals one record: the event
+//! plus the `(node, color)` writes the strategy decided on (physical
+//! redo logging, as in ARIES). The journal is fsynced in configurable
+//! batches, and the full state is periodically checkpointed into a
+//! checksummed snapshot, at which point the journal rotates to a fresh
+//! segment and the superseded files are deleted. Both use the binary
+//! layouts of [`crate::codec`].
 //!
 //! ## On-disk layout
 //!
@@ -46,26 +46,36 @@
 //!
 //! ## Apply order and failed writes
 //!
-//! An event is checked, applied in memory, encoded into a reused frame
-//! buffer, appended, and fsynced per `sync_every`. It is acknowledged
-//! when [`Engine::apply`] returns `Ok` with the engine not quarantined.
-//! Because the record needs the strategy's decision, the event is
-//! applied *before* it is journaled, so a failed segment roll or
-//! append leaves memory one event ahead of disk: `apply` returns `Err`
-//! and the engine quarantines. A failed fsync leaves memory ahead of
-//! durable disk in the same way: `apply` returns `Ok` for the applied
-//! event, and the engine quarantines. In both cases the in-memory
-//! state is never acknowledged, and reopening recovers what the disk
-//! holds.
+//! An event goes through [`run_event`]: it is checked, its topology
+//! step applied, the strategy's writes committed in memory, and
+//! CA1/CA2 checked around the event node and the written nodes, in
+//! release builds too. It is then encoded into a reused frame buffer,
+//! appended, and fsynced per `sync_every`. It is acknowledged when
+//! [`Engine::apply`] returns `Ok` with the engine not quarantined.
+//!
+//! An event that fails the check is rejected with nothing applied
+//! ([`EngineError::InvalidEvent`]). A decision that fails the CA1/CA2
+//! check is already committed in memory: `apply` returns
+//! [`EngineError::Refused`], the engine quarantines, and nothing is
+//! appended, so the engine never acknowledges what recovery would
+//! refuse. Because the record needs the strategy's decision, the event
+//! is applied *before* it is journaled, so a failed segment roll or
+//! append leaves memory one event ahead of disk in the same way:
+//! `apply` returns `Err` and the engine quarantines. A failed fsync
+//! leaves memory ahead of durable disk in the same way: `apply` returns
+//! `Ok` for the applied event, and the engine quarantines. In every
+//! case the in-memory state is never acknowledged, and reopening
+//! recovers what the disk holds.
 //!
 //! ## Recovery
 //!
 //! [`Engine::open`] loads the newest decodable snapshot (each is
 //! CRC-framed *and* self-verifies its fingerprint on rebuild), then
 //! redoes the journal suffix without calling any planner. Each record
-//! runs the event's topology step, commits the recorded writes, and
-//! checks CA1/CA2 around the event node and the written nodes
-//! ([`conflict::validate_delta`]). Recovery so reproduces the
+//! runs through [`run_event`] as a live event does, with the recorded
+//! writes in place of the strategy's decision: the event's topology
+//! step, the recorded writes, and the CA1/CA2 check around the event
+//! node and the written nodes. Recovery so reproduces the
 //! acknowledged coloring exactly, whatever planner tie-break the
 //! running build has.
 //!
@@ -95,20 +105,20 @@
 //!
 //! ## Quarantine
 //!
-//! After any write-path failure (failed append, fsync, rotation), or
-//! when recovery meets a record it cannot redo, the engine degrades to
-//! **read-only quarantine**: state accessors keep working, every
-//! mutation returns [`EngineError::Quarantined`], and the reason is
-//! preserved. This is the post-`fsync`-failure posture:
+//! After any write-path failure (failed append, fsync, rotation), a
+//! refused decision, or when recovery meets a record it cannot redo,
+//! the engine degrades to **read-only quarantine**: state accessors
+//! keep working, every mutation returns [`EngineError::Quarantined`],
+//! and the reason is preserved. This is the post-`fsync`-failure posture:
 //! once the kernel has failed a flush, the only honest options are
 //! stop-and-reopen or silent risk, and the engine picks the former.
 
 use std::io;
 
-use minim_core::{commit_plan, validation_seeds, ColorPlan, RecodingStrategy, StrategyKind};
-use minim_geom::Point;
-use minim_graph::conflict;
-use minim_net::event::{apply_topology_delta, AppliedEvent, Event};
+use minim_core::{
+    run_event, ColorPlan, EventError, RecodingStrategy, StrategyKind, ValidationMode, Writes,
+};
+use minim_net::event::{AppliedEvent, Event};
 use minim_net::Network;
 
 use crate::codec;
@@ -182,6 +192,13 @@ pub enum EngineError {
         /// What was wrong.
         detail: String,
     },
+    /// The strategy's decision for the event fails the CA1/CA2 check.
+    /// The event and its writes are applied in memory, nothing is
+    /// journaled, and the engine quarantines.
+    Refused {
+        /// What was wrong.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -193,6 +210,7 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::Corrupt { detail } => write!(f, "stored state corrupt: {detail}"),
             EngineError::InvalidEvent { detail } => write!(f, "invalid event: {detail}"),
+            EngineError::Refused { detail } => write!(f, "decision refused: {detail}"),
         }
     }
 }
@@ -245,52 +263,22 @@ fn parse_seq(name: &str, prefix: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// Rejects events that reference absent nodes, carry non-finite
-/// coordinates, or carry a non-finite or negative range. [`Engine::apply`]
-/// runs it before applying, and recovery before redoing a record, so
-/// neither a buggy caller nor a damaged record reaches a panicking
-/// network mutator.
-fn check_event(net: &Network, event: &Event) -> Result<(), String> {
-    let invalid = |what: &str| Err(format!("{event:?} has {what}"));
-    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
-    let valid_range = |r: f64| r.is_finite() && r >= 0.0;
-    let node = match event {
-        Event::Join { cfg } => {
-            if !finite(&cfg.pos) {
-                return invalid("a non-finite position");
-            }
-            if !valid_range(cfg.range) {
-                return invalid("a non-finite or negative range");
-            }
-            return Ok(());
-        }
-        Event::Move { to, .. } if !finite(to) => return invalid("a non-finite position"),
-        Event::SetRange { range, .. } if !valid_range(*range) => {
-            return invalid("a non-finite or negative range")
-        }
-        Event::Leave { node } | Event::Move { node, .. } | Event::SetRange { node, .. } => *node,
-    };
-    if net.config(node).is_none() {
-        return Err(format!("{event:?} targets absent node {node:?}"));
-    }
-    Ok(())
-}
-
-/// Redoes one journal record on `net`: the event's topology step, then
-/// the recorded writes, then the CA1/CA2 check around the event node
-/// and the written nodes. `writes` is scratch. On `Err` the network
-/// may hold part of the record.
+/// Redoes one journal record on `net` through [`run_event`] with the
+/// recorded writes: the event check, the topology step, the writes and
+/// the CA1/CA2 check around the event node and the written nodes.
+/// `writes` is scratch. On `Err` the network may hold part of the
+/// record.
 fn redo(net: &mut Network, payload: &[u8], writes: &mut ColorPlan) -> Result<(), String> {
     let event = codec::decode_record(payload, writes).map_err(|e| e.to_string())?;
-    check_event(net, &event)?;
-    let (_, delta) = apply_topology_delta(net, &event, None);
-    if let Some(&(node, _)) = writes.iter().find(|&&(n, _)| !net.contains(n)) {
-        return Err(format!("{event:?} records a write to absent node {node:?}"));
-    }
-    let outcome = commit_plan(net, writes);
-    let seeds = validation_seeds(&delta, &outcome);
-    conflict::validate_delta(net.graph(), net.assignment(), &seeds)
-        .map_err(|v| format!("{event:?} and its writes leave {v}"))
+    run_event(
+        net,
+        &event,
+        None,
+        Writes::recorded(writes),
+        ValidationMode::Delta,
+    )
+    .map(drop)
+    .map_err(|e| e.to_string())
 }
 
 /// The crash-safe facade over a network + strategy pair. See the
@@ -583,23 +571,38 @@ impl Engine {
         }
     }
 
-    /// Applies `event` through the strategy, journals it with the
-    /// writes the strategy decided on, fsyncs per policy, and
-    /// auto-snapshots if the interval elapsed. On any write failure the
-    /// engine quarantines; see the module docs for what memory and disk
-    /// then hold.
+    /// Runs `event` through [`run_event`] with the strategy's decision
+    /// and validation, journals it with the writes the strategy decided
+    /// on, fsyncs per policy, and auto-snapshots if the interval
+    /// elapsed. On a refused decision or any write failure the engine
+    /// quarantines; see the module docs for what memory and disk then
+    /// hold.
     pub fn apply(&mut self, event: &Event) -> Result<AppliedEvent, EngineError> {
         let _span = minim_obs::span!("serve.apply");
         self.guard()?;
-        check_event(&self.net, event).map_err(|detail| EngineError::InvalidEvent { detail })?;
-
-        let (applied, outcome) = self.strategy.apply(&mut self.net, event);
+        let done = match run_event(
+            &mut self.net,
+            event,
+            None,
+            Writes::Plan(&*self.strategy),
+            ValidationMode::Delta,
+        ) {
+            Ok(done) => done,
+            Err(EventError::Rejected(detail)) => return Err(EngineError::InvalidEvent { detail }),
+            Err(EventError::Refused(detail)) => {
+                // Memory holds the refused decision; nothing reaches
+                // the journal.
+                self.quarantine_now(format!("decision refused: {detail}"));
+                return Err(EngineError::Refused { detail });
+            }
+        };
         self.events_applied += 1;
         self.events_since_snapshot += 1;
 
         self.frame.clear();
         self.frame.resize(FRAME_HEADER, 0);
-        let writes = outcome
+        let writes = done
+            .outcome
             .recoded
             .iter()
             .map(|&(node, _, color)| (node, color));
@@ -631,7 +634,7 @@ impl Engine {
                 // journaled but unacknowledged, exactly as durable as
                 // any unsynced write.
                 self.quarantine_now(format!("journal fsync failed: {source}"));
-                return Ok(applied);
+                return Ok(done.applied);
             }
             minim_obs::observe_ns!("serve.fsync_ns", t_sync.elapsed().as_nanos() as u64);
             self.appends_since_sync = 0;
@@ -642,7 +645,7 @@ impl Engine {
             // journaled in the still-live segment.
             let _ = self.snapshot();
         }
-        Ok(applied)
+        Ok(done.applied)
     }
 
     /// Makes the live segment able to take a `frame_len`-byte frame:
@@ -790,8 +793,9 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::fs::{Fault, MemFs};
+    use minim_core::Minim;
     use minim_geom::Point;
-    use minim_net::NodeConfig;
+    use minim_net::{NodeConfig, TopologyDelta};
 
     fn opts() -> EngineOptions {
         EngineOptions {
@@ -863,6 +867,59 @@ mod tests {
         // Nothing reached the journal.
         let mut probe = fs.clone();
         assert!(!probe.exists(&wal_name(0)));
+    }
+
+    /// A test-only strategy that gives a joiner the color of a node it
+    /// reaches: a CA1 break. Other events go to Minim.
+    struct StealsAColor;
+
+    impl RecodingStrategy for StealsAColor {
+        fn name(&self) -> &'static str {
+            "steals-a-color"
+        }
+
+        fn plan_batched(
+            &self,
+            net: &Network,
+            applied: &AppliedEvent,
+            delta: &TopologyDelta,
+        ) -> ColorPlan {
+            let reached = delta
+                .out_after
+                .iter()
+                .find_map(|&w| net.assignment().get(w));
+            match (applied, reached) {
+                (AppliedEvent::Joined(id), Some(c)) => vec![(*id, c)],
+                _ => Minim::default().plan_batched(net, applied, delta),
+            }
+        }
+    }
+
+    #[test]
+    fn a_decision_that_breaks_ca1_is_refused_before_journaling() {
+        let fs = MemFs::new();
+        let mut eng = Engine::open_with(Box::new(fs.clone()), opts()).unwrap();
+        for i in 0..5 {
+            eng.apply(&join(f64::from(i) * 3.0, 0.0, 5.0)).unwrap();
+        }
+        let digest = eng.net().state_digest();
+        let segment = fs.with_raw(&wal_name(0), |d| d.clone());
+
+        eng.strategy = Box::new(StealsAColor);
+        let err = eng.apply(&join(1.0, 0.0, 5.0)).unwrap_err();
+        assert!(matches!(err, EngineError::Refused { .. }), "{err}");
+        assert!(eng.is_quarantined());
+        assert_eq!(
+            fs.with_raw(&wal_name(0), |d| d.clone()),
+            segment,
+            "the refused event must not reach the journal"
+        );
+        drop(eng);
+
+        let eng = Engine::open_with(Box::new(fs), opts()).unwrap();
+        assert!(!eng.is_quarantined());
+        assert_eq!(eng.recovery_report().events_total, 5);
+        assert_eq!(eng.net().state_digest(), digest);
     }
 
     #[test]

@@ -442,8 +442,9 @@ pub fn mobility_model_study(cfg: &ExperimentConfig, n: usize, rounds: usize) -> 
 }
 
 /// Extension study: the §6 hybrid. Under sustained join/leave churn,
-/// compare plain Minim against [`minim_core::MinimWithGossip`] at
-/// several gossip periods: final max color and total recodings
+/// compare plain Minim against Minim with one
+/// [`minim_core::gossip::GossipCompactor`] round after every `period`
+/// events, at several periods: final max color and total recodings
 /// (gossip migrations included — honesty first).
 pub fn hybrid_gossip_study(
     cfg: &ExperimentConfig,
@@ -451,7 +452,8 @@ pub fn hybrid_gossip_study(
     n: usize,
     churn_steps: usize,
 ) -> Table {
-    use minim_core::MinimWithGossip;
+    use minim_core::gossip::GossipCompactor;
+    use minim_core::{RecodeOutcome, RecodingStrategy};
     use minim_net::event::apply_topology;
     use minim_net::workload::ChurnWorkload;
 
@@ -479,16 +481,27 @@ pub fn hybrid_gossip_study(
             })
             .collect();
 
-        let run = |strategy: &mut dyn minim_core::RecodingStrategy| {
+        // A gossip round is charged with the event before it by one
+        // diff against the pre-event assignment, so a node recoded and
+        // then migrated counts once.
+        let run = |gossip_every: Option<usize>| {
+            let mut minim = Minim::default();
             let mut net = Network::new(30.5);
             let mut recodings = 0usize;
-            for e in join_events.iter().chain(&churn_events) {
-                recodings += strategy.apply(&mut net, e).1.recodings();
+            for (i, e) in join_events.iter().chain(&churn_events).enumerate() {
+                if gossip_every.is_some_and(|p| (i + 1) % p == 0) {
+                    let before = net.snapshot_assignment();
+                    minim.apply(&mut net, e);
+                    GossipCompactor.round(&mut net);
+                    recodings += RecodeOutcome::from_diff(&net, &before).recodings();
+                } else {
+                    recodings += minim.apply(&mut net, e).1.recodings();
+                }
             }
             (net.max_color_index() as f64, recodings as f64)
         };
-        let (plain_c, plain_r) = run(&mut Minim::default());
-        let (hyb_c, hyb_r) = run(&mut MinimWithGossip::new(period));
+        let (plain_c, plain_r) = run(None);
+        let (hyb_c, hyb_r) = run(Some(period));
         (pi, plain_c, plain_r, hyb_c, hyb_r)
     });
 

@@ -1,22 +1,19 @@
 //! Scenario runners: apply generated event sequences to a strategy and
 //! accumulate the paper's two metrics.
 //!
-//! The event loop is **delta-driven**: every applied event yields a
-//! [`minim_net::TopologyDelta`] (routed up from the `Network` mutators
-//! through [`RecodingStrategy::apply_delta`]), and per-event
-//! consistency checking — [`ValidationMode::Delta`] — runs
+//! Every event goes through [`minim_core::run_event`], which yields
+//! the event's [`minim_net::TopologyDelta`] next to its recoding.
+//! [`ValidationMode::Delta`] checks CA1/CA2 after each event with
 //! `conflict::validate_delta` on just the delta's affected
-//! neighborhood, `O(Δ)` per event. [`ValidationMode::Full`] re-checks
-//! the whole conflict graph after every event (`O(E)`), and exists as
-//! the control arm: the `delta` bench in `crates/bench` measures the
-//! two against each other on the Fig 10 join sweep.
+//! neighborhood, `O(Δ)` per event.
 
-use minim_core::RecodingStrategy;
-use minim_graph::conflict;
+use minim_core::{run_event, RecodingStrategy, Writes};
 use minim_net::event::{apply_topology, Event};
 use minim_net::workload::MovementWorkload;
 use minim_net::Network;
 use rand::Rng;
+
+pub use minim_core::ValidationMode;
 
 /// Accumulated §5 metrics for one phase of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,24 +27,9 @@ pub struct PhaseMetrics {
     pub edge_churn: usize,
 }
 
-/// How (and whether) the event loop checks CA1/CA2 after each event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ValidationMode {
-    /// No per-event checking (the strategies' own debug assertions
-    /// still run in debug builds).
-    #[default]
-    Off,
-    /// `O(Δ)` per event: `conflict::validate_delta` over the event's
-    /// touched nodes plus everything the strategy recoded.
-    Delta,
-    /// `O(E)` per event: full `conflict::validate` over the whole
-    /// graph — the control arm the paper's locality claim beats.
-    Full,
-}
-
 /// Applies `events` in order with `strategy`, returning the phase
-/// metrics. Panics (via the strategies' debug assertions) if any event
-/// leaves the network invalid.
+/// metrics. Panics if any event leaves the network invalid (checked
+/// in debug builds only; see [`ValidationMode::Off`]).
 pub fn run_events(
     strategy: &mut dyn RecodingStrategy,
     net: &mut Network,
@@ -60,7 +42,8 @@ pub fn run_events(
 /// [`ValidationMode`].
 ///
 /// # Panics
-/// Panics on the first event whose aftermath violates CA1/CA2.
+/// Panics on the first event that fails its check or whose aftermath
+/// violates CA1/CA2.
 pub fn run_events_validated(
     strategy: &mut dyn RecodingStrategy,
     net: &mut Network,
@@ -70,24 +53,15 @@ pub fn run_events_validated(
     let mut recodings = 0;
     let mut edge_churn = 0;
     for e in events {
-        let (_, effect) = strategy.apply_delta(net, e);
-        recodings += effect.outcome.recodings();
-        edge_churn += effect.delta.edge_churn();
-        match mode {
-            ValidationMode::Off => {}
-            ValidationMode::Delta => {
-                minim_obs::counter!("sim.validate.delta", 1);
-                let seeds = minim_core::validation_seeds(&effect.delta, &effect.outcome);
-                if let Err(v) = conflict::validate_delta(net.graph(), net.assignment(), &seeds) {
-                    panic!("event {e:?} left a CA1/CA2 violation: {v}");
-                }
+        if mode == ValidationMode::Delta {
+            minim_obs::counter!("sim.validate.delta", 1);
+        }
+        match run_event(net, e, None, Writes::Plan(&*strategy), mode) {
+            Ok(done) => {
+                recodings += done.outcome.recodings();
+                edge_churn += done.delta.edge_churn();
             }
-            ValidationMode::Full => {
-                minim_obs::counter!("sim.validate.full", 1);
-                if let Err(v) = net.validate() {
-                    panic!("event {e:?} left a CA1/CA2 violation: {v}");
-                }
-            }
+            Err(err) => panic!("{}: {err}", strategy.name()),
         }
     }
     PhaseMetrics {
@@ -150,11 +124,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(9);
             let events = JoinWorkload::paper(30).generate(&mut rng);
             let mut results = Vec::new();
-            for mode in [
-                ValidationMode::Off,
-                ValidationMode::Delta,
-                ValidationMode::Full,
-            ] {
+            for mode in [ValidationMode::Off, ValidationMode::Delta] {
                 let mut net = Network::new(25.0);
                 let mut s = kind.build();
                 let m = run_events_validated(&mut *s, &mut net, &events, mode);
@@ -162,7 +132,6 @@ mod tests {
                 results.push(m);
             }
             assert_eq!(results[0], results[1], "{:?} delta mode", kind);
-            assert_eq!(results[0], results[2], "{:?} full mode", kind);
         }
     }
 
@@ -176,52 +145,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 "sloppy"
             }
-            fn on_join_delta(
-                &mut self,
-                net: &mut Network,
-                id: minim_graph::NodeId,
-                cfg: minim_net::NodeConfig,
-            ) -> minim_core::EventEffect {
-                let delta = net.insert_node(id, cfg);
-                minim_core::EventEffect {
-                    delta,
-                    outcome: minim_core::RecodeOutcome::default(),
-                }
-            }
-            fn on_leave_delta(
-                &mut self,
-                net: &mut Network,
-                id: minim_graph::NodeId,
-            ) -> minim_core::EventEffect {
-                let delta = net.remove_node(id);
-                minim_core::EventEffect {
-                    delta,
-                    outcome: minim_core::RecodeOutcome::default(),
-                }
-            }
-            fn on_move_delta(
-                &mut self,
-                net: &mut Network,
-                id: minim_graph::NodeId,
-                to: minim_geom::Point,
-            ) -> minim_core::EventEffect {
-                let delta = net.move_node(id, to);
-                minim_core::EventEffect {
-                    delta,
-                    outcome: minim_core::RecodeOutcome::default(),
-                }
-            }
-            fn on_set_range_delta(
-                &mut self,
-                net: &mut Network,
-                id: minim_graph::NodeId,
-                range: f64,
-            ) -> minim_core::EventEffect {
-                let delta = net.set_range(id, range);
-                minim_core::EventEffect {
-                    delta,
-                    outcome: minim_core::RecodeOutcome::default(),
-                }
+            fn plan_batched(
+                &self,
+                _net: &Network,
+                _applied: &minim_net::event::AppliedEvent,
+                _delta: &minim_net::TopologyDelta,
+            ) -> minim_core::ColorPlan {
+                Vec::new()
             }
         }
         let mut rng = StdRng::seed_from_u64(3);

@@ -14,9 +14,9 @@
 //! cargo run --release --example realtime_links
 //! ```
 
-use minim::core::{Cp, Instrumented, Minim, RecodingStrategy, StrategyKind};
+use minim::core::{run_event, StrategyKind, StrategyStats, ValidationMode, Writes};
 use minim::geom::Rect;
-use minim::net::event::apply_topology;
+use minim::net::event::{apply_topology, Event};
 use minim::net::mobility::RandomWaypoint;
 use minim::net::workload::JoinWorkload;
 use minim::net::Network;
@@ -30,7 +30,7 @@ const MOBILITY_TICKS: u64 = 20;
 
 /// Builds the shared mobility schedule: 20 waypoint ticks spread over
 /// the run, identical for every strategy.
-fn mobility_schedule(seed: u64) -> (Vec<minim::net::event::Event>, Vec<TimedEvent>) {
+fn mobility_schedule(seed: u64) -> (Vec<Event>, Vec<TimedEvent>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let joins = JoinWorkload::paper(NODES).generate(&mut rng);
     let mut ghost = Network::new(30.5);
@@ -61,52 +61,32 @@ fn main() {
     );
 
     for kind in [StrategyKind::Minim, StrategyKind::Cp] {
-        // Instrumented wrapper so we can report per-kind behaviour too.
+        // Per-event-type stats for the detail line.
+        let strategy = kind.build();
         let mut net = Network::new(30.5);
-        let stats;
-        let radio;
-        match kind {
-            StrategyKind::Minim => {
-                let mut s = Instrumented::new(Minim::default());
-                for e in &joins {
-                    s.apply(&mut net, e);
-                }
-                let mut rng = StdRng::seed_from_u64(7);
-                radio = run_scenario(
-                    &mut s,
-                    &mut net,
-                    &schedule,
-                    SLOTS,
-                    RadioConfig {
-                        retune_slots: 10,
-                        traffic_prob: 0.7,
-                        ..RadioConfig::default()
-                    },
-                    &mut rng,
-                );
-                stats = s.stats;
-            }
-            _ => {
-                let mut s = Instrumented::new(Cp::default());
-                for e in &joins {
-                    s.apply(&mut net, e);
-                }
-                let mut rng = StdRng::seed_from_u64(7);
-                radio = run_scenario(
-                    &mut s,
-                    &mut net,
-                    &schedule,
-                    SLOTS,
-                    RadioConfig {
-                        retune_slots: 10,
-                        traffic_prob: 0.7,
-                        ..RadioConfig::default()
-                    },
-                    &mut rng,
-                );
-                stats = s.stats;
-            }
+        let mut stats = StrategyStats::default();
+        let mut fire = |net: &mut Network, e: &Event| {
+            let done = run_event(net, e, None, Writes::Plan(&*strategy), ValidationMode::Off)
+                .expect("the strategy keeps CA1/CA2");
+            stats.record(&done.applied, &done.delta, &done.outcome);
+            done.outcome
+        };
+        for e in &joins {
+            fire(&mut net, e);
         }
+        let mut rng = StdRng::seed_from_u64(7);
+        let radio = run_scenario(
+            &mut net,
+            &schedule,
+            SLOTS,
+            RadioConfig {
+                retune_slots: 10,
+                traffic_prob: 0.7,
+                ..RadioConfig::default()
+            },
+            &mut rng,
+            &mut fire,
+        );
         assert!(net.validate().is_ok());
         println!(
             "{:>8} {:>10} {:>12} {:>14} {:>9.2}% {:>12}",

@@ -1,7 +1,7 @@
 //! Delta/full equivalence — the correctness contract of the
 //! delta-driven event path.
 //!
-//! Two families of properties over randomized workloads (the §5
+//! Three families of properties over randomized workloads (the §5
 //! join/move/power generators from `minim-net::workload`):
 //!
 //! 1. **Validation equivalence**: after every event,
@@ -12,14 +12,18 @@
 //! 2. **Strategy equivalence**: the delta-driven strategies (which
 //!    read partitions/recode sets off the `TopologyDelta`) produce
 //!    **bit-identical** `RecodeOutcome`s and final assignments to
-//!    *oracle* re-implementations that re-derive everything from the
-//!    full graph each event — the seed's original code path.
+//!    *oracle* functions that re-derive everything from the full graph
+//!    each event — the seed's original code path.
+//! 3. **Redo equivalence**: running each event a second time through
+//!    `run_event` with the writes the live run committed (what
+//!    recovery does with a journal) reproduces the live run's outcome
+//!    and state digest after every event, for Minim, CP and BBB.
 //!
-//! Both strategy properties also run over [`frontier_events`]:
+//! The strategy and redo properties also run over [`frontier_events`]:
 //! adversarial churn with bimodal camps, joins into the gap between
 //! them, long-haul moves, 0.3–3× range changes, and co-located joins
-//! and ranges of 0 and 1e6. BBB, which has no
-//! oracle twin, runs the same streams under `ValidationMode::Full`.
+//! and ranges of 0 and 1e6. BBB, which has no oracle twin, also runs
+//! the frontier streams under a full CA1/CA2 check after each event.
 //!
 //! Also pins the substrate-level facts the strategies rely on: a
 //! delta's derived partitions/recode set equal the graph-derived ones
@@ -28,19 +32,30 @@
 //! does not grow — yields the brute-force out-set and its exact delta.
 
 use minim::core::{
-    gather_recode_inputs, plan_recode, EventEffect, RecodeOutcome, RecodingStrategy, StrategyKind,
-    KEEP_WEIGHT,
+    gather_recode_inputs, plan_recode, run_event, ColorPlan, Handled, RecodeOutcome,
+    RecodingStrategy, StrategyKind, ValidationMode, Writes, KEEP_WEIGHT,
 };
 use minim::geom::segment::line_of_sight_blocked;
 use minim::geom::{sample, Point, Rect, Segment};
 use minim::graph::{conflict, hops, Color, NodeId};
-use minim::net::event::{apply_topology, Event, PowerDirection};
+use minim::net::event::{apply_topology, AppliedEvent, Event, PowerDirection};
 use minim::net::workload::{ChurnWorkload, JoinWorkload, MovementWorkload, PowerRaiseWorkload};
 use minim::net::{Network, NodeConfig};
-use minim::sim::runner::{run_events_validated, ValidationMode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Runs `event` live: `strategy` decides, the one event path commits.
+fn run_live(strategy: &dyn RecodingStrategy, net: &mut Network, event: &Event) -> Handled {
+    run_event(
+        net,
+        event,
+        None,
+        Writes::Plan(strategy),
+        ValidationMode::Off,
+    )
+    .unwrap_or_else(|e| panic!("{}: {e}", strategy.name()))
+}
 
 /// Random mixed event sequence: joins to seed the network, then churn
 /// (joins/leaves/moves/range changes) and a §5.2 power-raise sweep.
@@ -163,10 +178,9 @@ fn validate_delta_matches_full_validate_across_workloads() {
     for seed in 0..6 {
         let events = mixed_events(seed, 25, 30);
         let mut net = Network::new(25.0);
-        let mut strategy = minim::core::Minim::default();
         for e in &events {
-            let (_, effect) = strategy.apply_delta(&mut net, e);
-            let seeds = minim::core::validation_seeds(&effect.delta, &effect.outcome);
+            let done = run_live(&minim::core::Minim::default(), &mut net, e);
+            let seeds = minim::core::validation_seeds(&done.delta, &done.outcome);
             let local = conflict::validate_delta(net.graph(), net.assignment(), &seeds);
             let full = net.validate();
             assert_eq!(
@@ -214,10 +228,9 @@ fn delta_neighborhoods_match_graph_rederivation() {
     for seed in 10..16 {
         let events = mixed_events(seed, 20, 25);
         let mut net = Network::new(25.0);
-        let mut strategy = minim::core::Minim::default();
         for e in &events {
-            let (_, effect) = strategy.apply_delta(&mut net, e);
-            let d = &effect.delta;
+            let done = run_live(&minim::core::Minim::default(), &mut net, e);
+            let d = &done.delta;
             let n = d.node();
             if !net.contains(n) {
                 continue; // leave: nothing to compare
@@ -233,86 +246,21 @@ fn delta_neighborhoods_match_graph_rederivation() {
 // ---------------------------------------------------------------------
 // Oracle strategies: the seed's full-rederivation code paths,
 // reconstructed from the paper's figures on top of the public API.
-// They never look at a TopologyDelta's contents.
+// Each runs one whole event on the network and never looks at a
+// TopologyDelta.
 // ---------------------------------------------------------------------
 
 /// `RecodeOnJoin`/`RecodeOnMove`/`RecodeOnPowIncrease` re-deriving the
 /// recode set and constraints from the full graph every event.
-#[derive(Default)]
-struct OracleMinim;
-
-impl OracleMinim {
-    fn matching_recode(net: &mut Network, n: NodeId) -> RecodeOutcome {
-        let before = net.snapshot_assignment();
-        let set = net.recode_set(n); // graph re-derivation
-        let mut set_colors: Vec<Color> = set.iter().filter_map(|&u| before.get(u)).collect();
-        set_colors.sort_unstable();
-        let distinct = set_colors.windows(2).all(|w| w[0] != w[1]);
-        if distinct {
-            let n_constraints = conflict::constraint_colors(net.graph(), net.assignment(), n);
-            match before.get(n) {
-                Some(c) => {
-                    if !n_constraints.contains(&c) {
-                        return RecodeOutcome::from_diff(net, &before);
-                    }
-                }
-                None => {
-                    let c = Color::lowest_excluding(n_constraints);
-                    net.assignment_mut().set(n, c);
-                    return RecodeOutcome::from_diff(net, &before);
-                }
-            }
-        }
-        let (old, forbidden) = gather_recode_inputs(net, &set);
-        let plan = plan_recode(&old, &forbidden, KEEP_WEIGHT);
-        for (i, &u) in set.iter().enumerate() {
-            net.assignment_mut().set(u, plan[i]);
-        }
-        RecodeOutcome::from_diff(net, &before)
-    }
-}
-
-impl RecodingStrategy for OracleMinim {
-    fn name(&self) -> &'static str {
-        "OracleMinim"
-    }
-
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let delta = net.insert_node(id, cfg);
-        let outcome = Self::matching_recode(net, id);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let before = net.snapshot_assignment();
-        let delta = net.remove_node(id);
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let delta = net.move_node(id, to);
-        let outcome = Self::matching_recode(net, id);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let current = net.config(id).expect("node exists").range;
-        let dir = if range > current {
-            PowerDirection::Increase
-        } else if range < current {
-            PowerDirection::Decrease
-        } else {
-            PowerDirection::Unchanged
-        };
-        let before = net.snapshot_assignment();
-        let delta = net.set_range(id, range);
-        if dir == PowerDirection::Increase {
+fn oracle_minim(net: &mut Network, event: &Event) -> RecodeOutcome {
+    let before = net.snapshot_assignment();
+    match apply_topology(net, event) {
+        AppliedEvent::Joined(n) | AppliedEvent::Moved(n) => oracle_minim_matching(net, n),
+        AppliedEvent::RangeChanged(id, PowerDirection::Increase) => {
             // The seed's logic: full constraint re-derivation, recode
             // iff the current color clashes anywhere.
             let constraints = conflict::constraint_colors(net.graph(), net.assignment(), id);
-            let current_color = net.assignment().get(id);
-            let clash = match current_color {
+            let clash = match net.assignment().get(id) {
                 Some(c) => constraints.contains(&c),
                 None => true,
             };
@@ -321,119 +269,133 @@ impl RecodingStrategy for OracleMinim {
                 net.assignment_mut().set(id, c);
             }
         }
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
+        AppliedEvent::Left(_) | AppliedEvent::RangeChanged(..) => {}
+    }
+    RecodeOutcome::from_diff(net, &before)
+}
+
+/// Minim's matching recode of `n`'s recode set, derived from the graph.
+fn oracle_minim_matching(net: &mut Network, n: NodeId) {
+    let set = net.recode_set(n); // graph re-derivation
+    let mut set_colors: Vec<Color> = set
+        .iter()
+        .filter_map(|&u| net.assignment().get(u))
+        .collect();
+    set_colors.sort_unstable();
+    let distinct = set_colors.windows(2).all(|w| w[0] != w[1]);
+    if distinct {
+        let n_constraints = conflict::constraint_colors(net.graph(), net.assignment(), n);
+        match net.assignment().get(n) {
+            Some(c) => {
+                if !n_constraints.contains(&c) {
+                    return;
+                }
+            }
+            None => {
+                let c = Color::lowest_excluding(n_constraints);
+                net.assignment_mut().set(n, c);
+                return;
+            }
+        }
+    }
+    let (old, forbidden) = gather_recode_inputs(net, &set);
+    let plan = plan_recode(&old, &forbidden, KEEP_WEIGHT);
+    for (i, &u) in set.iter().enumerate() {
+        net.assignment_mut().set(u, plan[i]);
     }
 }
 
 /// The CP baseline re-deriving duplicated in-neighbors and new
 /// conflict partners from the full graph every event.
-#[derive(Default)]
-struct OracleCp;
-
-impl OracleCp {
-    fn reselect(net: &mut Network, mut to_recolor: Vec<NodeId>) {
-        to_recolor.sort_unstable();
-        to_recolor.dedup();
-        for &u in &to_recolor {
-            net.assignment_mut().unset(u);
+fn oracle_cp(net: &mut Network, event: &Event) -> RecodeOutcome {
+    let before = net.snapshot_assignment();
+    match *event {
+        Event::Join { .. } => {
+            let id = apply_topology(net, event).node();
+            oracle_cp_join(net, id);
         }
-        to_recolor.sort_unstable_by(|a, b| b.cmp(a));
-        for &u in &to_recolor {
-            let avoid: Vec<Color> = hops::within_hops(net.graph(), u, 2)
-                .into_iter()
-                .filter_map(|(v, _)| net.assignment().get(v))
-                .collect();
-            let c = Color::lowest_excluding(avoid);
-            net.assignment_mut().set(u, c);
+        Event::Leave { .. } => {
+            apply_topology(net, event);
         }
-    }
-
-    fn join_recode(net: &mut Network, id: NodeId) {
-        let in_union = net.partitions(id).in_union(); // graph re-derivation
-        let mut by_color: std::collections::HashMap<Color, Vec<NodeId>> = Default::default();
-        for &u in &in_union {
-            if let Some(c) = net.assignment().get(u) {
-                by_color.entry(c).or_default().push(u);
+        Event::Move { node, .. } => {
+            // Leave + join: the mover forgets its color first.
+            net.assignment_mut().unset(node);
+            apply_topology(net, event);
+            oracle_cp_join(net, node);
+        }
+        Event::SetRange { node, range } => {
+            let increase = range > net.config(node).expect("node exists").range;
+            let partners_before = conflict::conflicts_of(net.graph(), node);
+            apply_topology(net, event);
+            if increase {
+                // Full re-derivation of the post-event conflict set.
+                let partners_after = conflict::conflicts_of(net.graph(), node);
+                let my_color = net.assignment().get(node);
+                let mut to_recolor: Vec<NodeId> = partners_after
+                    .into_iter()
+                    .filter(|p| partners_before.binary_search(p).is_err())
+                    .filter(|&p| net.assignment().get(p) == my_color)
+                    .collect();
+                if !to_recolor.is_empty() || my_color.is_none() {
+                    to_recolor.push(node);
+                    oracle_cp_reselect(net, to_recolor);
+                }
             }
         }
-        let mut dup: Vec<NodeId> = by_color
-            .into_values()
-            .filter(|v| v.len() >= 2)
-            .flatten()
+    }
+    RecodeOutcome::from_diff(net, &before)
+}
+
+fn oracle_cp_reselect(net: &mut Network, mut to_recolor: Vec<NodeId>) {
+    to_recolor.sort_unstable();
+    to_recolor.dedup();
+    for &u in &to_recolor {
+        net.assignment_mut().unset(u);
+    }
+    to_recolor.sort_unstable_by(|a, b| b.cmp(a));
+    for &u in &to_recolor {
+        let avoid: Vec<Color> = hops::within_hops(net.graph(), u, 2)
+            .into_iter()
+            .filter_map(|(v, _)| net.assignment().get(v))
             .collect();
-        dup.push(id);
-        Self::reselect(net, dup);
+        let c = Color::lowest_excluding(avoid);
+        net.assignment_mut().set(u, c);
     }
 }
 
-impl RecodingStrategy for OracleCp {
-    fn name(&self) -> &'static str {
-        "OracleCP"
-    }
-
-    fn on_join_delta(&mut self, net: &mut Network, id: NodeId, cfg: NodeConfig) -> EventEffect {
-        let before = net.snapshot_assignment();
-        let delta = net.insert_node(id, cfg);
-        Self::join_recode(net, id);
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_leave_delta(&mut self, net: &mut Network, id: NodeId) -> EventEffect {
-        let before = net.snapshot_assignment();
-        let delta = net.remove_node(id);
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_move_delta(&mut self, net: &mut Network, id: NodeId, to: Point) -> EventEffect {
-        let before = net.snapshot_assignment();
-        net.assignment_mut().unset(id);
-        let delta = net.move_node(id, to);
-        Self::join_recode(net, id);
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
-    }
-
-    fn on_set_range_delta(&mut self, net: &mut Network, id: NodeId, range: f64) -> EventEffect {
-        let current = net.config(id).expect("node exists").range;
-        let increase = range > current;
-        let before = net.snapshot_assignment();
-        let partners_before = conflict::conflicts_of(net.graph(), id);
-        let delta = net.set_range(id, range);
-        if increase {
-            // Full re-derivation of the post-event conflict set.
-            let partners_after = conflict::conflicts_of(net.graph(), id);
-            let my_color = net.assignment().get(id);
-            let mut to_recolor: Vec<NodeId> = partners_after
-                .into_iter()
-                .filter(|p| partners_before.binary_search(p).is_err())
-                .filter(|&p| net.assignment().get(p) == my_color)
-                .collect();
-            let clash = !to_recolor.is_empty() || my_color.is_none();
-            if clash {
-                to_recolor.push(id);
-                Self::reselect(net, to_recolor);
-            }
+fn oracle_cp_join(net: &mut Network, id: NodeId) {
+    let in_union = net.partitions(id).in_union(); // graph re-derivation
+    let mut by_color: std::collections::HashMap<Color, Vec<NodeId>> = Default::default();
+    for &u in &in_union {
+        if let Some(c) = net.assignment().get(u) {
+            by_color.entry(c).or_default().push(u);
         }
-        let outcome = RecodeOutcome::from_diff(net, &before);
-        EventEffect { delta, outcome }
     }
+    let mut dup: Vec<NodeId> = by_color
+        .into_values()
+        .filter(|v| v.len() >= 2)
+        .flatten()
+        .collect();
+    dup.push(id);
+    oracle_cp_reselect(net, dup);
 }
 
-/// Runs one strategy over an event list, collecting every outcome.
+/// Runs each event through `run`, collecting every outcome.
 fn run_collect(
-    strategy: &mut dyn RecodingStrategy,
+    mut run: impl FnMut(&mut Network, &Event) -> RecodeOutcome,
     events: &[Event],
 ) -> (Network, Vec<RecodeOutcome>) {
     let mut net = Network::new(25.0);
-    let mut outcomes = Vec::with_capacity(events.len());
-    for e in events {
-        let (_, outcome) = strategy.apply(&mut net, e);
-        outcomes.push(outcome);
-    }
+    let outcomes = events.iter().map(|e| run(&mut net, e)).collect();
     (net, outcomes)
+}
+
+/// Runs one strategy over an event list, collecting every outcome.
+fn run_strategy(
+    strategy: &dyn RecodingStrategy,
+    events: &[Event],
+) -> (Network, Vec<RecodeOutcome>) {
+    run_collect(|net, e| run_live(strategy, net, e).outcome, events)
 }
 
 /// The tentpole acceptance property: the delta-driven Minim is
@@ -442,8 +404,8 @@ fn run_collect(
 #[test]
 fn minim_delta_path_bit_identical_to_full_rederivation_oracle() {
     for (label, events) in streams(0..8, 30, 40) {
-        let (net_d, out_d) = run_collect(&mut minim::core::Minim::default(), &events);
-        let (net_o, out_o) = run_collect(&mut OracleMinim, &events);
+        let (net_d, out_d) = run_strategy(&minim::core::Minim::default(), &events);
+        let (net_o, out_o) = run_collect(oracle_minim, &events);
         assert_eq!(out_d.len(), out_o.len());
         for (i, (d, o)) in out_d.iter().zip(&out_o).enumerate() {
             assert_eq!(d, o, "{label}: outcome diverged at event {i}");
@@ -461,8 +423,8 @@ fn minim_delta_path_bit_identical_to_full_rederivation_oracle() {
 #[test]
 fn cp_delta_path_bit_identical_to_full_rederivation_oracle() {
     for (label, events) in streams(20..26, 25, 30) {
-        let (net_d, out_d) = run_collect(&mut minim::core::Cp::default(), &events);
-        let (net_o, out_o) = run_collect(&mut OracleCp, &events);
+        let (net_d, out_d) = run_strategy(&minim::core::Cp::default(), &events);
+        let (net_o, out_o) = run_collect(oracle_cp, &events);
         for (i, (d, o)) in out_d.iter().zip(&out_o).enumerate() {
             assert_eq!(d, o, "{label}: CP outcome diverged at event {i}");
         }
@@ -480,15 +442,59 @@ fn cp_delta_path_bit_identical_to_full_rederivation_oracle() {
 /// under a full CA1/CA2 check after each event.
 #[test]
 fn bbb_stays_valid_on_frontier_streams_under_full_validation() {
+    let bbb = StrategyKind::Bbb.build();
     for seed in 0..16 {
-        let events = frontier_events(seed, 60);
         let mut net = Network::new(25.0);
-        let mut bbb = StrategyKind::Bbb.build();
-        let m = run_events_validated(&mut *bbb, &mut net, &events, ValidationMode::Full);
+        let mut edge_churn = 0;
+        for (i, e) in frontier_events(seed, 60).iter().enumerate() {
+            edge_churn += run_live(&*bbb, &mut net, e).delta.edge_churn();
+            if let Err(v) = net.validate() {
+                panic!("frontier seed {seed}, event {i} ({e:?}): {v}");
+            }
+        }
         assert!(
-            m.edge_churn > 0,
+            edge_churn > 0,
             "frontier seed {seed}: the stream must wire edges"
         );
+    }
+}
+
+/// Recovery's path: each event, redone on a second network with the
+/// writes the live run committed (what a journal record carries),
+/// yields the live run's topology step, delta and outcome, and leaves
+/// the same state digest — for every strategy, BBB's whole-network
+/// writes included.
+#[test]
+fn redoing_recorded_writes_reproduces_the_live_run() {
+    for kind in StrategyKind::ALL {
+        let strategy = kind.build();
+        for (label, events) in streams(0..8, 30, 40) {
+            let mut live = Network::new(25.0);
+            let mut redo = Network::new(25.0);
+            for (i, e) in events.iter().enumerate() {
+                let done = run_live(&*strategy, &mut live, e);
+                let writes: ColorPlan = done
+                    .outcome
+                    .recoded
+                    .iter()
+                    .map(|&(node, _, color)| (node, color))
+                    .collect();
+                let redone = run_event(
+                    &mut redo,
+                    e,
+                    None,
+                    Writes::recorded(&writes),
+                    ValidationMode::Delta,
+                )
+                .unwrap_or_else(|err| panic!("{kind:?} {label}, event {i}: {err}"));
+                assert_eq!(redone, done, "{kind:?} {label}: event {i} diverged");
+                assert_eq!(
+                    redo.state_digest(),
+                    live.state_digest(),
+                    "{kind:?} {label}: state diverged at event {i}"
+                );
+            }
+        }
     }
 }
 

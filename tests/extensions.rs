@@ -3,7 +3,10 @@
 //! hybrid gossip strategy, and the packet-level radio cost model —
 //! each driven end-to-end through the recoding strategies.
 
-use minim::core::{Instrumented, Minim, MinimWithGossip, RecodingStrategy, StrategyKind};
+use minim::core::gossip::GossipCompactor;
+use minim::core::{
+    run_event, Minim, RecodingStrategy, StrategyKind, StrategyStats, ValidationMode, Writes,
+};
 use minim::geom::{Point, Rect, Segment};
 use minim::net::event::{apply_topology, Event};
 use minim::net::mobility::{GroupMobility, RandomWaypoint};
@@ -204,31 +207,48 @@ fn hybrid_gossip_long_run() {
         })
         .collect();
 
-    let run = |strategy: &mut dyn RecodingStrategy| {
+    // The hybrid runs one gossip round after every 8th event.
+    let run = |gossip_every: Option<usize>| {
+        let mut minim = Minim::default();
         let mut net = Network::new(25.0);
-        for e in join_events.iter().chain(&churn_events) {
-            strategy.apply(&mut net, e);
-            assert!(net.validate().is_ok(), "{}", strategy.name());
+        for (i, e) in join_events.iter().chain(&churn_events).enumerate() {
+            minim.apply(&mut net, e);
+            if gossip_every.is_some_and(|p| (i + 1) % p == 0) {
+                GossipCompactor.round(&mut net);
+            }
+            assert!(net.validate().is_ok(), "event {i}, gossip {gossip_every:?}");
         }
         net.max_color_index()
     };
-    let plain = run(&mut Minim::default());
-    let hybrid = run(&mut MinimWithGossip::new(8));
+    let plain = run(None);
+    let hybrid = run(Some(8));
     assert!(hybrid <= plain, "hybrid {hybrid} vs plain {plain}");
 }
 
 /// Radio + instrumentation end to end: the outage bill equals
 /// retune_slots × recodings when windows never overlap, and the
-/// instrumented wrapper sees exactly the scenario's events.
+/// per-kind stats see exactly the scenario's events.
 #[test]
 fn radio_accounting_is_consistent_with_instrumentation() {
     let mut rng = StdRng::seed_from_u64(15);
     let joins = JoinWorkload::paper(15).generate(&mut rng);
     let mut net = Network::new(25.0);
-    let mut strategy = Instrumented::new(Minim::default());
+    let mut stats = StrategyStats::default();
+    let mut fire = |net: &mut Network, e: &Event| {
+        let done = run_event(
+            net,
+            e,
+            None,
+            Writes::Plan(&Minim::default()),
+            ValidationMode::Delta,
+        )
+        .expect("Minim keeps the network valid");
+        stats.record(&done.applied, &done.delta, &done.outcome);
+        done.outcome
+    };
     // Joins happen pre-traffic; the radio run then fires a small churn.
     for e in &joins {
-        strategy.apply(&mut net, e);
+        fire(&mut net, e);
     }
     let mut ghost = net.clone();
     let churn = ChurnWorkload::paper(10, 0.8);
@@ -240,8 +260,7 @@ fn radio_accounting_is_consistent_with_instrumentation() {
         })
         .collect();
     let schedule = spread_events(churn_events, 400, 50);
-    let stats = run_scenario(
-        &mut strategy,
+    let radio = run_scenario(
         &mut net,
         &schedule,
         400,
@@ -251,12 +270,13 @@ fn radio_accounting_is_consistent_with_instrumentation() {
             ..RadioConfig::default()
         },
         &mut rng,
+        &mut fire,
     );
     assert!(net.validate().is_ok());
-    // The instrumented wrapper saw the 15 joins plus the 10 churn
-    // events; the radio only billed the scheduled (churn) recodings.
-    assert_eq!(strategy.stats.total_events(), 25);
-    assert!(stats.recodings as usize <= strategy.stats.total_recodings());
+    // The stats saw the 15 joins plus the 10 churn events; the radio
+    // only billed the scheduled (churn) recodings.
+    assert_eq!(stats.total_events(), 25);
+    assert!(radio.recodings as usize <= stats.total_recodings());
     // Outage node-slots never exceed retune window × recodings.
-    assert!(stats.outage_node_slots <= 6 * stats.recodings);
+    assert!(radio.outage_node_slots <= 6 * radio.recodings);
 }
