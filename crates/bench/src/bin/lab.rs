@@ -41,6 +41,8 @@
 //!
 //! [`RecoveryReport`]: minim_serve::RecoveryReport
 
+#![forbid(unsafe_code)]
+
 use minim_sim::scenario::{Scenario, ScenarioSpec, SweepProgress, SweepResult};
 use minim_sim::{ascii_plot, presets};
 use std::path::{Path, PathBuf};

@@ -8,7 +8,7 @@
 //!   fig10r  — Fig 10(d–f): joins, sweep average range
 //!   fig11   — Fig 11(a–c): power increase, sweep raisefactor
 //!   fig12   — Fig 12(a–d): movement, sweep maxdisp and RoundNo
-//!   ablations — keep-weight + CP color-pick studies (DESIGN.md §6)
+//!   ablations — Minim keep-edge weight + CP 2-hop vs exact color pick
 //!   gossip  — §6 future-work gossip compaction study
 //!   proto   — messages and rounds per join of the distributed joiners
 //!   radio   — packets lost to retune outages vs retune window
@@ -24,6 +24,8 @@
 //!
 //! Prints each figure as an aligned table (mean ± std) and writes one
 //! CSV per figure into the output directory.
+
+#![forbid(unsafe_code)]
 
 use minim_sim::experiments::{
     ablation_cp_pick, ablation_keep_weight, fig10_vs_avg_range, fig10_vs_n, fig11_power_increase,

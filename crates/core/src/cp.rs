@@ -13,10 +13,9 @@
 //!   the highest-first waves give 8→1, 7→2, 6→4, 3→5, 1→6: four
 //!   recodings, max color 6, precisely the published numbers. The
 //!   alternative reading in which the *entire* 1-hop neighborhood
-//!   reselects regardless of duplication is available as
-//!   [`Cp::with_whole_neighborhood`] and explodes the recoding counts
+//!   reselects regardless of duplication explodes the recoding counts
 //!   ~5× beyond the paper's Fig 10 magnitudes, which is how we ruled
-//!   it out — see EXPERIMENTS.md.) The 2-hop avoidance is a
+//!   it out.) The 2-hop avoidance is a
 //!   conservative superset of the true CA1/CA2 constraints, which is
 //!   why CP uses more colors than Minim, and the lowest-available pick
 //!   is why it recodes more: a reselecting node abandons its old color
@@ -51,11 +50,6 @@ pub struct Cp {
     /// the `ablation_cp_pick` bench to isolate how much of CP's color
     /// inflation is due to 2-hop conservatism.
     pub exact_constraints: bool,
-    /// When true, a join/move reselects the joiner's **entire** 1-hop
-    /// neighborhood instead of only duplicated color classes — the
-    /// alternative reading of \[3\] discussed in the module docs and
-    /// EXPERIMENTS.md.
-    pub whole_neighborhood: bool,
 }
 
 impl Cp {
@@ -63,16 +57,6 @@ impl Cp {
     pub fn with_exact_constraints() -> Self {
         Cp {
             exact_constraints: true,
-            ..Cp::default()
-        }
-    }
-
-    /// The ablation variant reselecting the whole 1-hop neighborhood
-    /// on joins and moves.
-    pub fn with_whole_neighborhood() -> Self {
-        Cp {
-            whole_neighborhood: true,
-            ..Cp::default()
         }
     }
 
@@ -163,17 +147,8 @@ impl Cp {
         view: &mut ColorView<'_>,
         delta: &TopologyDelta,
     ) -> ColorPlan {
-        let id = delta.node();
-        let mut to_recolor = if self.whole_neighborhood {
-            let p = delta.partitions();
-            let mut v = p.in_union();
-            v.extend_from_slice(&p.three);
-            v.sort_unstable();
-            v
-        } else {
-            Self::duplicate_in_neighbors(view, delta)
-        };
-        to_recolor.push(id);
+        let mut to_recolor = Self::duplicate_in_neighbors(view, delta);
+        to_recolor.push(delta.node());
         self.reselect_plan(net, view, to_recolor)
     }
 
@@ -350,20 +325,6 @@ mod tests {
         assert!(net.validate().is_ok());
         assert_eq!(out.recodings(), 1);
         assert_eq!(net.assignment().get(b), Some(c(2)), "lowest available");
-
-        // The whole-neighborhood ablation variant additionally evicts
-        // the mover's neighbor: b selects first and grabs color 1.
-        let mut net2 = Network::new(10.0);
-        let a2 = net2.join(NodeConfig::new(Point::new(0.0, 0.0), 6.0));
-        let b2 = net2.join(NodeConfig::new(Point::new(5.0, 0.0), 6.0));
-        net2.set_color(a2, c(1));
-        net2.set_color(b2, c(5));
-        let mut cpw = Cp::with_whole_neighborhood();
-        let out = cpw.on_move(&mut net2, b2, Point::new(4.0, 0.0));
-        assert!(net2.validate().is_ok());
-        assert_eq!(out.recodings(), 2);
-        assert_eq!(net2.assignment().get(b2), Some(c(1)));
-        assert_eq!(net2.assignment().get(a2), Some(c(2)));
     }
 
     /// The Fig 4 CP worked example, reproduced literally: joiner 8 with

@@ -18,8 +18,9 @@
 //! * [`Cp`] — the Chlamtac–Pinter baseline (§3, \[3\]): identity-ordered
 //!   greedy reselection with conservative 2-hop color avoidance.
 //! * [`Bbb`] — the centralized baseline (§5, \[7\]): recolor the whole
-//!   network with a near-optimal global heuristic (DSATUR per
-//!   DESIGN.md) at every event.
+//!   network with a near-optimal global heuristic at every event. The
+//!   text of \[7\] is not available, so the heuristic is DSATUR (see
+//!   [`bbb`]).
 //!
 //! [`bounds`] computes the paper's minimal-recoding lower bounds so
 //! tests can verify [`Minim`] attains them *exactly* (Theorems 4.1.8,
@@ -28,6 +29,7 @@
 //! [`StrategyStats`] accounts a run per event type.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bbb;
 pub mod bounds;
@@ -359,7 +361,7 @@ impl StrategyKind {
         match self {
             StrategyKind::Minim => Box::new(Minim::default()),
             StrategyKind::Cp => Box::new(Cp::default()),
-            StrategyKind::Bbb => Box::new(Bbb::default()),
+            StrategyKind::Bbb => Box::new(Bbb),
         }
     }
 

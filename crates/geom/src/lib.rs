@@ -31,6 +31,7 @@
 //! the boundary case `d == r` as connected (we follow `d <= r`).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod grid;
 pub mod sample;

@@ -205,11 +205,6 @@ impl Assignment {
         self.max
     }
 
-    /// Number of distinct colors in use.
-    pub fn distinct_colors(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Iterates over `(node, color)` pairs in ascending node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Color)> + '_ {
         self.colors
@@ -356,12 +351,11 @@ mod tests {
     }
 
     #[test]
-    fn max_color_index_and_distinct() {
+    fn max_color_index_is_the_largest_color() {
         let a: Assignment = [(n(1), c(3)), (n(2), c(7)), (n(3), c(3))]
             .into_iter()
             .collect();
         assert_eq!(a.max_color_index(), 7);
-        assert_eq!(a.distinct_colors(), 2);
         assert_eq!(Assignment::new().max_color_index(), 0);
     }
 

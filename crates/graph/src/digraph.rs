@@ -200,14 +200,6 @@ impl DiGraph {
         self.in_neighbors(n).len()
     }
 
-    /// Maximum of in- and out-degree over all nodes (the paper's `k`).
-    pub fn max_degree(&self) -> usize {
-        self.nodes()
-            .map(|n| self.out_degree(n).max(self.in_degree(n)))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Iterates over present nodes in ascending id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.slots
@@ -441,20 +433,6 @@ mod tests {
         g.add_edge(n(0), n(1));
         let e: Vec<_> = g.edges().collect();
         assert_eq!(e, vec![(n(0), n(1)), (n(0), n(2)), (n(2), n(0))]);
-    }
-
-    #[test]
-    fn max_degree_is_max_of_in_and_out() {
-        let mut g = DiGraph::new();
-        for i in 0..4 {
-            g.insert_node(n(i));
-        }
-        // Node 0 has out-degree 3; node 1 has in-degree 1.
-        g.add_edge(n(0), n(1));
-        g.add_edge(n(0), n(2));
-        g.add_edge(n(0), n(3));
-        assert_eq!(g.max_degree(), 3);
-        assert_eq!(DiGraph::new().max_degree(), 0);
     }
 
     #[test]

@@ -74,16 +74,6 @@ pub fn hop_distance(g: &DiGraph, a: NodeId, b: NodeId) -> Option<usize> {
     None
 }
 
-/// Whether the whole (undirected) graph is connected. The empty graph
-/// counts as connected.
-pub fn is_connected(g: &DiGraph) -> bool {
-    let Some(start) = g.nodes().next() else {
-        return true;
-    };
-    let reached = within_hops(g, start, usize::MAX).len() + 1;
-    reached == g.node_count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,19 +122,8 @@ mod tests {
         let mut g = path5();
         g.insert_node(n(10));
         assert_eq!(hop_distance(&g, n(0), n(10)), None);
-        assert!(!is_connected(&g));
         g.add_edge(n(10), n(4));
         assert_eq!(hop_distance(&g, n(0), n(10)), Some(5));
-        assert!(is_connected(&g));
-    }
-
-    #[test]
-    fn empty_and_singleton_graphs_are_connected() {
-        let g = DiGraph::new();
-        assert!(is_connected(&g));
-        let mut g = DiGraph::new();
-        g.insert_node(n(3));
-        assert!(is_connected(&g));
     }
 
     #[test]

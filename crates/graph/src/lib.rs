@@ -22,20 +22,20 @@
 //! * [`hops`] — BFS hop distances over the underlying undirected graph
 //!   (used by the CP baseline's "within 2 hops" rule and by the
 //!   5-hop-separation condition of Theorem 4.1.10).
-//! * [`ugraph`] — a dense undirected graph view used by the coloring
-//!   heuristics (`minim-coloring`) and by clique lower bounds.
+//! * [`ugraph`] — a dense undirected graph view: the conflict graph the
+//!   BBB baseline recolors with DSATUR (`minim-core`), and the exact
+//!   clique oracle the paper-example tests check it against.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod assign;
-pub mod components;
 pub mod conflict;
 pub mod digraph;
 pub mod hops;
 pub mod ugraph;
 
 pub use assign::{Assignment, Color, ColorRead, ColorView};
-pub use components::{connected_components, Components};
 pub use digraph::{DiGraph, NodeId};
 pub use ugraph::UGraph;
 

@@ -1,4 +1,4 @@
-//! Dense undirected graph used by the coloring heuristics.
+//! Dense undirected graph: the conflict graph BBB's DSATUR colors.
 //!
 //! The conflict graph of a network snapshot is built once per global
 //! recoloring event (the BBB baseline recolors at *every* event, so
@@ -111,31 +111,6 @@ impl UGraph {
             .flat_map(|(u, ns)| ns.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
     }
 
-    /// A greedy lower bound on the clique number: grows a clique from
-    /// each vertex in descending-degree order, keeping the best.
-    ///
-    /// Any clique size is a lower bound on the chromatic number, so the
-    /// coloring tests use this to sanity-check heuristic colorings.
-    pub fn greedy_clique_lower_bound(&self) -> usize {
-        let n = self.vertex_count();
-        if n == 0 {
-            return 0;
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| std::cmp::Reverse(self.degree(v)));
-        let mut best = 1;
-        for &start in order.iter().take(32.min(n)) {
-            let mut clique = vec![start];
-            for &cand in self.neighbors(start) {
-                if clique.iter().all(|&c| self.has_edge(cand, c)) {
-                    clique.push(cand);
-                }
-            }
-            best = best.max(clique.len());
-        }
-        best
-    }
-
     /// Exact maximum clique via branch and bound. Exponential; only for
     /// validation on small graphs (tests cap `n` at ~20).
     pub fn max_clique_exact(&self) -> usize {
@@ -218,8 +193,6 @@ mod tests {
         }
         g.add_edge(3, 4);
         assert_eq!(g.max_clique_exact(), 4);
-        assert!(g.greedy_clique_lower_bound() >= 3);
-        assert!(g.greedy_clique_lower_bound() <= 4);
 
         // C5: max clique 2.
         let mut c5 = UGraph::new(5);
@@ -233,32 +206,12 @@ mod tests {
     fn empty_graph_bounds() {
         let g = UGraph::new(0);
         assert_eq!(g.max_clique_exact(), 0);
-        assert_eq!(g.greedy_clique_lower_bound(), 0);
         assert_eq!(g.max_degree(), 0);
         let g1 = UGraph::new(3);
         assert_eq!(g1.max_clique_exact(), 1, "independent set has clique 1");
     }
 
     proptest! {
-        #[test]
-        fn greedy_clique_never_exceeds_exact(
-            edges in proptest::collection::vec((0usize..10, 0usize..10), 0..30)
-        ) {
-            let mut g = UGraph::new(10);
-            for (u, v) in edges {
-                if u != v {
-                    g.add_edge(u, v);
-                }
-            }
-            let greedy = g.greedy_clique_lower_bound();
-            let exact = g.max_clique_exact();
-            prop_assert!(greedy <= exact);
-            // Greedy always finds at least an edge if one exists.
-            if g.edge_count() > 0 {
-                prop_assert!(greedy >= 2);
-            }
-        }
-
         #[test]
         fn degree_sums_to_twice_edges(
             edges in proptest::collection::vec((0usize..12, 0usize..12), 0..40)

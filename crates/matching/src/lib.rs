@@ -29,6 +29,7 @@
 //! 3–5).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 #[cfg(test)]
 mod brute;

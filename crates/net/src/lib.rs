@@ -35,11 +35,11 @@
 //! heterogeneous ranges, interleaved churn).
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod delta;
 pub mod event;
 pub mod mobility;
-pub mod stats;
 pub mod trace;
 pub mod workload;
 

@@ -37,6 +37,7 @@
 //! lives in `minim-sim`, next to the workspace's own `json` module.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod registry;
 pub mod span;

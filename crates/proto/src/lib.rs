@@ -23,6 +23,7 @@
 //! the distribution changes who computes, not what is computed.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod events;

@@ -29,6 +29,7 @@
 //! receivers implement.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use minim_core::RecodeOutcome;
 use minim_graph::NodeId;

@@ -34,6 +34,7 @@
 //! that never crashed.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod crc;

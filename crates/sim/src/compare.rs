@@ -3,9 +3,9 @@
 //! The §5 experiments are *paired*: each replicate runs the identical
 //! event trace through every strategy, so differences can be tested on
 //! the per-replicate deltas instead of the (much noisier) pooled
-//! means. This module computes the paired summary the EXPERIMENTS.md
-//! claims rest on: win/loss counts, mean difference with a normal 95%
-//! confidence interval, and the mean ratio.
+//! means. This module computes that paired summary: win/loss counts,
+//! mean difference with a normal 95% confidence interval, and the mean
+//! ratio.
 
 /// Summary of a paired comparison between strategies A and B.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,5 +1,7 @@
 //! The paper's §5 figures as thin wrappers over the scenario lab,
-//! plus the ablation and extension studies from DESIGN.md.
+//! plus the ablation studies (Minim's keep-edge weight, CP's color
+//! pick) and the extension studies (gossip compaction, mobility
+//! models, the §6 hybrid).
 //!
 //! Since the scenario-lab refactor the figure drivers no longer own
 //! their event loops: each `fig*` function instantiates the matching

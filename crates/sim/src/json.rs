@@ -240,16 +240,15 @@ impl std::error::Error for ParseError {}
 /// Parses a JSON document. The whole input must be one value (trailing
 /// whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let bytes = input.as_bytes();
     let mut p = Parser {
-        bytes,
+        src: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err_kind(
             ParseErrorKind::TrailingGarbage,
             "trailing characters after JSON value",
@@ -258,26 +257,10 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     Ok(v)
 }
 
-/// Streaming variant of [`parse`]: parses **one** JSON value from the
-/// front of `input` (leading whitespace allowed) and returns it with
-/// the byte offset just past the value. Callers consuming a stream of
-/// concatenated documents — journal frame payloads, line-delimited
-/// exports — loop on the returned offset instead of pre-splitting the
-/// input.
-pub fn parse_prefix(input: &str) -> Result<(Json, usize), ParseError> {
-    let bytes = input.as_bytes();
-    let mut p = Parser {
-        bytes,
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    Ok((v, p.pos))
-}
-
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset into `src`; always on a char boundary between
+    /// tokens.
     pos: usize,
     /// Current array/object nesting depth (depth-bomb guard).
     depth: usize,
@@ -285,7 +268,7 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err(&self, message: &str) -> ParseError {
-        let kind = if self.pos >= self.bytes.len() {
+        let kind = if self.pos >= self.src.len() {
             ParseErrorKind::UnexpectedEof
         } else {
             ParseErrorKind::Syntax
@@ -302,7 +285,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -321,7 +304,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -446,7 +429,8 @@ impl<'a> Parser<'a> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex = std::str::from_utf8(hex)
@@ -465,11 +449,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty by peek");
+                    // Consume one UTF-8 scalar: `pos` is on a char
+                    // boundary, since every byte consumed before it
+                    // was ASCII or a whole char.
+                    let c = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty by peek");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -500,9 +486,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
-        let n = text
+        let n = self.src[start..self.pos]
             .parse::<f64>()
             .map_err(|_| self.err("invalid number"))?;
         if !n.is_finite() {
@@ -606,25 +590,27 @@ mod tests {
     }
 
     #[test]
-    fn parse_prefix_streams_concatenated_documents() {
-        let stream = " {\"a\":1} [2,3]\n\"tail\" ";
-        let mut at = 0;
-        let mut values = Vec::new();
-        while !stream[at..].trim_start().is_empty() {
-            let (v, used) = parse_prefix(&stream[at..]).unwrap();
-            values.push(v);
-            at += used;
+    fn multibyte_utf8_roundtrips_in_keys_and_values() {
+        // 2-, 3- and 4-byte UTF-8 scalars, next to escapes and ASCII.
+        let doc = Json::Obj(vec![
+            ("µs".into(), Json::Str("2 µs".into())),
+            ("Δ".into(), Json::Str("Δr → r'".into())),
+            ("→".into(), Json::Arr(vec![Json::Str("a→b\n\"c\"".into())])),
+            ("📡🛰".into(), Json::Str("📡 link: Δ=µ→∞ 🛰".into())),
+        ]);
+        for text in [doc.to_string_compact(), doc.to_string_pretty()] {
+            assert!(text.contains("📡🛰"), "rendered raw, not escaped");
+            assert_eq!(parse(&text).unwrap(), doc);
         }
+        // A multi-byte char is one unexpected token outside a string,
+        // reported at its first byte.
+        let err = parse("[1, µ]").unwrap_err();
+        assert_eq!((err.kind, err.at), (ParseErrorKind::Syntax, 4));
+        // A torn document ending mid-string is an error, not a panic.
         assert_eq!(
-            values,
-            vec![
-                Json::obj(vec![("a", Json::Num(1.0))]),
-                Json::Arr(vec![Json::Num(2.0), Json::Num(3.0)]),
-                Json::Str("tail".into()),
-            ]
+            parse("{\"Δ\":\"→").unwrap_err().kind,
+            ParseErrorKind::UnexpectedEof
         );
-        // A torn tail surfaces as an error, not a panic.
-        assert!(parse_prefix("{\"a\":").is_err());
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //!   metric snapshots and span profiles onto [`json`] values.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod compare;
 pub mod experiments;

@@ -14,13 +14,12 @@
 //! * [`graph`] — dynamic digraph, conflict (constraint) graph, colors.
 //! * [`matching`] — maximum-weight bipartite matching (the engine behind
 //!   `RecodeOnJoin` / `RecodeOnMove`).
-//! * [`coloring`] — global coloring heuristics (greedy, DSATUR,
-//!   smallest-last) powering the BBB baseline.
 //! * [`net`] — the power-controlled ad-hoc network model and workloads.
 //! * [`obs`] — the observability spine: zero-allocation metrics
 //!   registry, span tracing, and post-run profiling threaded through
 //!   every hot path (see docs/ARCHITECTURE.md § Observability).
-//! * [`core`] — the recoding strategies: Minim, CP, BBB.
+//! * [`core`] — the recoding strategies: Minim, CP, and BBB (which
+//!   runs DSATUR over the whole network at every event).
 //! * [`power`] — the SINR physical layer: path-loss gain model,
 //!   Foschini–Miljanic closed-loop power control, and the driver that
 //!   lowers converged powers into endogenous set-range/join/leave
@@ -55,7 +54,8 @@
 //! assert!(net.validate().is_ok());
 //! ```
 
-pub use minim_coloring as coloring;
+#![forbid(unsafe_code)]
+
 pub use minim_core as core;
 pub use minim_geom as geom;
 pub use minim_graph as graph;

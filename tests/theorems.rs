@@ -1,7 +1,7 @@
 //! One test per theorem of the paper's appendices — the formal claims
 //! as executable checks, named by their numbering. Some overlap with
 //! the unit suites is intentional: this file is the paper-to-code
-//! index (see EXPERIMENTS.md's theorem table).
+//! index (see the paper section → module map in docs/ARCHITECTURE.md).
 
 use minim::core::{bounds, Minim, RecodingStrategy};
 use minim::geom::{sample, Point, Rect};
