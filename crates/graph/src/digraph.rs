@@ -72,6 +72,18 @@ fn sorted_remove(v: &mut Vec<NodeId>, x: NodeId) -> bool {
     }
 }
 
+/// The capacity that growth by `push` leaves on a list of `len`
+/// entries: the next power of two, at least 4. [`DiGraph::fill_edgeless`]
+/// sizes its lists to it, so the events that follow a bulk build find
+/// the same headroom as after an edge-by-edge build.
+fn grown_capacity(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        len.next_power_of_two().max(4)
+    }
+}
+
 impl DiGraph {
     /// Creates an empty graph.
     pub fn new() -> Self {
@@ -115,6 +127,57 @@ impl DiGraph {
         self.slots[i].present = true;
         self.node_count += 1;
         true
+    }
+
+    /// Wires an edgeless graph in one pass: `fill(n, buf)` pushes every
+    /// out-neighbor of present node `n`, in any order, into the empty
+    /// `buf`; nodes are visited in ascending id order. Each out-list is
+    /// sorted once and allocated once, and the in-lists are derived by
+    /// transposing: counted, allocated once, then filled in ascending
+    /// source order, so they come out sorted with no per-edge search.
+    /// Every list gets the capacity an edge-by-edge build would have
+    /// grown it to.
+    ///
+    /// Preconditions: every pushed id is present, differs from `n` and
+    /// is pushed once (debug-asserted on the sorted list).
+    ///
+    /// # Panics
+    /// Panics if the graph already holds an edge.
+    pub fn fill_edgeless(&mut self, mut fill: impl FnMut(NodeId, &mut Vec<NodeId>)) {
+        assert_eq!(self.edge_count, 0, "fill_edgeless: the graph has edges");
+        let mut buf = Vec::new();
+        let mut in_degree = vec![0u32; self.slots.len()];
+        for i in 0..self.slots.len() {
+            if !self.slots[i].present {
+                continue;
+            }
+            let n = NodeId(i as u32);
+            buf.clear();
+            fill(n, &mut buf);
+            buf.sort_unstable();
+            debug_assert!(buf.windows(2).all(|w| w[0] < w[1]), "{n}: duplicate target");
+            debug_assert!(buf.iter().all(|&m| m != n && self.contains(m)));
+            for &m in &buf {
+                in_degree[m.index()] += 1;
+            }
+            let out = &mut self.slots[i].out;
+            out.reserve_exact(grown_capacity(buf.len()));
+            out.extend_from_slice(&buf);
+            self.edge_count += buf.len();
+        }
+        for (slot, &d) in self.slots.iter_mut().zip(&in_degree) {
+            slot.inn.reserve_exact(grown_capacity(d as usize));
+        }
+        for i in 0..self.slots.len() {
+            for k in 0..self.slots[i].out.len() {
+                let m = self.slots[i].out[k];
+                self.slots[m.index()].inn.push(NodeId(i as u32));
+            }
+        }
+        debug_assert!(self
+            .slots
+            .iter()
+            .all(|s| s.inn.windows(2).all(|w| w[0] < w[1])));
     }
 
     /// Removes node `n` and all incident edges. Returns `false` if the
@@ -443,6 +506,40 @@ mod tests {
         g.add_edge(n(3), n(1000));
         assert!(g.has_edge(n(3), n(1000)));
         assert_eq!(g.nodes().collect::<Vec<_>>(), vec![n(3), n(1000)]);
+    }
+
+    #[test]
+    fn fill_edgeless_matches_edge_by_edge_build() {
+        let edges = [(4, 0), (0, 4), (0, 2), (7, 2), (2, 7), (4, 2), (7, 0)];
+        let mut by_edge = DiGraph::new();
+        let mut filled = DiGraph::new();
+        for i in [0, 2, 4, 7] {
+            by_edge.insert_node(n(i));
+            filled.insert_node(n(i));
+        }
+        for &(u, v) in &edges {
+            by_edge.add_edge(n(u), n(v));
+        }
+        // Targets arrive unsorted; the fill sorts them.
+        filled.fill_edgeless(|u, buf| {
+            buf.extend(edges.iter().rev().filter(|e| e.0 == u.0).map(|e| n(e.1)));
+        });
+        filled.check_invariants();
+        assert_eq!(filled.edge_count(), edges.len());
+        for i in [0, 2, 4, 7] {
+            assert_eq!(filled.out_neighbors(n(i)), by_edge.out_neighbors(n(i)));
+            assert_eq!(filled.in_neighbors(n(i)), by_edge.in_neighbors(n(i)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the graph has edges")]
+    fn fill_edgeless_refuses_a_wired_graph() {
+        let mut g = DiGraph::new();
+        g.insert_node(n(0));
+        g.insert_node(n(1));
+        g.add_edge(n(0), n(1));
+        g.fill_edgeless(|_, _| {});
     }
 
     proptest! {

@@ -27,7 +27,9 @@
 //! (validation, recoding strategies, the simulator, the distributed
 //! protocols) do `O(affected neighborhood)` work per event instead of
 //! re-deriving state from the full graph. See the [`delta`] module
-//! docs for the contract.
+//! docs for the contract. The one exception is
+//! [`Network::load_nodes`], which builds a whole node set into an
+//! empty network in one pass and returns no deltas (snapshot restore).
 //!
 //! [`event::Event`] reifies the four reconfiguration types;
 //! [`workload`] generates the randomized event sequences of §5 plus
@@ -421,6 +423,51 @@ impl Network {
         self.next_id = self.next_id.max(id.0 + 1);
         self.grid.insert(id.0, cfg.pos, cfg.range);
         self.rewire(id, DeltaKind::Insert)
+    }
+
+    /// Inserts `nodes`, uncolored, into a network that holds no nodes
+    /// (obstacles may already be installed), in one pass and with no
+    /// deltas. The result equals inserting them one by one with
+    /// [`Network::insert_node`] in the same order: grid entries go in
+    /// in id order, each node's out-set comes from one forward query
+    /// with the same line-of-sight filter as the event path, and the
+    /// in-sets are its transpose ([`DiGraph::fill_edgeless`]). There
+    /// is no reverse-reach query, since every in-edge is some other
+    /// node's out-edge. Snapshot restore builds through this.
+    ///
+    /// # Panics
+    /// Panics if the network holds a node or the ids are not strictly
+    /// ascending.
+    pub fn load_nodes(&mut self, nodes: &[(NodeId, NodeConfig)]) {
+        assert_eq!(self.node_count(), 0, "load_nodes: the network has nodes");
+        assert!(
+            nodes.windows(2).all(|w| w[0].0 < w[1].0),
+            "load_nodes: ids must be strictly ascending"
+        );
+        let Some(&(last, _)) = nodes.last() else {
+            return;
+        };
+        for &(id, cfg) in nodes {
+            self.graph.insert_node(id);
+            *self.config_slot(id) = Some(cfg);
+            self.grid.insert(id.0, cfg.pos, cfg.range);
+        }
+        self.next_id = self.next_id.max(last.0 + 1);
+        let Network {
+            graph,
+            configs,
+            grid,
+            obstacles,
+            ..
+        } = self;
+        graph.fill_edgeless(|id, out| {
+            let cfg = configs[id.index()].expect("present node");
+            grid.for_each_within(&cfg.pos, cfg.range, |other, opos| {
+                if other != id.0 && !obstacles.blocked(&cfg.pos, &opos) {
+                    out.push(NodeId(other));
+                }
+            });
+        });
     }
 
     /// Convenience: insert at a fresh id. Returns the id.
@@ -851,12 +898,15 @@ fn diff_sorted(
 }
 
 /// Builds a network from explicit `(position, range)` pairs with ids
-/// `0..k`, leaving all nodes uncolored. Test/example helper.
+/// `0..k`, leaving all nodes uncolored, through
+/// [`Network::load_nodes`]. Test/example helper.
 pub fn network_from_configs(cell_hint: f64, configs: &[(Point, f64)]) -> Network {
+    let nodes: Vec<(NodeId, NodeConfig)> = (0u32..)
+        .zip(configs)
+        .map(|(i, &(pos, range))| (NodeId(i), NodeConfig::new(pos, range)))
+        .collect();
     let mut net = Network::new(cell_hint);
-    for &(pos, range) in configs {
-        net.join(NodeConfig::new(pos, range));
-    }
+    net.load_nodes(&nodes);
     net
 }
 

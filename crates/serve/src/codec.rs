@@ -44,6 +44,14 @@
 //! | 8 + 8 + 4 | fingerprint: nodes, edges (`u64`), max color (`u32`) |
 //! | 4 + 32 · w | obstacle count (`u32`), then `ax`, `ay`, `bx`, `by` (`f64`) each |
 //! | 4 + 32 · n | node count (`u32`), then per node in ascending id order: `id` (`u32`), `x`, `y`, `range` (`f64`), `color` (`u32`, 0 = uncolored) |
+//!
+//! A restore parses every wall and node before it builds anything, and
+//! checks each field against the header: ids below the id watermark,
+//! colors at most the max color, counts no larger than the remaining
+//! bytes can hold. No capacity is taken from an unchecked value. The
+//! network is then built in one pass by [`Network::load_nodes`] (one
+//! forward query per node, in-sets by transposing, no deltas), and its
+//! fingerprint is compared with the stored one.
 
 use minim_core::{ColorPlan, StrategyKind};
 use minim_geom::{Point, Segment};
@@ -289,11 +297,21 @@ pub fn encode_snapshot(net: &Network, strategy: StrategyKind, events_applied: u6
     out
 }
 
-/// Decodes and **verifies** a snapshot: the network is rebuilt
-/// (obstacles first, then nodes in id order, then colors), and its
-/// fingerprint must match the one stored at encode time — a mismatch
-/// means the payload was damaged in a CRC-preserving way or the
-/// rebuild logic has drifted, and the snapshot is rejected.
+/// Bytes per stored obstacle.
+const WALL_BYTES: usize = 32;
+/// Bytes per stored node.
+const NODE_BYTES: usize = 32;
+
+/// Decodes and **verifies** a snapshot. Every field is parsed and
+/// checked against the header before anything is built: a node id at
+/// or above the stored id watermark, a color above the stored max
+/// color, or a count the remaining bytes cannot hold is refused
+/// without allocating by it. The network is then rebuilt (obstacles
+/// first, then every node in one pass through
+/// [`Network::load_nodes`], then colors), and its fingerprint must
+/// match the one stored at encode time — a mismatch means the payload
+/// was damaged in a CRC-preserving way or the rebuild logic has
+/// drifted, and the snapshot is rejected.
 pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotDoc, CodecError> {
     let finite = |v: f64, what| {
         if v.is_finite() {
@@ -313,6 +331,9 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotDoc, CodecError> {
     };
     let events_applied = r.u64()?;
     let cell_hint = r.f64()?;
+    if !(cell_hint.is_finite() && cell_hint > 0.0) {
+        return Err(CodecError::Invalid("cell hint"));
+    }
     let next_id = r.u32()?;
     let stored = NetworkFingerprint {
         nodes: r.u64()? as usize,
@@ -320,6 +341,52 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotDoc, CodecError> {
         edges: r.u64()? as usize,
         max_color: r.u32()?,
     };
+    // A count is only trusted once the bytes it claims are there.
+    let count = |r: &mut Reader, size: usize| {
+        let k = r.u32()? as usize;
+        if k > r.bytes.len() / size {
+            return Err(CodecError::Length);
+        }
+        Ok(k)
+    };
+
+    let wall_count = count(&mut r, WALL_BYTES)?;
+    let mut walls = Vec::with_capacity(wall_count);
+    for _ in 0..wall_count {
+        let a = r.point()?;
+        let b = r.point()?;
+        for v in [a.x, a.y, b.x, b.y] {
+            finite(v, "obstacle coordinate")?;
+        }
+        walls.push(Segment::new(a, b));
+    }
+    let node_count = count(&mut r, NODE_BYTES)?;
+    let mut nodes: Vec<(NodeId, NodeConfig)> = Vec::with_capacity(node_count);
+    let mut colors: Vec<(NodeId, Color)> = Vec::with_capacity(node_count);
+    for _ in 0..node_count {
+        let id = r.node()?;
+        if nodes.last().is_some_and(|&(prev, _)| prev >= id) {
+            return Err(CodecError::Invalid("node order"));
+        }
+        if id.0 >= next_id {
+            return Err(CodecError::Invalid("node id"));
+        }
+        let pos = r.point()?;
+        finite(pos.x, "node position")?;
+        finite(pos.y, "node position")?;
+        let range = finite(r.f64()?, "node range")?;
+        if range < 0.0 {
+            return Err(CodecError::Invalid("node range"));
+        }
+        nodes.push((id, NodeConfig::new(pos, range)));
+        if let Some(c) = r.color()? {
+            if c.index() > stored.max_color {
+                return Err(CodecError::Invalid("color"));
+            }
+            colors.push((id, c));
+        }
+    }
+    r.finish()?;
 
     let mut net = if flat {
         Network::new_flat(cell_hint)
@@ -328,37 +395,10 @@ pub fn decode_snapshot(payload: &[u8]) -> Result<SnapshotDoc, CodecError> {
     };
     // Obstacles go in while the network is empty: `add_obstacle`
     // rewires affected links, and with zero nodes that's free.
-    for _ in 0..r.u32()? {
-        let a = r.point()?;
-        let b = r.point()?;
-        for v in [a.x, a.y, b.x, b.y] {
-            finite(v, "obstacle coordinate")?;
-        }
-        net.add_obstacle(Segment::new(a, b));
+    for wall in walls {
+        net.add_obstacle(wall);
     }
-    // Nodes come in ascending id order; insert in that order, then lay
-    // colors on top.
-    let mut colors: Vec<(NodeId, Color)> = Vec::new();
-    let mut prev: Option<NodeId> = None;
-    for _ in 0..r.u32()? {
-        let id = r.node()?;
-        if prev.is_some_and(|p| p >= id) {
-            return Err(CodecError::Invalid("node order"));
-        }
-        prev = Some(id);
-        let pos = r.point()?;
-        finite(pos.x, "node position")?;
-        finite(pos.y, "node position")?;
-        let range = finite(r.f64()?, "node range")?;
-        if range < 0.0 {
-            return Err(CodecError::Invalid("node range"));
-        }
-        net.insert_node(id, NodeConfig::new(pos, range));
-        if let Some(c) = r.color()? {
-            colors.push((id, c));
-        }
-    }
-    r.finish()?;
+    net.load_nodes(&nodes);
     for (id, c) in colors {
         net.set_color(id, c);
     }
@@ -509,6 +549,57 @@ mod tests {
         assert_eq!(
             decode_snapshot(&bytes[..bytes.len() - 1]).err(),
             Some(CodecError::Length)
+        );
+    }
+
+    /// A CRC-valid snapshot whose fields disagree with its own header
+    /// is refused while parsing, before any slab is sized by the bad
+    /// value.
+    #[test]
+    fn snapshot_rejects_fields_beyond_its_header_before_building() {
+        let mut net = Network::new(5.0);
+        for i in 0..5 {
+            let id = net.join(NodeConfig::new(Point::new(f64::from(i) * 3.0, 0.0), 4.0));
+            net.set_color(id, Color::new(i % 2 + 1));
+        }
+        let bytes = encode_snapshot(&net, StrategyKind::Minim, 5);
+        // Header 23 bytes, fingerprint 20, wall count 4 (no walls),
+        // node count 4; then 32 bytes per node: id, x, y, range, color.
+        const WALL_COUNT: usize = 43;
+        const NODE_COUNT: usize = 47;
+        let last_node = 51 + 4 * 32;
+        let patched = |at: usize, v: u32| {
+            let mut b = bytes.clone();
+            b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            decode_snapshot(&b).err()
+        };
+        assert!(decode_snapshot(&bytes).is_ok());
+        // Watermark 5, id 2^20: refused before the slabs grow to it.
+        assert_eq!(
+            patched(last_node, 1 << 20),
+            Some(CodecError::Invalid("node id"))
+        );
+        assert_eq!(patched(last_node, 5), Some(CodecError::Invalid("node id")));
+        // Max color 2, color 2^20.
+        assert_eq!(
+            patched(last_node + 28, 1 << 20),
+            Some(CodecError::Invalid("color"))
+        );
+        assert_eq!(
+            patched(last_node + 28, 3),
+            Some(CodecError::Invalid("color"))
+        );
+        // Counts the remaining bytes cannot hold.
+        assert_eq!(patched(NODE_COUNT, 6), Some(CodecError::Length));
+        assert_eq!(patched(NODE_COUNT, u32::MAX), Some(CodecError::Length));
+        assert_eq!(patched(WALL_COUNT, 7), Some(CodecError::Length));
+        assert_eq!(patched(WALL_COUNT, u32::MAX), Some(CodecError::Length));
+        // A cell hint the index cannot be built with.
+        let mut b = bytes.clone();
+        b[11..19].copy_from_slice(&0f64.to_le_bytes());
+        assert_eq!(
+            decode_snapshot(&b).err(),
+            Some(CodecError::Invalid("cell hint"))
         );
     }
 }

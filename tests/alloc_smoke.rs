@@ -27,22 +27,26 @@
 //! Phase 5 pins the recode planner (Minim's join/move plan, Fig 3 /
 //! Fig 8): a warm `RecodePlanner` gathering constraint masks and
 //! solving the matching on a dense arena reuses all of its scratch.
-//! The last phase pins the journal record encoder: an event and its
+//! Phase 6 pins the journal record encoder: an event and its
 //! color writes encode into a reused frame buffer, as `Engine::apply`
 //! does, with no allocation.
+//!
+//! The last phase pins snapshot restore. `decode_snapshot` builds the
+//! network in one pass that sizes every adjacency list once, so its
+//! allocation count is bounded per node and does not grow with degree.
 //!
 //! The check uses a counting global allocator (this integration test
 //! is its own binary, so the allocator sees only this file's tests;
 //! keep it to ONE `#[test]` so no concurrent test thread can bleed
 //! allocations into the measurement window).
 
-use minim_core::{Minim, RecodePlanner, RecodingStrategy, KEEP_WEIGHT};
+use minim_core::{Minim, RecodePlanner, RecodingStrategy, StrategyKind, KEEP_WEIGHT};
 use minim_geom::{Point, Segment};
 use minim_graph::{Color, NodeId};
 use minim_net::event::Event;
 use minim_net::{Network, NodeConfig};
 use minim_power::{PowerLadder, PowerLoopConfig, PowerSession};
-use minim_serve::codec::encode_record;
+use minim_serve::codec::{decode_snapshot, encode_record, encode_snapshot};
 use minim_serve::journal::FRAME_HEADER;
 use minim_serve::{seal_frame, Engine, EngineOptions, MemFs};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -392,5 +396,51 @@ fn steady_state_rewire_allocates_nothing() {
         "warm record encoding must be allocation-free, saw {} allocations \
          over 25 cycles",
         after - before
+    );
+
+    // --- Phase 7: snapshot restore. ---
+    // The same 300 positions twice, at mean out-degree about 3 and
+    // about 40. The bound: at most 3 allocations per node (its out-
+    // and in-list, and its share of the grid cells, the slabs and the
+    // parse buffers), and the denser snapshot may cost at most 16
+    // more than the sparser one (the growth of the one query buffer).
+    // Growing adjacency edge by edge costs several per node per
+    // doubling of degree.
+    const RESTORED: u32 = 300;
+    let decode_allocs = |range: f64| {
+        let mut net = Network::new(25.0);
+        for k in 0..RESTORED {
+            let pos = Point::new(f64::from(k % 20) * 7.3, f64::from(k / 20) * 6.1);
+            let id = net.join(NodeConfig::new(pos, range));
+            net.set_color(id, Color::new(k % 11 + 1));
+        }
+        let bytes = encode_snapshot(&net, StrategyKind::Minim, u64::from(RESTORED));
+        let edges = net.graph().edge_count();
+        let before = ALLOCS.load(Ordering::SeqCst);
+        let doc = decode_snapshot(&bytes).expect("snapshot decodes");
+        let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+        assert_eq!(doc.net.state_digest(), net.state_digest());
+        (allocs, edges)
+    };
+    let (sparse, sparse_edges) = decode_allocs(8.0);
+    let (dense, dense_edges) = decode_allocs(30.0);
+    assert!(
+        dense_edges > 10 * sparse_edges,
+        "degrees must differ: {sparse_edges} vs {dense_edges} edges"
+    );
+    for (allocs, edges) in [(sparse, sparse_edges), (dense, dense_edges)] {
+        assert!(
+            allocs <= 3 * RESTORED as usize,
+            "restoring {RESTORED} nodes and {edges} edges took {allocs} allocations"
+        );
+    }
+    assert!(
+        dense <= sparse + 16,
+        "restore allocations grew with degree: {sparse} at {sparse_edges} edges, \
+         {dense} at {dense_edges} edges"
+    );
+    println!(
+        "snapshot restore: {sparse} allocations at {sparse_edges} edges, \
+         {dense} at {dense_edges} edges, {RESTORED} nodes"
     );
 }

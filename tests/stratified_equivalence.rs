@@ -18,15 +18,22 @@
 //!   wrong on *semantics*),
 //! * obstacle installation mid-stream (segment grid vs linear
 //!   line-of-sight).
+//!
+//! It also pins the one-pass build that snapshot restore uses:
+//! `Network::load_nodes` must leave exactly the network that
+//! `insert_node` in id order leaves, in both index modes, and the two
+//! must stay equal under churn. The release build runs more cases (CI
+//! runs this file in release).
 
 use minim::core::StrategyKind;
 use minim::geom::{Point, Rect, Segment};
-use minim::net::event::{apply_topology, Event};
+use minim::graph::NodeId;
+use minim::net::event::{apply_topology, apply_topology_delta, Event};
 use minim::net::workload::{JoinWorkload, MixWorkload, Placement, RangeDist};
 use minim::net::{Network, NodeConfig};
 use minim::sim::runner::{run_events_validated, ValidationMode};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Asserts the two index modes agree bit for bit after `events`.
 fn assert_modes_agree(kind: StrategyKind, events: &[Event], label: &str) {
@@ -183,4 +190,190 @@ fn obstacles_are_mode_invariant() {
             b.graph().edges().collect::<Vec<_>>()
         );
     }
+}
+
+/// Cases per check: the release build (CI) runs the full count.
+fn cases(release: u64) -> u64 {
+    if cfg!(debug_assertions) {
+        release / 8
+    } else {
+        release
+    }
+}
+
+/// A transmission range from the mix the bulk build must reproduce:
+/// mostly short, sometimes 0, and now and then a lighthouse three to
+/// five tiers above the 25-unit base.
+fn mixed_range(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0u32..20) {
+        0 => 0.0,
+        1 => 25.0 * f64::from(1u32 << rng.gen_range(3u32..6)) * rng.gen_range(0.6..1.0),
+        _ => rng.gen_range(4.0..30.0),
+    }
+}
+
+/// Walls and a node set in ascending id order, with the id gaps that
+/// leaves leave. Uniform or clustered placement; in half the cases
+/// positions sit on a 1/16 lattice, so co-located nodes and pairs at
+/// exactly `dist == range` (a 3-4-5 offset with range 5k) are exact.
+fn node_set(seed: u64) -> (Vec<Segment>, Vec<(NodeId, NodeConfig)>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let arena = Rect::new(0.0, 0.0, 200.0, 200.0);
+    let placement = if seed.is_multiple_of(2) {
+        Placement::Uniform { arena }
+    } else {
+        let centers = (0..3)
+            .map(|_| Point::new(rng.gen_range(20.0..180.0), rng.gen_range(20.0..180.0)))
+            .collect();
+        Placement::Clustered {
+            centers,
+            spread: 12.0,
+            arena,
+        }
+    };
+    let lattice = seed % 4 >= 2;
+    let snap = |v: f64| {
+        if lattice {
+            (v * 16.0).round() / 16.0
+        } else {
+            v
+        }
+    };
+    let walls = (0..[0, 3, 9][(seed % 3) as usize])
+        .map(|_| {
+            let a = Point::new(rng.gen_range(0.0..200.0), rng.gen_range(0.0..200.0));
+            let b = a.translated(rng.gen_range(-60.0..60.0), rng.gen_range(-60.0..60.0));
+            Segment::new(a, b)
+        })
+        .collect();
+    let n = rng.gen_range(20u32..120);
+    let mut nodes: Vec<(NodeId, NodeConfig)> = Vec::new();
+    for id in 0..n {
+        let cfg = match (nodes.last(), rng.gen_range(0u32..10)) {
+            (Some(&(_, prev)), 0) => NodeConfig::new(prev.pos, mixed_range(&mut rng)),
+            (Some(&(_, prev)), 1) if lattice => {
+                let k = f64::from(rng.gen_range(1u32..5));
+                let pos = prev.pos.translated(3.0 * k, 4.0 * k);
+                NodeConfig::new(pos, 5.0 * k)
+            }
+            _ => {
+                let p = placement.sample(&mut rng);
+                NodeConfig::new(Point::new(snap(p.x), snap(p.y)), mixed_range(&mut rng))
+            }
+        };
+        nodes.push((NodeId(id), cfg));
+    }
+    // Leaves: about a fifth of the ids, the last one included at times.
+    nodes.retain(|_| rng.gen_range(0u32..5) != 0);
+    (walls, nodes)
+}
+
+/// Asserts two networks agree on every node's adjacency and on every
+/// structural summary.
+fn assert_same_network(bulk: &Network, inc: &Network, label: &str) {
+    assert_eq!(bulk.node_ids(), inc.node_ids(), "{label}: nodes");
+    for id in inc.iter_nodes() {
+        let (b, i) = (bulk.graph(), inc.graph());
+        assert_eq!(
+            b.out_neighbors(id),
+            i.out_neighbors(id),
+            "{label}: out {id}"
+        );
+        assert_eq!(b.in_neighbors(id), i.in_neighbors(id), "{label}: in {id}");
+    }
+    assert_eq!(
+        bulk.fingerprint(),
+        inc.fingerprint(),
+        "{label}: fingerprint"
+    );
+    assert_eq!(bulk.state_digest(), inc.state_digest(), "{label}: digest");
+    assert_eq!(
+        bulk.range_bound(),
+        inc.range_bound(),
+        "{label}: range bound"
+    );
+}
+
+/// `Network::load_nodes` against `insert_node` in id order: the same
+/// adjacency, fingerprint, digest and range bound on uniform and
+/// clustered sets with id gaps, co-located nodes, exact-boundary
+/// pairs, range 0, lighthouses and walls, in both index modes. Then
+/// the same churn (joins, leaves, moves, range changes) on both must
+/// give the same delta and digest after every event, which only holds
+/// if the grid tiers and watermarks match too.
+#[test]
+fn bulk_load_equals_incremental_inserts() {
+    // Witnesses that the generator reaches the edge cases it claims.
+    let (mut boundary_edges, mut colocated, mut lighthouses) = (0, 0, 0);
+    for seed in 0..cases(96) {
+        let (walls, nodes) = node_set(seed);
+        for (k, &(_, a)) in nodes.iter().enumerate() {
+            lighthouses += usize::from(a.range > 100.0);
+            for &(_, b) in &nodes[k + 1..] {
+                colocated += usize::from(a.pos == b.pos);
+                boundary_edges += usize::from(a.pos.dist2(&b.pos) == b.range * b.range);
+            }
+        }
+        for flat in [false, true] {
+            let label = format!("seed {seed} flat {flat}");
+            let fresh = || {
+                let mut net = if flat {
+                    Network::new_flat(25.0)
+                } else {
+                    Network::new(25.0)
+                };
+                for &w in &walls {
+                    net.add_obstacle(w);
+                }
+                net
+            };
+            let mut bulk = fresh();
+            bulk.load_nodes(&nodes);
+            let mut inc = fresh();
+            for &(id, cfg) in &nodes {
+                inc.insert_node(id, cfg);
+            }
+            assert_same_network(&bulk, &inc, &label);
+            bulk.check_topology();
+
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let mix = MixWorkload {
+                steps: 40,
+                join_prob: 0.3,
+                leave_prob: 0.15,
+                maxdisp: 40.0,
+                placement: Placement::Uniform {
+                    arena: Rect::new(0.0, 0.0, 200.0, 200.0),
+                },
+                ranges: RangeDist::Interval {
+                    minr: 4.0,
+                    maxr: 30.0,
+                },
+            };
+            for step in 0..mix.steps {
+                let event = match inc.iter_nodes().nth(step * 7 % inc.node_count().max(1)) {
+                    Some(node) if rng.gen_range(0u32..4) == 0 => Event::SetRange {
+                        node,
+                        range: mixed_range(&mut rng),
+                    },
+                    _ => mix.next_event(&inc, &mut rng),
+                };
+                let (_, d_bulk) = apply_topology_delta(&mut bulk, &event, None);
+                let (_, d_inc) = apply_topology_delta(&mut inc, &event, None);
+                assert_eq!(d_bulk, d_inc, "{label}: delta at step {step}");
+                assert_eq!(
+                    bulk.state_digest(),
+                    inc.state_digest(),
+                    "{label}: digest at step {step}"
+                );
+                assert_eq!(
+                    bulk.range_bound(),
+                    inc.range_bound(),
+                    "{label}: range bound at step {step}"
+                );
+            }
+            bulk.check_topology();
+        }
+    }
+    assert!(boundary_edges > 0 && colocated > 0 && lighthouses > 0);
 }
