@@ -132,7 +132,7 @@ mod tests {
             ValidationMode::Delta,
         )
         .expect("Minim keeps the network valid");
-        stats.record(&done.applied, &done.delta, &done.outcome);
+        stats.record(&done.applied, net.delta(), &done.outcome);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use minim::{gather_recode_inputs, plan_recode, Minim, RecodePlanner, KEEP_WE
 
 use minim_geom::Point;
 use minim_graph::{conflict, Color, NodeId};
-use minim_net::event::{apply_topology_delta, AppliedEvent, Event};
+use minim_net::event::{apply_topology_pinned, AppliedEvent, Event};
 use minim_net::{Network, NodeConfig, TopologyDelta};
 
 /// What a strategy did in response to one event.
@@ -118,7 +118,7 @@ pub trait RecodingStrategy {
     fn name(&self) -> &'static str;
 
     /// Decides the color writes for an event whose **topology has
-    /// already been applied** to `net` (yielding `delta`), without
+    /// already been applied** to `net` (recording `delta`), without
     /// mutating anything. Committing the writes must restore CA1/CA2,
     /// provided they held before the event.
     ///
@@ -210,13 +210,12 @@ impl<'a> Writes<'a> {
     }
 }
 
-/// One event that [`run_event`] ran to the end.
+/// One event that [`run_event`] ran to the end. What it did to the
+/// induced digraph is [`Network::delta`] until the next mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Handled {
     /// What the topology step did, with the node it concerned.
     pub applied: AppliedEvent,
-    /// What the event did to the induced digraph.
-    pub delta: TopologyDelta,
     /// What the committed writes recoded.
     pub outcome: RecodeOutcome,
 }
@@ -225,9 +224,9 @@ pub struct Handled {
 /// applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventError {
-    /// The event failed its check: it targets an absent node, or
-    /// carries a non-finite position or a non-finite or negative
-    /// range. Nothing was applied.
+    /// The event failed its check: it targets an absent node, pins a
+    /// join to a present id, or carries a non-finite position or a
+    /// non-finite or negative range. Nothing was applied.
     Rejected(String),
     /// The topology step was applied, and the writes name a node that
     /// is not live (then nothing was committed) or were committed and
@@ -246,7 +245,7 @@ impl std::fmt::Display for EventError {
 impl std::error::Error for EventError {}
 
 /// Runs one event: the event check, the topology step
-/// ([`apply_topology_delta`], with `join_id` pinning a join's id), the
+/// ([`apply_topology_pinned`], with `join_id` pinning a join's id), the
 /// writes (decided by the strategy, or recorded), [`commit_plan`], and
 /// the CA1/CA2 check around the event node and the written nodes when
 /// `mode` is [`ValidationMode::Delta`] or the build has debug
@@ -262,12 +261,12 @@ pub fn run_event<S: RecodingStrategy + ?Sized>(
     writes: Writes<'_, S>,
     mode: ValidationMode,
 ) -> Result<Handled, EventError> {
-    check_event(net, event).map_err(EventError::Rejected)?;
-    let (applied, delta) = apply_topology_delta(net, event, join_id);
+    check_event(net, event, join_id).map_err(EventError::Rejected)?;
+    let applied = apply_topology_pinned(net, event, join_id);
     let planned;
     let writes = match writes {
         Writes::Plan(strategy) => {
-            planned = strategy.plan_batched(net, &applied, &delta);
+            planned = strategy.plan_batched(net, &applied, net.delta());
             &planned[..]
         }
         Writes::Recorded(writes) => writes,
@@ -279,25 +278,21 @@ pub fn run_event<S: RecodingStrategy + ?Sized>(
     }
     let outcome = commit_plan(net, writes);
     if mode == ValidationMode::Delta || cfg!(debug_assertions) {
-        let seeds = validation_seeds(&delta, &outcome);
+        let seeds = validation_seeds(net.delta(), &outcome);
         if let Err(v) = conflict::validate_delta(net.graph(), net.assignment(), &seeds) {
             return Err(EventError::Refused(format!(
                 "{event:?} and its writes leave a CA1/CA2 violation: {v}"
             )));
         }
     }
-    Ok(Handled {
-        applied,
-        delta,
-        outcome,
-    })
+    Ok(Handled { applied, outcome })
 }
 
-/// Rejects events that reference absent nodes, carry non-finite
-/// coordinates, or carry a non-finite or negative range, so neither a
-/// buggy caller nor a damaged journal record reaches a panicking
-/// network mutator.
-fn check_event(net: &Network, event: &Event) -> Result<(), String> {
+/// Rejects events that reference absent nodes, pin a join to a present
+/// id, carry non-finite coordinates, or carry a non-finite or negative
+/// range, so neither a buggy caller nor a damaged journal record
+/// reaches a panicking network mutator.
+fn check_event(net: &Network, event: &Event, join_id: Option<NodeId>) -> Result<(), String> {
     let invalid = |what: &str| Err(format!("{event:?} has {what}"));
     let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
     let valid_range = |r: f64| r.is_finite() && r >= 0.0;
@@ -308,6 +303,9 @@ fn check_event(net: &Network, event: &Event) -> Result<(), String> {
             }
             if !valid_range(cfg.range) {
                 return invalid("a non-finite or negative range");
+            }
+            if let Some(id) = join_id.filter(|&id| net.contains(id)) {
+                return Err(format!("{event:?} pins present node {id:?}"));
             }
             return Ok(());
         }
@@ -487,6 +485,26 @@ mod tests {
         assert_eq!(done.applied, AppliedEvent::Joined(c));
         assert_eq!(done.outcome.recoded, vec![(c, None, Color::new(7))]);
         assert_eq!(done.outcome.max_color_after, 7);
+    }
+
+    #[test]
+    fn a_join_pinned_to_a_present_id_is_rejected() {
+        let mut net = Network::new(10.0);
+        let a = net.join(NodeConfig::new(Point::new(0.0, 0.0), 5.0));
+        net.set_color(a, Color::new(1));
+        let digest = net.state_digest();
+        let join = Event::Join {
+            cfg: NodeConfig::new(Point::new(1.0, 0.0), 5.0),
+        };
+        let err = run_event(
+            &mut net,
+            &join,
+            Some(a),
+            Writes::Plan(&Minim::default()),
+            ValidationMode::Delta,
+        );
+        assert!(matches!(err, Err(EventError::Rejected(_))), "{err:?}");
+        assert_eq!(net.state_digest(), digest);
     }
 
     #[test]

@@ -618,10 +618,10 @@ mod tests {
                 sample::uniform_range(&mut rng, 20.5, 30.5),
             );
             let id = net.next_id();
-            let delta = net.insert_node(id, cfg);
+            net.insert_node(id, cfg);
             let bound = bounds::minimal_bound_join(&net, id);
             // Re-run the recode on the already-inserted topology.
-            let plan = m.plan_matching(&net, &delta);
+            let plan = m.plan_matching(&net, net.delta());
             let out = commit_plan(&mut net, &plan);
             assert_eq!(
                 out.recodings(),
@@ -645,9 +645,9 @@ mod tests {
                 40.0,
                 &Rect::paper_arena(),
             );
-            let delta = net.move_node(victim, to);
+            net.move_node(victim, to);
             let bound = bounds::minimal_bound_move(&net, victim);
-            let plan = m.plan_matching(&net, &delta);
+            let plan = m.plan_matching(&net, net.delta());
             let out = commit_plan(&mut net, &plan);
             assert_eq!(
                 out.recodings(),
@@ -737,11 +737,11 @@ mod tests {
             // with the old color remembered.
             let mut net_b = net0.clone();
             m.on_leave(&mut net_b, victim);
-            let delta = net_b.insert_node(victim, NodeConfig::new(to, cfg.range));
+            net_b.insert_node(victim, NodeConfig::new(to, cfg.range));
             if let Some(c) = old_color {
                 net_b.assignment_mut().set(victim, c);
             }
-            let plan = m.plan_matching(&net_b, &delta);
+            let plan = m.plan_matching(&net_b, net_b.delta());
             commit_plan(&mut net_b, &plan);
             assert!(net_b.validate().is_ok());
 

@@ -68,6 +68,21 @@ pub fn cell_coord(v: f64, cell_size: f64) -> i32 {
     }
 }
 
+/// The inclusive cell ranges `(min_cx, max_cx, min_cy, max_cy)` whose
+/// cells lie whole inside the disc of `radius` around `center`: those
+/// of the square inscribed in it (half-side `0.7 · radius`, just under
+/// `radius / √2`), less the cells its edges cut. Every point in them is
+/// within `radius`. Never covers a clamped far-out cell.
+fn cells_inside_disc(center: &Point, radius: f64, cell: f64) -> (i32, i32, i32, i32) {
+    let half = 0.7 * radius;
+    (
+        cell_coord(center.x - half, cell) + 1,
+        cell_coord(center.x + half, cell) - 1,
+        cell_coord(center.y - half, cell) + 1,
+        cell_coord(center.y + half, cell) - 1,
+    )
+}
+
 /// The inclusive cell-coordinate range covering the interval
 /// `[center - radius, center + radius]` on one axis — the single
 /// authority for turning a disc into the rectangle of cells that
@@ -511,12 +526,9 @@ impl SpatialGrid {
                 // farther than `radius`, so this is the global best.
                 return Some((id, p));
             }
-            // Nothing admissible yet: stop once the query range has
-            // covered every cell that holds an entry.
-            let min_cx = cell_coord(center.x - radius, self.cell);
-            let max_cx = cell_coord(center.x + radius, self.cell);
-            let min_cy = cell_coord(center.y - radius, self.cell);
-            let max_cy = cell_coord(center.y + radius, self.cell);
+            // Nothing admissible yet: stop once the scan has reported
+            // every entry.
+            let (min_cx, max_cx, min_cy, max_cy) = cells_inside_disc(center, radius, self.cell);
             let t = &self.table;
             let covers_window = t.width == 0
                 || (min_cx <= t.origin.0
@@ -526,7 +538,7 @@ impl SpatialGrid {
             let covers_overflow = t.overflow.keys().all(|&(cx, cy)| {
                 (min_cx..=max_cx).contains(&cx) && (min_cy..=max_cy).contains(&cy)
             });
-            if covers_window && covers_overflow {
+            if radius == f64::INFINITY || (covers_window && covers_overflow) {
                 return None;
             }
             radius *= 2.0;
@@ -721,6 +733,22 @@ mod tests {
         );
     }
 
+    /// A scan whose cell rectangle covers every occupied cell has not
+    /// yet reported the points in its corners beyond the radius: the
+    /// search must go on until the disc itself holds them.
+    #[test]
+    fn nearest_where_reaches_points_beyond_the_covering_radius() {
+        let xs = [0.0, 1.0, 2.0, 100.0, 99.0];
+        let mut g = SpatialGrid::new(100.0 / 5f64.sqrt());
+        for (i, &x) in (0u32..).zip(&xs) {
+            g.insert(i, Point::new(x, 0.0));
+        }
+        assert_eq!(
+            g.nearest_where(&Point::new(0.0, 0.0), |id, _| id == 3),
+            Some((3, Point::new(100.0, 0.0)))
+        );
+    }
+
     #[test]
     fn nearest_where_breaks_ties_toward_lower_id() {
         let mut g = SpatialGrid::new(4.0);
@@ -738,7 +766,7 @@ mod tests {
     /// kept as the order reference: same growth, padding, cap and
     /// overflow rules, one `Vec` per cell of the whole window.
     mod contiguous {
-        use super::super::{cell_coord, CELL_COORD_LIMIT, MAX_DENSE_SPAN};
+        use super::super::{cell_coord, cells_inside_disc, CELL_COORD_LIMIT, MAX_DENSE_SPAN};
         use crate::Point;
         use std::collections::BTreeMap;
 
@@ -955,10 +983,8 @@ mod tests {
                     if let Some((id, p, _)) = best {
                         return Some((id, p));
                     }
-                    let min_cx = cell_coord(center.x - radius, self.cell);
-                    let max_cx = cell_coord(center.x + radius, self.cell);
-                    let min_cy = cell_coord(center.y - radius, self.cell);
-                    let max_cy = cell_coord(center.y + radius, self.cell);
+                    let (min_cx, max_cx, min_cy, max_cy) =
+                        cells_inside_disc(center, radius, self.cell);
                     let t = &self.table;
                     let covers_window = t.width == 0
                         || (min_cx <= t.origin.0
@@ -968,7 +994,7 @@ mod tests {
                     let covers_overflow = t.overflow.keys().all(|&(cx, cy)| {
                         (min_cx..=max_cx).contains(&cx) && (min_cy..=max_cy).contains(&cy)
                     });
-                    if covers_window && covers_overflow {
+                    if radius == f64::INFINITY || (covers_window && covers_overflow) {
                         return None;
                     }
                     radius *= 2.0;

@@ -6,7 +6,7 @@
 //! neighborhood, and the Minim strategies recode the provably minimal
 //! set of nodes there. The substrate must not undercut that locality
 //! by forgetting what changed: every mutating [`Network`](crate::Network)
-//! operation returns a [`TopologyDelta`] carrying
+//! operation records a [`TopologyDelta`] carrying
 //!
 //! * the exact sets of **added** and **removed** digraph edges, and
 //! * the initiating node's **resulting neighbor lists**,
@@ -18,10 +18,11 @@
 //! instead of re-deriving the neighborhood from the full graph or
 //! re-checking CA1/CA2 over every edge.
 //!
-//! Deltas are *facts about a transition*, not views into the network:
-//! they own their id lists and stay meaningful after further mutations
-//! (which is what lets the simulator queue them, the property tests
-//! replay them, and the distributed layer serialize them).
+//! The network owns one delta and refills its buffers in place at
+//! every topology step, so a warm network records deltas without heap
+//! allocation. [`Network::delta`](crate::Network::delta) lends it out
+//! until the next mutation; a caller that must keep a delta across
+//! one clones it.
 
 use crate::JoinPartitions;
 use minim_graph::NodeId;
@@ -48,7 +49,7 @@ pub enum DeltaKind {
 /// lexicographically; the neighbor lists are sorted ascending. The
 /// initiating node is an endpoint of every added/removed edge — that
 /// is a structural invariant of single-node reconfigurations (checked
-/// by `debug_assert`s at construction).
+/// by `debug_assert`s when a step completes the delta).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyDelta {
     kind: Option<DeltaKind>,
@@ -80,34 +81,31 @@ impl Default for TopologyDelta {
 }
 
 impl TopologyDelta {
-    /// Assembles a delta, normalizing edge order.
-    pub(crate) fn new(
-        kind: DeltaKind,
-        node: NodeId,
-        mut added: Vec<(NodeId, NodeId)>,
-        mut removed: Vec<(NodeId, NodeId)>,
-        out_after: Vec<NodeId>,
-        in_after: Vec<NodeId>,
-    ) -> Self {
-        added.sort_unstable();
-        removed.sort_unstable();
+    /// Empties the delta for a step of `kind` at `node`, keeping the
+    /// buffers' capacity.
+    pub(crate) fn reset(&mut self, kind: DeltaKind, node: NodeId) {
+        self.kind = Some(kind);
+        self.node = node;
+        self.added.clear();
+        self.removed.clear();
+        self.out_after.clear();
+        self.in_after.clear();
+    }
+
+    /// Normalizes edge order once a step has filled the delta.
+    pub(crate) fn seal(&mut self) {
+        self.added.sort_unstable();
+        self.removed.sort_unstable();
+        let node = self.node;
         debug_assert!(
-            added
+            self.added
                 .iter()
-                .chain(&removed)
+                .chain(&self.removed)
                 .all(|&(u, v)| u == node || v == node),
             "every changed edge must touch the initiating node {node}"
         );
-        debug_assert!(out_after.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(in_after.windows(2).all(|w| w[0] < w[1]));
-        TopologyDelta {
-            kind: Some(kind),
-            node,
-            added,
-            removed,
-            out_after,
-            in_after,
-        }
+        debug_assert!(self.out_after.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(self.in_after.windows(2).all(|w| w[0] < w[1]));
     }
 
     /// What kind of reconfiguration produced this delta.
@@ -250,25 +248,7 @@ impl TopologyDelta {
     pub fn undirected_before(&self) -> Vec<NodeId> {
         merge_sorted_dedup(&self.out_before(), &self.in_before())
     }
-
-    /// Decomposes the delta into its four owned buffers
-    /// `(added, removed, out_after, in_after)`. This is the capacity-
-    /// recycling hook behind [`crate::Network::recycle_delta`]: an
-    /// event loop that is done with a delta hands the buffers back so
-    /// the next event's delta is built without heap allocation.
-    pub fn into_buffers(self) -> DeltaBuffers {
-        (self.added, self.removed, self.out_after, self.in_after)
-    }
 }
-
-/// The four owned buffers of a [`TopologyDelta`], in field order:
-/// `(added, removed, out_after, in_after)`.
-pub type DeltaBuffers = (
-    Vec<(NodeId, NodeId)>,
-    Vec<(NodeId, NodeId)>,
-    Vec<NodeId>,
-    Vec<NodeId>,
-);
 
 /// `after` minus `added_ids` plus `removed_ids`, sorted. (`added_ids`
 /// ⊆ `after`; `removed_ids` is disjoint from `after`.)
@@ -332,14 +312,14 @@ mod tests {
         out: &[u32],
         inn: &[u32],
     ) -> TopologyDelta {
-        TopologyDelta::new(
-            DeltaKind::Move,
-            n(node),
-            added.iter().map(|&(a, b)| (n(a), n(b))).collect(),
-            removed.iter().map(|&(a, b)| (n(a), n(b))).collect(),
-            out.iter().copied().map(n).collect(),
-            inn.iter().copied().map(n).collect(),
-        )
+        let mut d = TopologyDelta::default();
+        d.reset(DeltaKind::Move, n(node));
+        d.added.extend(added.iter().map(|&(a, b)| (n(a), n(b))));
+        d.removed.extend(removed.iter().map(|&(a, b)| (n(a), n(b))));
+        d.out_after.extend(out.iter().copied().map(n));
+        d.in_after.extend(inn.iter().copied().map(n));
+        d.seal();
+        d
     }
 
     #[test]

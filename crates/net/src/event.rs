@@ -96,53 +96,64 @@ impl AppliedEvent {
 }
 
 /// Applies `event` to the network topology **only** (no recoding).
-/// Returns what happened. `minim_core::run_event` runs every recoded
-/// event through [`apply_topology_delta`] and then commits a
-/// strategy's color writes; this helper serves ghost networks and
-/// replay tooling, which need no colors.
+/// Returns what happened; [`Network::delta`] holds what it did to the
+/// digraph. `minim_core::run_event` runs every recoded event through
+/// [`apply_topology_pinned`] and then commits a strategy's color
+/// writes; this helper serves ghost networks and replay tooling, which
+/// need no colors.
 pub fn apply_topology(net: &mut Network, event: &Event) -> AppliedEvent {
-    apply_topology_delta(net, event, None).0
+    apply_topology_pinned(net, event, None)
 }
 
-/// [`apply_topology`] keeping the [`crate::TopologyDelta`] and
-/// optionally pinning the id a join allocates.
+/// [`apply_topology`], optionally pinning the id a join allocates.
 ///
-/// `None` allocates the join's id with
-/// [`Network::next_id`](crate::Network::next_id); `Some(id)` inserts
-/// under a caller-chosen id instead. `join_id` is ignored for
-/// non-join events.
+/// `None` allocates the join's id with [`Network::next_id`];
+/// `Some(id)` inserts under a caller-chosen id instead. `join_id` is
+/// ignored for non-join events.
 ///
 /// # Panics
 /// Panics if a pinned `join_id` is already present.
+pub fn apply_topology_pinned(
+    net: &mut Network,
+    event: &Event,
+    join_id: Option<NodeId>,
+) -> AppliedEvent {
+    match event {
+        Event::Join { cfg } => {
+            minim_obs::counter!("net.apply.join", 1);
+            let id = join_id.unwrap_or_else(|| net.next_id());
+            net.insert_node(id, *cfg);
+            AppliedEvent::Joined(id)
+        }
+        Event::Leave { node } => {
+            minim_obs::counter!("net.apply.leave", 1);
+            net.remove_node(*node);
+            AppliedEvent::Left(*node)
+        }
+        Event::Move { node, to } => {
+            minim_obs::counter!("net.apply.move", 1);
+            net.move_node(*node, *to);
+            AppliedEvent::Moved(*node)
+        }
+        Event::SetRange { node, range } => {
+            minim_obs::counter!("net.apply.set_range", 1);
+            let dir = event.power_direction(net).expect("node must exist");
+            net.set_range(*node, *range);
+            AppliedEvent::RangeChanged(*node, dir)
+        }
+    }
+}
+
+/// [`apply_topology_pinned`] plus a clone of [`Network::delta`]. Kept
+/// only because the benchmark (`perfbench`) still calls it; it goes
+/// with the next benchmark change.
 pub fn apply_topology_delta(
     net: &mut Network,
     event: &Event,
     join_id: Option<NodeId>,
 ) -> (AppliedEvent, crate::TopologyDelta) {
-    match event {
-        Event::Join { cfg } => {
-            minim_obs::counter!("net.apply.join", 1);
-            let id = join_id.unwrap_or_else(|| net.next_id());
-            let delta = net.insert_node(id, *cfg);
-            (AppliedEvent::Joined(id), delta)
-        }
-        Event::Leave { node } => {
-            minim_obs::counter!("net.apply.leave", 1);
-            let delta = net.remove_node(*node);
-            (AppliedEvent::Left(*node), delta)
-        }
-        Event::Move { node, to } => {
-            minim_obs::counter!("net.apply.move", 1);
-            let delta = net.move_node(*node, *to);
-            (AppliedEvent::Moved(*node), delta)
-        }
-        Event::SetRange { node, range } => {
-            minim_obs::counter!("net.apply.set_range", 1);
-            let dir = event.power_direction(net).expect("node must exist");
-            let delta = net.set_range(*node, *range);
-            (AppliedEvent::RangeChanged(*node, dir), delta)
-        }
-    }
+    let applied = apply_topology_pinned(net, event, join_id);
+    (applied, net.delta().clone())
 }
 
 #[cfg(test)]

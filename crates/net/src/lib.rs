@@ -17,19 +17,22 @@
 //!   the *reverse-reach* part of that neighborhood ("who can hear the
 //!   initiator?") is scanned per range tier instead of at the global
 //!   maximum range,
-//! * the current code [`Assignment`].
+//! * the current code [`Assignment`],
+//! * the last topology step's [`TopologyDelta`].
 //!
-//! Every mutating operation ([`Network::insert_node`],
+//! Every topology step ([`Network::insert_node`],
 //! [`Network::remove_node`], [`Network::move_node`],
-//! [`Network::set_range`], [`Network::add_obstacle`]) returns a
-//! [`TopologyDelta`] — the exact added/removed digraph edges and the
-//! initiating node's resulting neighborhood — so the layers above
-//! (validation, recoding strategies, the simulator, the distributed
-//! protocols) do `O(affected neighborhood)` work per event instead of
-//! re-deriving state from the full graph. See the [`delta`] module
-//! docs for the contract. The one exception is
-//! [`Network::load_nodes`], which builds a whole node set into an
-//! empty network in one pass and returns no deltas (snapshot restore).
+//! [`Network::set_range`], and each node's rewire in
+//! [`Network::add_obstacle`]) refills the network's one
+//! [`TopologyDelta`] in place — the exact added/removed digraph edges
+//! and the initiating node's resulting neighborhood — and
+//! [`Network::delta`] lends it out until the next mutation. The layers
+//! above (validation, recoding strategies, the simulator, the
+//! distributed protocols) read it and do `O(affected neighborhood)`
+//! work per event instead of re-deriving state from the full graph.
+//! See the [`delta`] module docs for the contract. The one exception
+//! is [`Network::load_nodes`], which builds a whole node set into an
+//! empty network in one pass and records no delta (snapshot restore).
 //!
 //! [`event::Event`] reifies the four reconfiguration types;
 //! [`workload`] generates the randomized event sequences of §5 plus
@@ -155,8 +158,9 @@ impl JoinPartitions {
     }
 }
 
-/// A power-controlled ad-hoc network with its induced digraph and the
-/// current code assignment.
+/// A power-controlled ad-hoc network with its induced digraph, the
+/// current code assignment, and the [`TopologyDelta`] of its last
+/// topology step ([`Network::delta`]).
 ///
 /// Hot-path state is stored in dense slabs indexed by [`NodeId`]
 /// (node configurations here, adjacency in [`DiGraph`], colors in
@@ -178,50 +182,14 @@ pub struct Network {
     /// exists only when in range **and** unobstructed. Indexed by a
     /// cell grid so sight-line tests probe only nearby walls.
     obstacles: SegmentGrid,
-    /// Reusable buffers for the rewire path — steady-state event
-    /// application performs zero heap allocations.
-    scratch: RewireScratch,
-}
-
-/// Reusable workspace threaded through [`Network`]'s mutators: the
-/// out/in candidate buffers of a rewire, plus pools of recycled delta
-/// buffers ([`Network::recycle_delta`] returns them). Pool sizes are
-/// capped so a burst of un-recycled deltas cannot pin memory.
-#[derive(Debug, Clone, Default)]
-struct RewireScratch {
+    /// The initiating node's neighbor lists before the step, for the
+    /// edge diff. The new lists are built in `delta` itself.
     old_out: Vec<NodeId>,
     old_in: Vec<NodeId>,
-    out: Vec<NodeId>,
-    inn: Vec<NodeId>,
-    id_pool: Vec<Vec<NodeId>>,
-    edge_pool: Vec<EdgeList>,
-}
-
-/// Max recycled buffers kept per pool.
-const SCRATCH_POOL_CAP: usize = 16;
-
-impl RewireScratch {
-    fn take_id_buf(&mut self) -> Vec<NodeId> {
-        self.id_pool.pop().unwrap_or_default()
-    }
-
-    fn take_edge_buf(&mut self) -> EdgeList {
-        self.edge_pool.pop().unwrap_or_default()
-    }
-
-    fn give_id_buf(&mut self, mut v: Vec<NodeId>) {
-        if self.id_pool.len() < SCRATCH_POOL_CAP {
-            v.clear();
-            self.id_pool.push(v);
-        }
-    }
-
-    fn give_edge_buf(&mut self, mut v: EdgeList) {
-        if self.edge_pool.len() < SCRATCH_POOL_CAP {
-            v.clear();
-            self.edge_pool.push(v);
-        }
-    }
+    /// The last topology step's delta, refilled in place by every step
+    /// so steady-state event application performs zero heap
+    /// allocations.
+    delta: TopologyDelta,
 }
 
 impl Network {
@@ -251,30 +219,27 @@ impl Network {
             assignment: Assignment::new(),
             next_id: 0,
             obstacles: SegmentGrid::new(cell_size_hint),
-            scratch: RewireScratch::default(),
+            old_out: Vec::new(),
+            old_in: Vec::new(),
+            delta: TopologyDelta::default(),
         }
     }
 
     /// Adds an opaque wall (§2's non-free-space generalization) and
-    /// rewires every node's links. Obstacles only *remove* edges, i.e.
-    /// only remove constraints, so a valid assignment stays valid.
+    /// rewires every node's links, in id order. Obstacles only
+    /// *remove* edges, i.e. only remove constraints, so a valid
+    /// assignment stays valid.
     ///
-    /// Returns one [`TopologyDelta`] per node whose link set actually
-    /// changed (each edge appears in exactly one delta: the first
-    /// rewire that severed it).
-    pub fn add_obstacle(&mut self, wall: Segment) -> Vec<TopologyDelta> {
+    /// Each rewire is a [`DeltaKind::Rewire`] step, so afterwards
+    /// [`Network::delta`] holds only the last node's.
+    pub fn add_obstacle(&mut self, wall: Segment) {
         self.obstacles.insert(wall);
         // Hold the ids across the rewires below (which mutate the
         // graph), so the allocation is necessary here.
         let ids: Vec<NodeId> = self.iter_nodes().collect();
-        let mut deltas = Vec::new();
         for id in ids {
-            let delta = self.rewire(id, DeltaKind::Rewire);
-            if !delta.is_edge_noop() {
-                deltas.push(delta);
-            }
+            self.rewire(id, DeltaKind::Rewire);
         }
-        deltas
     }
 
     /// The installed obstacles.
@@ -296,18 +261,11 @@ impl Network {
         &self.obstacles
     }
 
-    /// Hands a delta's buffers back for reuse. Event loops that are
-    /// done with a [`TopologyDelta`] (metrics read, validation run)
-    /// should recycle it: together with the internal scratch buffers
-    /// this makes steady-state event application allocation-free. Not
-    /// recycling is always safe — the pools are bounded and refill
-    /// lazily.
-    pub fn recycle_delta(&mut self, delta: TopologyDelta) {
-        let (added, removed, out_after, in_after) = delta.into_buffers();
-        self.scratch.give_edge_buf(added);
-        self.scratch.give_edge_buf(removed);
-        self.scratch.give_id_buf(out_after);
-        self.scratch.give_id_buf(in_after);
+    /// The [`TopologyDelta`] of the last topology step, valid until
+    /// the next mutation. A network that has taken no step yet holds
+    /// the empty default delta.
+    pub fn delta(&self) -> &TopologyDelta {
+        &self.delta
     }
 
     /// Allocates a fresh node id (strictly increasing; also the CP
@@ -406,14 +364,14 @@ impl Network {
     /// induced edges in both directions. The node starts **uncolored**;
     /// the recoding strategy must assign it a code.
     ///
-    /// Returns the [`TopologyDelta`] of the insertion: every new edge
-    /// (all incident to `id`) plus `id`'s resulting neighbor lists —
-    /// from which the recode set `1n ∪ 2n ∪ {n}` follows without
-    /// another graph traversal.
+    /// Records the insertion's [`TopologyDelta`]: every new edge (all
+    /// incident to `id`) plus `id`'s resulting neighbor lists — from
+    /// which the recode set `1n ∪ 2n ∪ {n}` follows without another
+    /// graph traversal.
     ///
     /// # Panics
     /// Panics if `id` already exists.
-    pub fn insert_node(&mut self, id: NodeId, cfg: NodeConfig) -> TopologyDelta {
+    pub fn insert_node(&mut self, id: NodeId, cfg: NodeConfig) {
         assert!(
             !self.graph.contains(id),
             "insert_node: {id} already present"
@@ -472,48 +430,41 @@ impl Network {
 
     /// Convenience: insert at a fresh id. Returns the id.
     pub fn join(&mut self, cfg: NodeConfig) -> NodeId {
-        self.join_delta(cfg).0
-    }
-
-    /// Inserts at a fresh id, returning both the id and the insertion's
-    /// [`TopologyDelta`].
-    pub fn join_delta(&mut self, cfg: NodeConfig) -> (NodeId, TopologyDelta) {
         let id = self.next_id();
-        let delta = self.insert_node(id, cfg);
-        (id, delta)
+        self.insert_node(id, cfg);
+        id
     }
 
     /// Removes node `id`, its edges, and its color.
     ///
-    /// Returns the [`TopologyDelta`] listing every severed edge. A
+    /// Records the [`TopologyDelta`] listing every severed edge. A
     /// removal only *removes* constraints (§4.3: `RecodeDecreasePow-
     /// OrLeave` is passive), so consumers need the delta for cache
     /// invalidation and accounting, never for recoding.
     ///
     /// # Panics
     /// Panics if `id` is absent.
-    pub fn remove_node(&mut self, id: NodeId) -> TopologyDelta {
+    pub fn remove_node(&mut self, id: NodeId) {
         assert!(self.graph.contains(id), "remove_node: missing {id}");
-        let mut removed = self.scratch.take_edge_buf();
+        let delta = &mut self.delta;
+        delta.reset(DeltaKind::Remove, id);
+        let removed = &mut delta.removed;
         removed.extend(self.graph.out_neighbors(id).iter().map(|&v| (id, v)));
         removed.extend(self.graph.in_neighbors(id).iter().map(|&u| (u, id)));
+        delta.seal();
         self.graph.remove_node(id);
         self.configs[id.index()] = None;
         self.grid.remove(id.0);
         self.assignment.unset(id);
-        let added = self.scratch.take_edge_buf();
-        let out_after = self.scratch.take_id_buf();
-        let in_after = self.scratch.take_id_buf();
-        TopologyDelta::new(DeltaKind::Remove, id, added, removed, out_after, in_after)
     }
 
     /// Moves node `id` to `to` and recomputes its incident edges. The
     /// node keeps its (possibly now-conflicting) color; the strategy
-    /// decides what to recode from the returned [`TopologyDelta`].
+    /// decides what to recode from the recorded [`TopologyDelta`].
     ///
     /// # Panics
     /// Panics if `id` is absent.
-    pub fn move_node(&mut self, id: NodeId, to: Point) -> TopologyDelta {
+    pub fn move_node(&mut self, id: NodeId, to: Point) {
         let cfg = self
             .configs
             .get_mut(id.index())
@@ -528,7 +479,7 @@ impl Network {
     /// change (who `id` can reach); in-edges depend on the other nodes'
     /// ranges and are untouched.
     ///
-    /// The returned [`TopologyDelta`]'s added edges all leave `id` —
+    /// The recorded [`TopologyDelta`]'s added edges all leave `id` —
     /// exactly the new constraints a power increase creates (§4.2), so
     /// strategies recode from the delta without diffing conflict sets.
     ///
@@ -537,7 +488,7 @@ impl Network {
     ///
     /// # Panics
     /// Panics if `id` is absent or the range is invalid.
-    pub fn set_range(&mut self, id: NodeId, range: f64) -> TopologyDelta {
+    pub fn set_range(&mut self, id: NodeId, range: f64) {
         assert!(
             range.is_finite() && range >= 0.0,
             "range must be finite and non-negative, got {range}"
@@ -561,143 +512,136 @@ impl Network {
             graph,
             grid,
             obstacles,
-            scratch,
+            old_out,
+            delta,
             ..
         } = self;
+        delta.reset(DeltaKind::SetRange, id);
         // Recompute out-edges from scratch, on reusable buffers.
-        scratch.old_out.clear();
-        scratch.old_out.extend_from_slice(graph.out_neighbors(id));
-        for i in 0..scratch.old_out.len() {
-            graph.remove_edge(id, scratch.old_out[i]);
+        old_out.clear();
+        old_out.extend_from_slice(graph.out_neighbors(id));
+        for &v in old_out.iter() {
+            graph.remove_edge(id, v);
         }
-        scratch.out.clear();
-        let targets = &mut scratch.out;
+        let out = &mut delta.out_after;
         grid.for_each_within(&pos, range, |other, opos| {
             if other != id.0 && !obstacles.blocked(&pos, &opos) {
-                targets.push(NodeId(other));
+                out.push(NodeId(other));
             }
         });
-        for i in 0..scratch.out.len() {
-            graph.add_edge(id, scratch.out[i]);
+        for &v in out.iter() {
+            graph.add_edge(id, v);
         }
-        scratch.out.sort_unstable();
-        let mut added = scratch.take_edge_buf();
-        let mut removed = scratch.take_edge_buf();
+        out.sort_unstable();
+        let TopologyDelta { added, removed, .. } = delta;
         diff_sorted(
-            &scratch.old_out,
-            &scratch.out,
+            old_out,
+            out,
             |v| removed.push((id, v)),
             |v| added.push((id, v)),
         );
-        let mut out_after = scratch.take_id_buf();
-        out_after.extend_from_slice(&scratch.out);
-        let mut in_after = scratch.take_id_buf();
-        in_after.extend_from_slice(graph.in_neighbors(id));
-        TopologyDelta::new(DeltaKind::SetRange, id, added, removed, out_after, in_after)
+        delta.in_after.extend_from_slice(graph.in_neighbors(id));
+        delta.seal();
     }
 
     /// The non-growing half of [`Network::set_range`]. With the range at
     /// most the old one, `id` can only lose out-edges, and obstacles
     /// did not change, so the new out-set is the current one filtered
     /// by the spatial query's exact predicate `dist2 <= range²` — no
-    /// query of the index. Returns the same delta the query would:
+    /// query of the index. Records the same delta the query would:
     /// nothing added, the lost edges ascending.
-    fn shrink_out_edges(&mut self, id: NodeId, pos: Point, range: f64) -> TopologyDelta {
+    fn shrink_out_edges(&mut self, id: NodeId, pos: Point, range: f64) {
         let Network {
             graph,
             configs,
-            scratch,
+            old_out,
+            delta,
             ..
         } = self;
+        delta.reset(DeltaKind::SetRange, id);
         let r2 = range * range;
-        scratch.old_out.clear();
-        scratch.old_out.extend_from_slice(graph.out_neighbors(id));
-        let added = scratch.take_edge_buf();
-        let mut removed = scratch.take_edge_buf();
-        let mut out_after = scratch.take_id_buf();
-        for &v in &scratch.old_out {
+        old_out.clear();
+        old_out.extend_from_slice(graph.out_neighbors(id));
+        for &v in old_out.iter() {
             let vpos = configs[v.index()].expect("out-neighbor is present").pos;
             if vpos.dist2(&pos) <= r2 {
-                out_after.push(v);
+                delta.out_after.push(v);
             } else {
                 graph.remove_edge(id, v);
-                removed.push((id, v));
+                delta.removed.push((id, v));
             }
         }
-        let mut in_after = scratch.take_id_buf();
-        in_after.extend_from_slice(graph.in_neighbors(id));
-        TopologyDelta::new(DeltaKind::SetRange, id, added, removed, out_after, in_after)
+        delta.in_after.extend_from_slice(graph.in_neighbors(id));
+        delta.seal();
     }
 
     /// Recomputes **all** edges incident to `id` (both directions) from
-    /// the geometry, returning the exact edge delta. Used on insert,
+    /// the geometry and records the exact edge delta. Used on insert,
     /// move, and obstacle installation.
     ///
-    /// Runs entirely on the [`RewireScratch`] workspace: candidate
-    /// buffers are reused across events and the delta's owned lists
-    /// come from the recycle pools, so in steady state (with
-    /// [`Network::recycle_delta`] returning buffers) the whole path is
-    /// allocation-free.
-    fn rewire(&mut self, id: NodeId, kind: DeltaKind) -> TopologyDelta {
+    /// The delta's `out_after`/`in_after` lists are the query's
+    /// candidate buffers, so a warm network rewires without heap
+    /// allocation.
+    fn rewire(&mut self, id: NodeId, kind: DeltaKind) {
         let cfg = self.config(id).expect("rewire: missing node");
         let Network {
             graph,
             grid,
             obstacles,
-            scratch,
+            old_out,
+            old_in,
+            delta,
             ..
         } = self;
-        scratch.old_out.clear();
-        scratch.old_out.extend_from_slice(graph.out_neighbors(id));
-        scratch.old_in.clear();
-        scratch.old_in.extend_from_slice(graph.in_neighbors(id));
+        delta.reset(kind, id);
+        old_out.clear();
+        old_out.extend_from_slice(graph.out_neighbors(id));
+        old_in.clear();
+        old_in.extend_from_slice(graph.in_neighbors(id));
         graph.clear_node_edges(id);
+        let TopologyDelta {
+            added,
+            removed,
+            out_after: out,
+            in_after: inn,
+            ..
+        } = delta;
         // Out-edges: nodes within our range and line of sight.
-        scratch.out.clear();
-        let out = &mut scratch.out;
         grid.for_each_within(&cfg.pos, cfg.range, |other, opos| {
             if other != id.0 && !obstacles.blocked(&cfg.pos, &opos) {
                 out.push(NodeId(other));
             }
         });
-        for i in 0..scratch.out.len() {
-            graph.add_edge(id, scratch.out[i]);
+        for &v in out.iter() {
+            graph.add_edge(id, v);
         }
         // In-edges: nodes whose own range covers us — the stratified
         // reverse-reach query scans each occupied tier at that tier's
         // range cap (instead of one scan at the global maximum), and
         // already filters by each candidate's actual range.
-        scratch.inn.clear();
-        let inn = &mut scratch.inn;
         grid.for_each_reaching(&cfg.pos, |other, opos, _| {
             if other != id.0 && !obstacles.blocked(&opos, &cfg.pos) {
                 inn.push(NodeId(other));
             }
         });
-        for i in 0..scratch.inn.len() {
-            graph.add_edge(scratch.inn[i], id);
+        for &u in inn.iter() {
+            graph.add_edge(u, id);
         }
-        scratch.out.sort_unstable();
-        scratch.inn.sort_unstable();
-        let mut added = scratch.take_edge_buf();
-        let mut removed = scratch.take_edge_buf();
+        out.sort_unstable();
+        inn.sort_unstable();
         diff_sorted(
-            &scratch.old_out,
-            &scratch.out,
+            old_out,
+            out,
             |v| removed.push((id, v)),
             |v| added.push((id, v)),
         );
         diff_sorted(
-            &scratch.old_in,
-            &scratch.inn,
+            old_in,
+            inn,
             |u| removed.push((u, id)),
             |u| added.push((u, id)),
         );
-        let mut out_after = scratch.take_id_buf();
-        out_after.extend_from_slice(&scratch.out);
-        let mut in_after = scratch.take_id_buf();
-        in_after.extend_from_slice(&scratch.inn);
-        TopologyDelta::new(kind, id, added, removed, out_after, in_after)
+        delta.seal();
     }
 
     /// The Fig 2 partition of the existing nodes around `n`.
@@ -860,9 +804,6 @@ impl Network {
             .collect()
     }
 }
-
-/// A list of directed edges, as a delta stores them.
-type EdgeList = Vec<(NodeId, NodeId)>;
 
 /// Single merge pass over two sorted id lists, calling `on_old_only`
 /// for ids that disappeared and `on_new_only` for ids that appeared.
@@ -1128,7 +1069,8 @@ mod tests {
         // c lands between them, within range of both: every incident
         // edge (c ↔ a at dist 6, c ↔ b at dist 6) wires both ways.
         let c = net.next_id();
-        let d = net.insert_node(c, NodeConfig::new(Point::new(6.0, 0.0), 8.0));
+        net.insert_node(c, NodeConfig::new(Point::new(6.0, 0.0), 8.0));
+        let d = net.delta();
         assert_eq!(d.kind(), DeltaKind::Insert);
         assert_eq!(d.node(), c);
         assert!(d.removed.is_empty(), "an insert only adds edges");
@@ -1155,7 +1097,8 @@ mod tests {
         let b = net.join(NodeConfig::new(Point::new(6.0, 0.0), 4.0));
         let c = net.join(NodeConfig::new(Point::new(3.0, 0.0), 10.0));
         let before: Vec<_> = net.graph().edges().collect();
-        let d = net.remove_node(c);
+        net.remove_node(c);
+        let d = net.delta();
         assert_eq!(d.kind(), DeltaKind::Remove);
         assert!(d.added.is_empty());
         assert!(d.out_after.is_empty() && d.in_after.is_empty());
@@ -1174,7 +1117,8 @@ mod tests {
         let b = net.join(NodeConfig::new(Point::new(30.0, 0.0), 8.0));
         let c = net.join(NodeConfig::new(Point::new(5.0, 0.0), 8.0));
         // c currently links with a; moving near b swaps the neighborhood.
-        let d = net.move_node(c, Point::new(27.0, 0.0));
+        net.move_node(c, Point::new(27.0, 0.0));
+        let d = net.delta();
         assert_eq!(d.kind(), DeltaKind::Move);
         assert_eq!(d.removed, vec![(a, c), (c, a)]);
         assert_eq!(d.added, vec![(b, c), (c, b)]);
@@ -1182,8 +1126,8 @@ mod tests {
         assert_eq!(d.out_after, vec![b]);
         assert_eq!(d.in_after, vec![b]);
         // A move that changes nothing is an edge no-op.
-        let d2 = net.move_node(c, Point::new(26.0, 0.0));
-        assert!(d2.is_edge_noop());
+        net.move_node(c, Point::new(26.0, 0.0));
+        assert!(net.delta().is_edge_noop());
         net.check_topology();
     }
 
@@ -1192,13 +1136,15 @@ mod tests {
         let mut net = Network::new(5.0);
         let a = net.join(NodeConfig::new(Point::new(0.0, 0.0), 10.0));
         let b = net.join(NodeConfig::new(Point::new(6.0, 0.0), 4.0));
-        let d = net.set_range(b, 7.0);
+        net.set_range(b, 7.0);
+        let d = net.delta();
         assert_eq!(d.kind(), DeltaKind::SetRange);
         assert_eq!(d.added, vec![(b, a)]);
         assert!(d.removed.is_empty());
         assert_eq!(d.new_receivers().collect::<Vec<_>>(), vec![a]);
         assert_eq!(d.new_transmitters().count(), 0);
-        let d2 = net.set_range(b, 1.0);
+        net.set_range(b, 1.0);
+        let d2 = net.delta();
         assert_eq!(d2.removed, vec![(b, a)]);
         assert!(d2.added.is_empty());
         assert_eq!(d2.in_after, vec![a], "in-edges survive the range drop");
@@ -1206,20 +1152,25 @@ mod tests {
     }
 
     #[test]
-    fn obstacle_deltas_cover_each_severed_edge_once() {
+    fn obstacle_rewires_only_sever_edges() {
         use minim_geom::Segment;
         let mut net = Network::new(10.0);
         let a = net.join(NodeConfig::new(Point::new(0.0, 0.0), 12.0));
         let b = net.join(NodeConfig::new(Point::new(10.0, 0.0), 12.0));
         let c = net.join(NodeConfig::new(Point::new(0.0, 5.0), 12.0));
-        let deltas = net.add_obstacle(Segment::new(Point::new(5.0, -20.0), Point::new(5.0, 20.0)));
-        let mut removed: Vec<_> = deltas.iter().flat_map(|d| d.removed.clone()).collect();
-        removed.sort_unstable();
-        // Both directions of a–b and c–b are gone; nothing is double
-        // counted and nothing was added.
-        assert_eq!(removed, vec![(a, b), (b, a), (b, c), (c, b)]);
-        assert!(deltas.iter().all(|d| d.added.is_empty()));
-        assert!(deltas.iter().all(|d| d.kind() == DeltaKind::Rewire));
+        let before: Vec<_> = net.graph().edges().collect();
+        net.add_obstacle(Segment::new(Point::new(5.0, -20.0), Point::new(5.0, 20.0)));
+        // Both directions of a–b and c–b are gone and nothing was
+        // added; the last rewire (of c) recorded its own severed edges.
+        let after: Vec<_> = net.graph().edges().collect();
+        let mut severed: Vec<_> = before.into_iter().filter(|e| !after.contains(e)).collect();
+        severed.sort_unstable();
+        assert_eq!(severed, vec![(a, b), (b, a), (b, c), (c, b)]);
+        assert_eq!(after, vec![(a, c), (c, a)]);
+        let d = net.delta();
+        assert_eq!(d.kind(), DeltaKind::Rewire);
+        assert_eq!(d.node(), c);
+        assert!(d.added.is_empty());
         net.check_topology();
     }
 
@@ -1271,49 +1222,47 @@ mod tests {
         assert!(flat.range_bound() >= 2000.0, "flat bound never shrinks");
     }
 
+    /// The network refills one delta in place. After every step of a
+    /// stream that grows, shrinks and empties each of its four lists,
+    /// the reused delta must equal the one a network rebuilt from
+    /// [`Network::describe`] records for the same step: no entry of an
+    /// earlier step may survive.
     #[test]
-    fn recycled_deltas_keep_results_identical() {
-        // Two identical event streams, one recycling deltas after each
-        // event: final networks (and each delta's contents) must match.
-        let mut a = Network::new(10.0);
-        let mut b = Network::new(10.0);
-        let cfgs = [
-            (Point::new(0.0, 0.0), 8.0),
-            (Point::new(5.0, 0.0), 8.0),
-            (Point::new(9.0, 3.0), 12.0),
-            (Point::new(2.0, 7.0), 6.0),
+    fn reused_delta_never_carries_the_previous_step() {
+        fn cfg(x: f64, y: f64, r: f64) -> NodeConfig {
+            NodeConfig::new(Point::new(x, y), r)
+        }
+        let steps: [fn(&mut Network); 15] = [
+            |net| net.insert_node(n(0), cfg(0.0, 0.0, 8.0)),
+            |net| net.insert_node(n(1), cfg(5.0, 0.0, 8.0)),
+            |net| net.insert_node(n(2), cfg(9.0, 3.0, 12.0)),
+            |net| net.insert_node(n(3), cfg(2.0, 7.0, 6.0)),
+            |net| net.move_node(n(2), Point::new(1.0, 1.0)),
+            |net| net.move_node(n(2), Point::new(40.0, 40.0)),
+            |net| net.move_node(n(2), Point::new(9.0, 3.0)),
+            |net| net.set_range(n(0), 15.0),
+            |net| net.set_range(n(0), 8.0),
+            |net| net.set_range(n(0), 0.0),
+            |net| net.set_range(n(0), 8.0),
+            |net| net.remove_node(n(1)),
+            |net| net.insert_node(n(4), cfg(40.0, 40.0, 1.0)),
+            |net| net.insert_node(n(1), cfg(5.0, 0.0, 8.0)),
+            |net| net.remove_node(n(4)),
         ];
-        for &(p, r) in &cfgs {
-            let da = a.insert_node(a.peek_next_id(), NodeConfig::new(p, r));
-            let db = b.insert_node(b.peek_next_id(), NodeConfig::new(p, r));
-            assert_eq!(da, db);
-            b.recycle_delta(db);
+        let mut net = Network::new(10.0);
+        for (i, step) in steps.iter().enumerate() {
+            let nodes: Vec<_> = net
+                .describe()
+                .into_iter()
+                .map(|(id, pos, range, _)| (id, NodeConfig::new(pos, range)))
+                .collect();
+            let mut fresh = Network::new(10.0);
+            fresh.load_nodes(&nodes);
+            step(&mut net);
+            step(&mut fresh);
+            assert_eq!(net.delta(), fresh.delta(), "step {i}");
         }
-        for _ in 0..3 {
-            let da = a.move_node(n(2), Point::new(1.0, 1.0));
-            let db = b.move_node(n(2), Point::new(1.0, 1.0));
-            assert_eq!(da, db);
-            b.recycle_delta(db);
-            let da = a.move_node(n(2), Point::new(9.0, 3.0));
-            let db = b.move_node(n(2), Point::new(9.0, 3.0));
-            assert_eq!(da, db);
-            b.recycle_delta(db);
-            let da = a.set_range(n(0), 15.0);
-            let db = b.set_range(n(0), 15.0);
-            assert_eq!(da, db);
-            b.recycle_delta(db);
-            let da = a.set_range(n(0), 8.0);
-            let db = b.set_range(n(0), 8.0);
-            assert_eq!(da, db);
-            b.recycle_delta(db);
-        }
-        let da = a.remove_node(n(1));
-        let db = b.remove_node(n(1));
-        assert_eq!(da, db);
-        b.recycle_delta(db);
-        assert_eq!(a.describe(), b.describe());
-        a.check_topology();
-        b.check_topology();
+        net.check_topology();
     }
 
     #[test]

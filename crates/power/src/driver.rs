@@ -32,7 +32,7 @@
 use crate::control::{self, ControlConfig, ControlScratch, PowerLadder, Verdict};
 use crate::gain::GainModel;
 use crate::sinr::{LinkBudget, SinrField};
-use minim_geom::Point;
+use minim_geom::{Point, SpatialGrid};
 use minim_graph::NodeId;
 use minim_net::event::Event;
 use minim_net::Network;
@@ -319,51 +319,59 @@ impl PowerLoop {
 /// assignment is deterministic). A single node receives itself —
 /// [`SinrField`] treats that as a dead link.
 fn nearest_neighbor_receivers(positions: &[Point]) -> Vec<u32> {
-    (0..positions.len())
-        .map(|i| nearest_among(positions, i, |j| j != i).unwrap_or(i) as u32)
+    let grid = index_points(positions);
+    (0u32..)
+        .zip(positions)
+        .map(|(i, p)| grid.nearest_where(p, |j, _| j != i).map_or(i, |(j, _)| j))
         .collect()
 }
 
 /// [`ReceiverPolicy::Sinks`]: indices `0, every, 2·every, …` are
 /// sinks; everyone else uplinks to the nearest sink, sinks to their
 /// nearest fellow sink (a lone sink falls back to its nearest
-/// neighbor so its link is still live).
+/// neighbor so its link is still live). Ties break toward the lower
+/// index, as in [`nearest_neighbor_receivers`].
 ///
 /// # Panics
 /// Panics when `every == 0`.
 fn sink_receivers(positions: &[Point], every: usize) -> Vec<u32> {
     assert!(every >= 1, "sink stride must be >= 1");
-    let is_sink = |j: usize| j.is_multiple_of(every);
-    (0..positions.len())
-        .map(|i| {
-            nearest_among(positions, i, |j| j != i && is_sink(j))
-                .or_else(|| nearest_among(positions, i, |j| j != i))
-                .unwrap_or(i) as u32
+    let is_sink = |j: u32| (j as usize).is_multiple_of(every);
+    let grid = index_points(positions);
+    (0u32..)
+        .zip(positions)
+        .map(|(i, p)| {
+            grid.nearest_where(p, |j, _| j != i && is_sink(j))
+                .or_else(|| grid.nearest_where(p, |j, _| j != i))
+                .map_or(i, |(j, _)| j)
         })
         .collect()
 }
 
-/// The index of the closest admissible point to `positions[i]` (ties
-/// toward the lower index — deterministic), or `None` when no point
-/// is admissible.
-fn nearest_among(
-    positions: &[Point],
-    i: usize,
-    admissible: impl Fn(usize) -> bool,
-) -> Option<usize> {
-    let mut best = None;
-    let mut best_d2 = f64::INFINITY;
-    for (j, pos) in positions.iter().enumerate() {
-        if !admissible(j) {
-            continue;
-        }
-        let d2 = positions[i].dist2(pos);
-        if d2 < best_d2 {
-            best_d2 = d2;
-            best = Some(j);
-        }
+/// A grid over `positions`, keyed by index, whose cells hold about one
+/// point each on a uniform spread (the bounding box's longer side over
+/// `√n`), so a nearest query touches a few cells instead of every
+/// point. [`SpatialGrid::nearest_where`] breaks ties toward the lower
+/// index.
+fn index_points(positions: &[Point]) -> SpatialGrid {
+    let (mut lo, mut hi) = (
+        Point::new(f64::MAX, f64::MAX),
+        Point::new(f64::MIN, f64::MIN),
+    );
+    for p in positions {
+        lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+        hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
     }
-    best
+    let cell = (hi.x - lo.x).max(hi.y - lo.y) / (positions.len() as f64).sqrt();
+    let mut grid = SpatialGrid::new(if cell.is_finite() && cell > 0.0 {
+        cell
+    } else {
+        1.0
+    });
+    for (i, &p) in (0u32..).zip(positions) {
+        grid.insert(i, p);
+    }
+    grid
 }
 
 #[cfg(test)]

@@ -683,8 +683,8 @@ impl SinrField {
     }
 
     /// The present node nearest to `p` for which `admissible` holds
-    /// (ties toward the lower id — deterministic, matching the
-    /// driver's `nearest_among`).
+    /// (ties toward the lower id — deterministic, the same rule as the
+    /// batch driver's receiver policies).
     pub fn nearest_transmitter(
         &self,
         p: &Point,

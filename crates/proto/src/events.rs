@@ -38,7 +38,9 @@ pub fn distributed_minim_move(
     let before = net.snapshot_assignment();
     let mut eng = Engine::new();
 
-    let delta = net.move_node(id, to);
+    net.move_node(id, to);
+    // The join flow commits to `net` while it reads the delta.
+    let delta = net.delta().clone();
 
     // Departure announcement to the old neighborhood (they update
     // their caches; nobody recodes — §4.3). The pre-move adjacency
@@ -67,7 +69,9 @@ pub fn distributed_minim_set_range(
     let before = net.snapshot_assignment();
     let old_range = net.config(id).expect("node must exist").range;
     let mut eng = Engine::new();
-    let delta = net.set_range(id, range);
+    net.set_range(id, range);
+    // The increase path recolors `id` before its last read.
+    let delta = net.delta().clone();
 
     if range <= old_range {
         // Decrease: announce so ex-receivers drop the link from their
@@ -172,10 +176,10 @@ pub fn distributed_minim_set_range(
 pub fn distributed_minim_leave(net: &mut Network, id: NodeId) -> (RecodeOutcome, ProtocolMetrics) {
     let before = net.snapshot_assignment();
     let mut eng = Engine::new();
-    let delta = net.remove_node(id);
+    net.remove_node(id);
     // The delta's severed edges name exactly the ex-neighbors who must
     // hear the goodbye.
-    let neighbors = delta.undirected_before();
+    let neighbors = net.delta().undirected_before();
     for &u in &neighbors {
         eng.send_to(id, u, Payload::Leaving);
     }

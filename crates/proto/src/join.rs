@@ -51,7 +51,9 @@ pub fn distributed_minim_join(
     cfg: NodeConfig,
 ) -> (RecodeOutcome, ProtocolMetrics) {
     let before = net.snapshot_assignment();
-    let delta = net.insert_node(id, cfg);
+    net.insert_node(id, cfg);
+    // The flow commits to `net` while it reads the delta.
+    let delta = net.delta().clone();
     let mut eng = Engine::new();
     let outcome = minim_gather_match_recolor(net, &delta, &mut eng, &before);
     debug_assert!(net.validate().is_ok(), "distributed Minim join invalid");
@@ -207,11 +209,11 @@ pub fn distributed_cp_join(
     cfg: NodeConfig,
 ) -> (RecodeOutcome, ProtocolMetrics) {
     let before = net.snapshot_assignment();
-    let delta = net.insert_node(id, cfg);
+    net.insert_node(id, cfg);
     let mut eng = Engine::new();
 
     // Rounds 1–2: query + color reports (the CP exchange of §3).
-    let neighbors = delta.undirected_after();
+    let neighbors = net.delta().undirected_after();
     for &u in &neighbors {
         eng.send_to(id, u, Payload::JoinQuery);
     }
@@ -240,7 +242,7 @@ pub fn distributed_cp_join(
 
     // Round 3: the joiner tells the duplicated-color in-neighbors (the
     // pairs violating CA2 through it) to reselect.
-    let in_union = delta.partitions().in_union();
+    let in_union = net.delta().partitions().in_union();
     let mut by_color: HashMap<Color, Vec<NodeId>> = HashMap::new();
     for &u in &in_union {
         if let Some(Some(c)) = colors.get(&u) {

@@ -2,7 +2,8 @@
 //! accumulate the paper's two metrics.
 //!
 //! Every event goes through [`minim_core::run_event`], which yields
-//! the event's [`minim_net::TopologyDelta`] next to its recoding.
+//! the event's recoding; the network's [`Network::delta`] holds its
+//! [`minim_net::TopologyDelta`].
 //! [`ValidationMode::Delta`] checks CA1/CA2 after each event with
 //! `conflict::validate_delta` on just the delta's affected
 //! neighborhood, `O(Δ)` per event.
@@ -59,7 +60,7 @@ pub fn run_events_validated(
         match run_event(net, e, None, Writes::Plan(&*strategy), mode) {
             Ok(done) => {
                 recodings += done.outcome.recodings();
-                edge_churn += done.delta.edge_churn();
+                edge_churn += net.delta().edge_churn();
             }
             Err(err) => panic!("{}: {err}", strategy.name()),
         }

@@ -68,7 +68,7 @@ fn main() {
         let mut fire = |net: &mut Network, e: &Event| {
             let done = run_event(net, e, None, Writes::Plan(&*strategy), ValidationMode::Off)
                 .expect("the strategy keeps CA1/CA2");
-            stats.record(&done.applied, &done.delta, &done.outcome);
+            stats.record(&done.applied, net.delta(), &done.outcome);
             done.outcome
         };
         for e in &joins {

@@ -1,14 +1,15 @@
 //! Allocation-count smoke check for the rewire path.
 //!
-//! PR 4's contract: once warm, the event path — `move_node`,
-//! `set_range`, `remove_node` + re-insert, with deltas handed back via
-//! `Network::recycle_delta` — performs **zero heap allocations**. The
-//! internal `RewireScratch` buffers, the recycled delta buffers, the
-//! capacity-retaining `DiGraph` adjacency slots, and the stratified
-//! grid's slab storage together make every steady-state event a pure
-//! pointer-chasing affair.
+//! Phase 1: once warm, the topology step that every event takes —
+//! `apply_topology` on moves, a tier-crossing range cycle, and a leave
+//! plus a rejoin at the old id — performs **zero heap allocations**,
+//! with nothing handed back by the caller. The network refills its one
+//! `TopologyDelta` in place (its neighbor lists double as the rewire's
+//! candidate buffers); with the capacity-retaining `DiGraph` adjacency
+//! slots and the stratified grid's slab storage, every steady-state
+//! event is a pure pointer-chasing affair.
 //!
-//! This PR extends the contract to the incremental SINR engine: a warm
+//! Phases 2 and 3 extend the contract to the incremental SINR engine: a warm
 //! [`PowerSession`] patching its interference field per move / leave /
 //! rejoin and re-settling the active-set power loop from the previous
 //! equilibrium must also be allocation-free — the CSR row pools, the
@@ -43,7 +44,7 @@
 use minim_core::{Minim, RecodePlanner, RecodingStrategy, StrategyKind, KEEP_WEIGHT};
 use minim_geom::{Point, Segment};
 use minim_graph::{Color, NodeId};
-use minim_net::event::Event;
+use minim_net::event::{apply_topology, apply_topology_pinned, Event};
 use minim_net::{Network, NodeConfig};
 use minim_power::{PowerLadder, PowerLoopConfig, PowerSession};
 use minim_serve::codec::{decode_snapshot, encode_record, encode_snapshot};
@@ -80,23 +81,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// One steady-state event cycle: a mover oscillating across cells (its
-/// neighborhood genuinely changes), a power cycler crossing a range
-/// tier boundary, and a churner leaving and rejoining at its old id.
-/// Every delta is recycled, returning its buffers to the pools.
+/// One steady-state event cycle through the topology step: a mover
+/// oscillating across cells (its neighborhood genuinely changes), a
+/// power cycler crossing a range tier boundary, and a churner leaving
+/// and rejoining at its old id.
 fn cycle(net: &mut Network, mover: NodeId, cycler: NodeId, churner: NodeId, churn_cfg: NodeConfig) {
-    let d = net.move_node(mover, Point::new(62.0, 10.0));
-    net.recycle_delta(d);
-    let d = net.move_node(mover, Point::new(10.0, 10.0));
-    net.recycle_delta(d);
-    let d = net.set_range(cycler, 55.0);
-    net.recycle_delta(d);
-    let d = net.set_range(cycler, 20.0);
-    net.recycle_delta(d);
-    let d = net.remove_node(churner);
-    net.recycle_delta(d);
-    let d = net.insert_node(churner, churn_cfg);
-    net.recycle_delta(d);
+    for event in [
+        Event::Move {
+            node: mover,
+            to: Point::new(62.0, 10.0),
+        },
+        Event::Move {
+            node: mover,
+            to: Point::new(10.0, 10.0),
+        },
+        Event::SetRange {
+            node: cycler,
+            range: 55.0,
+        },
+        Event::SetRange {
+            node: cycler,
+            range: 20.0,
+        },
+        Event::Leave { node: churner },
+    ] {
+        apply_topology(net, &event);
+    }
+    apply_topology_pinned(net, &Event::Join { cfg: churn_cfg }, Some(churner));
 }
 
 #[test]
@@ -123,8 +134,8 @@ fn steady_state_rewire_allocates_nothing() {
     let churner = NodeId(33);
     let churn_cfg = net.config(churner).expect("churner present");
 
-    // Warm-up: grows every buffer, pool, adjacency list, and grid cell
-    // to its steady-state capacity.
+    // Warm-up: grows the delta's buffers, every adjacency list, and
+    // every grid cell to its steady-state capacity.
     for _ in 0..12 {
         cycle(&mut net, mover, cycler, churner, churn_cfg);
     }
@@ -307,25 +318,26 @@ fn steady_state_rewire_allocates_nothing() {
     let mut planner = RecodePlanner::default();
     let mut plan = Vec::new();
     let joiner = dense.next_id();
-    let delta = (0..400u32)
-        .find_map(|k| {
-            let pos = Point::new(f64::from(k % 20) * 3.3 + 1.1, f64::from(k / 20) * 3.3 + 1.7);
-            let delta = dense.insert_node(joiner, NodeConfig::new(pos, 15.0));
-            planner.plan_into(&dense, &delta, KEEP_WEIGHT, &mut plan);
-            if plan.len() > 1 {
-                return Some(delta);
-            }
-            dense.remove_node(joiner);
-            None
-        })
-        .expect("some join position reaches the matching");
+    let found = (0..400u32).any(|k| {
+        let pos = Point::new(f64::from(k % 20) * 3.3 + 1.1, f64::from(k / 20) * 3.3 + 1.7);
+        dense.insert_node(joiner, NodeConfig::new(pos, 15.0));
+        planner.plan_into(&dense, dense.delta(), KEEP_WEIGHT, &mut plan);
+        if plan.len() > 1 {
+            return true;
+        }
+        dense.remove_node(joiner);
+        false
+    });
+    assert!(found, "some join position reaches the matching");
+    // The join is the last topology step, so `dense.delta()` is its
+    // delta from here on.
     for _ in 0..12 {
-        planner.plan_into(&dense, &delta, KEEP_WEIGHT, &mut plan);
+        planner.plan_into(&dense, dense.delta(), KEEP_WEIGHT, &mut plan);
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for _ in 0..25 {
-        planner.plan_into(&dense, &delta, KEEP_WEIGHT, &mut plan);
+        planner.plan_into(&dense, dense.delta(), KEEP_WEIGHT, &mut plan);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
 

@@ -180,7 +180,7 @@ fn validate_delta_matches_full_validate_across_workloads() {
         let mut net = Network::new(25.0);
         for e in &events {
             let done = run_live(&minim::core::Minim::default(), &mut net, e);
-            let seeds = minim::core::validation_seeds(&done.delta, &done.outcome);
+            let seeds = minim::core::validation_seeds(net.delta(), &done.outcome);
             let local = conflict::validate_delta(net.graph(), net.assignment(), &seeds);
             let full = net.validate();
             assert_eq!(
@@ -229,8 +229,8 @@ fn delta_neighborhoods_match_graph_rederivation() {
         let events = mixed_events(seed, 20, 25);
         let mut net = Network::new(25.0);
         for e in &events {
-            let done = run_live(&minim::core::Minim::default(), &mut net, e);
-            let d = &done.delta;
+            run_live(&minim::core::Minim::default(), &mut net, e);
+            let d = net.delta();
             let n = d.node();
             if !net.contains(n) {
                 continue; // leave: nothing to compare
@@ -447,7 +447,8 @@ fn bbb_stays_valid_on_frontier_streams_under_full_validation() {
         let mut net = Network::new(25.0);
         let mut edge_churn = 0;
         for (i, e) in frontier_events(seed, 60).iter().enumerate() {
-            edge_churn += run_live(&*bbb, &mut net, e).delta.edge_churn();
+            run_live(&*bbb, &mut net, e);
+            edge_churn += net.delta().edge_churn();
             if let Err(v) = net.validate() {
                 panic!("frontier seed {seed}, event {i} ({e:?}): {v}");
             }
@@ -488,6 +489,11 @@ fn redoing_recorded_writes_reproduces_the_live_run() {
                 )
                 .unwrap_or_else(|err| panic!("{kind:?} {label}, event {i}: {err}"));
                 assert_eq!(redone, done, "{kind:?} {label}: event {i} diverged");
+                assert_eq!(
+                    redo.delta(),
+                    live.delta(),
+                    "{kind:?} {label}: delta diverged at event {i}"
+                );
                 assert_eq!(
                     redo.state_digest(),
                     live.state_digest(),
@@ -546,7 +552,8 @@ proptest! {
             };
             let out_before = net.graph().out_neighbors(u).to_vec();
             let in_before = net.graph().in_neighbors(u).to_vec();
-            let delta = net.set_range(u, range);
+            net.set_range(u, range);
+            let delta = net.delta();
             let pos = net.config(u).expect("present").pos;
             let expect: Vec<NodeId> = net
                 .iter_nodes()

@@ -243,7 +243,7 @@ fn radio_accounting_is_consistent_with_instrumentation() {
             ValidationMode::Delta,
         )
         .expect("Minim keeps the network valid");
-        stats.record(&done.applied, &done.delta, &done.outcome);
+        stats.record(&done.applied, net.delta(), &done.outcome);
         done.outcome
     };
     // Joins happen pre-traffic; the radio run then fires a small churn.

@@ -20,7 +20,7 @@ use minim::core::{gather_recode_inputs, plan_recode, Minim, RecodingStrategy, KE
 use minim::geom::{sample, Point, Rect, Segment};
 use minim::graph::{conflict, Color, NodeId};
 use minim::matching::{max_weight_matching, WeightedBipartite};
-use minim::net::event::{apply_topology_delta, AppliedEvent, Event};
+use minim::net::event::{apply_topology, AppliedEvent, Event};
 use minim::net::workload::{MixWorkload, Placement, RangeDist};
 use minim::net::{Network, NodeConfig, TopologyDelta};
 use rand::rngs::StdRng;
@@ -236,8 +236,9 @@ fn check_stream(net: &mut Network, events: &[Event], skip: usize) -> (usize, usi
     let minim = Minim::default();
     let (mut checked, mut matched) = (0, 0);
     for (i, event) in events.iter().enumerate() {
-        let (applied, delta) = apply_topology_delta(net, event, None);
-        let plan = minim.plan_batched(net, &applied, &delta);
+        let applied = apply_topology(net, event);
+        let delta = net.delta();
+        let plan = minim.plan_batched(net, &applied, delta);
         if i >= skip && matches!(applied, AppliedEvent::Joined(_) | AppliedEvent::Moved(_)) {
             let set = delta.recode_set();
             assert_eq!(
@@ -247,7 +248,7 @@ fn check_stream(net: &mut Network, events: &[Event], skip: usize) -> (usize, usi
             );
             assert_eq!(
                 plan,
-                reference_minim_plan(net, &delta),
+                reference_minim_plan(net, delta),
                 "event {i} ({event:?}): plan"
             );
             checked += 1;

@@ -28,7 +28,7 @@
 use minim::core::StrategyKind;
 use minim::geom::{Point, Rect, Segment};
 use minim::graph::NodeId;
-use minim::net::event::{apply_topology, apply_topology_delta, Event};
+use minim::net::event::{apply_topology, Event};
 use minim::net::workload::{JoinWorkload, MixWorkload, Placement, RangeDist};
 use minim::net::{Network, NodeConfig};
 use minim::sim::runner::{run_events_validated, ValidationMode};
@@ -358,9 +358,9 @@ fn bulk_load_equals_incremental_inserts() {
                     },
                     _ => mix.next_event(&inc, &mut rng),
                 };
-                let (_, d_bulk) = apply_topology_delta(&mut bulk, &event, None);
-                let (_, d_inc) = apply_topology_delta(&mut inc, &event, None);
-                assert_eq!(d_bulk, d_inc, "{label}: delta at step {step}");
+                apply_topology(&mut bulk, &event);
+                apply_topology(&mut inc, &event);
+                assert_eq!(bulk.delta(), inc.delta(), "{label}: delta at step {step}");
                 assert_eq!(
                     bulk.state_digest(),
                     inc.state_digest(),
