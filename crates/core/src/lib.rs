@@ -46,7 +46,7 @@ pub use minim::{gather_recode_inputs, plan_recode, Minim, RecodePlanner, KEEP_WE
 use minim_geom::Point;
 use minim_graph::{conflict, Color, NodeId};
 use minim_net::event::{apply_topology_pinned, AppliedEvent, Event};
-use minim_net::{Network, NodeConfig, TopologyDelta};
+use minim_net::{DeltaKind, Network, NodeConfig, TopologyDelta};
 
 /// What a strategy did in response to one event.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -249,7 +249,7 @@ impl std::error::Error for EventError {}
 /// writes (decided by the strategy, or recorded), [`commit_plan`], and
 /// the CA1/CA2 check around the event node and the written nodes when
 /// `mode` is [`ValidationMode::Delta`] or the build has debug
-/// assertions.
+/// assertions, and [`needs_validation`] holds.
 ///
 /// Every event takes this path: the simulation runner, the durable
 /// engine's live apply and its recovery, and the strategies' `on_*`
@@ -277,7 +277,9 @@ pub fn run_event<S: RecodingStrategy + ?Sized>(
         )));
     }
     let outcome = commit_plan(net, writes);
-    if mode == ValidationMode::Delta || cfg!(debug_assertions) {
+    if (mode == ValidationMode::Delta || cfg!(debug_assertions))
+        && needs_validation(net.delta(), &outcome)
+    {
         let seeds = validation_seeds(net.delta(), &outcome);
         if let Err(v) = conflict::validate_delta(net.graph(), net.assignment(), &seeds) {
             return Err(EventError::Refused(format!(
@@ -319,6 +321,20 @@ fn check_event(net: &Network, event: &Event, join_id: Option<NodeId>) -> Result<
         return Err(format!("{event:?} targets absent node {node:?}"));
     }
     Ok(())
+}
+
+/// Whether a validating [`run_event`] checks CA1/CA2 after this
+/// topology step and commit. A release build skips the check when the
+/// step was not a join, added no edge and the commit recoded nothing:
+/// such an event only removed constraints, and removing constraints
+/// cannot break CA1/CA2 (the argument of Thms 4.3.3 and 4.3.4). A join
+/// always needs it, since its node starts uncolored. Debug builds
+/// check every event.
+pub fn needs_validation(delta: &TopologyDelta, outcome: &RecodeOutcome) -> bool {
+    cfg!(debug_assertions)
+        || delta.kind() == DeltaKind::Insert
+        || !delta.added.is_empty()
+        || !outcome.recoded.is_empty()
 }
 
 /// The seed set [`conflict::validate_delta`] needs for one event: the

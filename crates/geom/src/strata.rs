@@ -23,6 +23,20 @@
 //!   (the cap of the highest occupied tier) that **tightens** when
 //!   long-range nodes shrink or leave, instead of a monotone watermark.
 //!
+//! Every entry also carries a **clear bound** for the caller: a lower
+//! bound on the squared distance to the nearest point its range does
+//! not cover and that could become its out-neighbor. A range change
+//! below it moves no edge. The index stores the bound clamped to
+//! `[range², scan radius²]` of the entry's tier, so the reverse scan
+//! that finds every entry whose range covers a point also finds every
+//! entry whose *clear disc* covers it
+//! ([`StratifiedGrid::for_each_in_clear_disc`]); the tiers stay keyed
+//! by range. [`StratifiedGrid::for_each_within_clear`] is the forward
+//! query that also computes a bound: the nearest scanned point beyond
+//! the radius, or the inscribed radius of the scanned cells, whichever
+//! is smaller. Keeping the bound valid as other entries move is the
+//! caller's job; `minim-net` lowers it from its reverse query.
+//!
 //! A `flat` construction mode ([`StratifiedGrid::new_flat`]) forces
 //! every node into tier 0 and keeps the old monotone watermark — it
 //! reproduces the pre-stratification behavior exactly and exists so
@@ -69,6 +83,15 @@ impl Tier {
     }
 }
 
+/// One indexed entry.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    range: f64,
+    /// The clear bound, squared, within `[range², scan radius²]`.
+    clear2: f64,
+    tier: u8,
+}
+
 /// A spatial index over `(u32 id, Point, range)` entries, stratified
 /// by range tier, answering both forward (`within`) and reverse
 /// ([`StratifiedGrid::for_each_reaching`]) proximity queries.
@@ -80,8 +103,8 @@ pub struct StratifiedGrid {
     /// Tier-0 cell size and the tier boundary geometric base.
     base: f64,
     tiers: Vec<Tier>,
-    /// Slab: `entries[id]` = (range, tier index) for present ids.
-    entries: Vec<Option<(f64, u8)>>,
+    /// Slab: `entries[id]` for present ids.
+    entries: Vec<Option<Entry>>,
     len: usize,
     /// Flat mode: single tier, monotone watermark — the
     /// pre-stratification behavior, kept for A/B benchmarking.
@@ -170,11 +193,11 @@ impl StratifiedGrid {
     }
 
     #[inline]
-    fn entry(&self, id: u32) -> Option<(f64, u8)> {
+    fn entry(&self, id: u32) -> Option<Entry> {
         self.entries.get(id as usize).copied().flatten()
     }
 
-    fn slot_mut(&mut self, id: u32) -> &mut Option<(f64, u8)> {
+    fn slot_mut(&mut self, id: u32) -> &mut Option<Entry> {
         let i = id as usize;
         if i >= self.entries.len() {
             self.entries.resize(i + 1, None);
@@ -182,8 +205,9 @@ impl StratifiedGrid {
         &mut self.entries[i]
     }
 
-    /// Inserts `id` at `pos` with transmission `range`. Returns `false`
-    /// (and does nothing) if the id is already present.
+    /// Inserts `id` at `pos` with transmission `range` and clear bound
+    /// `range²`. Returns `false` (and does nothing) if the id is already
+    /// present.
     ///
     /// # Panics
     /// Panics if `range` is negative or not finite.
@@ -199,14 +223,22 @@ impl StratifiedGrid {
         let tier = self.tier_slot(t);
         tier.grid.insert(id, pos);
         tier.watermark = tier.watermark.max(range);
-        *self.slot_mut(id) = Some((range, t as u8));
+        *self.slot_mut(id) = Some(Entry {
+            range,
+            clear2: range * range,
+            tier: t as u8,
+        });
         self.len += 1;
         true
     }
 
     /// Removes `id`. Returns its last position, or `None` if absent.
     pub fn remove(&mut self, id: u32) -> Option<Point> {
-        let (_, t) = self.entries.get_mut(id as usize).and_then(Option::take)?;
+        let t = self
+            .entries
+            .get_mut(id as usize)
+            .and_then(Option::take)?
+            .tier;
         let tier = &mut self.tiers[t as usize];
         let pos = tier.grid.remove(id).expect("entry listed in its tier");
         if tier.grid.is_empty() {
@@ -221,14 +253,15 @@ impl StratifiedGrid {
     /// Moves `id` to `new_pos` (range and tier unchanged). Returns
     /// `false` if the id is absent.
     pub fn relocate(&mut self, id: u32, new_pos: Point) -> bool {
-        let Some((_, t)) = self.entry(id) else {
+        let Some(e) = self.entry(id) else {
             return false;
         };
-        self.tiers[t as usize].grid.relocate(id, new_pos)
+        self.tiers[e.tier as usize].grid.relocate(id, new_pos)
     }
 
     /// Sets `id`'s transmission range, migrating it across tiers when
-    /// the range crosses a tier boundary. Returns `false` if absent.
+    /// the range crosses a tier boundary, and clamps its clear bound
+    /// into the new `[range², scan radius²]`. Returns `false` if absent.
     ///
     /// # Panics
     /// Panics if `range` is negative or not finite.
@@ -237,7 +270,12 @@ impl StratifiedGrid {
             range.is_finite() && range >= 0.0,
             "range must be finite and non-negative, got {range}"
         );
-        let Some((_, old_t)) = self.entry(id) else {
+        let Some(Entry {
+            clear2,
+            tier: old_t,
+            ..
+        }) = self.entry(id)
+        else {
             return false;
         };
         let new_t = self.tier_of(range) as u8;
@@ -256,19 +294,46 @@ impl StratifiedGrid {
         // top tier, whose cap does not cover its ranges.
         let tier = &mut self.tiers[new_t as usize];
         tier.watermark = tier.watermark.max(range);
-        *self.slot_mut(id) = Some((range, new_t));
+        *self.slot_mut(id) = Some(Entry {
+            range,
+            clear2,
+            tier: new_t,
+        });
+        self.set_clear_bound(id, clear2)
+    }
+
+    /// The clear bound stored for `id`, squared, if indexed.
+    pub fn clear_bound(&self, id: u32) -> Option<f64> {
+        self.entry(id).map(|e| e.clear2)
+    }
+
+    /// Sets `id`'s squared clear bound to `clear2`, clamped into
+    /// `[range², scan radius²]`. Returns `false` if absent.
+    pub fn set_clear_bound(&mut self, id: u32, clear2: f64) -> bool {
+        let Some(e) = self.entries.get_mut(id as usize).and_then(Option::as_mut) else {
+            return false;
+        };
+        let scan = self.tiers[e.tier as usize].scan_radius();
+        e.clear2 = clear2.min(scan * scan).max(e.range * e.range);
         true
+    }
+
+    /// The reverse-reach scan radius of the tier holding `id`, if
+    /// indexed: the ceiling of its clear bound.
+    pub fn scan_radius_of(&self, id: u32) -> Option<f64> {
+        self.entry(id)
+            .map(|e| self.tiers[e.tier as usize].scan_radius())
     }
 
     /// The current position of `id`, if indexed.
     pub fn position(&self, id: u32) -> Option<Point> {
-        let (_, t) = self.entry(id)?;
-        self.tiers[t as usize].grid.position(id)
+        let e = self.entry(id)?;
+        self.tiers[e.tier as usize].grid.position(id)
     }
 
     /// The transmission range stored for `id`, if indexed.
     pub fn range_of(&self, id: u32) -> Option<f64> {
-        self.entry(id).map(|(r, _)| r)
+        self.entry(id).map(|e| e.range)
     }
 
     /// A tight-enough upper bound on every present entry's range,
@@ -296,22 +361,67 @@ impl StratifiedGrid {
         }
     }
 
+    /// [`StratifiedGrid::for_each_within`] that also returns a lower
+    /// bound on `dist2` from `center` to every entry farther than
+    /// `radius` (see [`SpatialGrid::for_each_within_clear`]): the
+    /// smallest over the non-empty tiers, infinite when all are empty.
+    pub fn for_each_within_clear<F: FnMut(u32, Point)>(
+        &self,
+        center: &Point,
+        radius: f64,
+        mut f: F,
+    ) -> f64 {
+        let mut clear2 = f64::INFINITY;
+        for tier in &self.tiers {
+            if !tier.grid.is_empty() {
+                clear2 = clear2.min(tier.grid.for_each_within_clear(center, radius, &mut f));
+            }
+        }
+        clear2
+    }
+
     /// Calls `f(id, pos, range)` for every entry whose **own range
     /// covers `center`** (`dist(entry, center) <= range`, boundary
     /// inclusive) — the reverse-reach query. Each non-empty tier is
     /// scanned with radius equal to *that tier's* cap, so the cost
     /// tracks the local range mix instead of the global maximum.
     pub fn for_each_reaching<F: FnMut(u32, Point, f64)>(&self, center: &Point, mut f: F) {
+        self.for_each_reverse(center, |id, pos, e| {
+            if pos.within(center, e.range) {
+                f(id, pos, e.range);
+            }
+        });
+    }
+
+    /// Calls `f(id, pos, range, clear2)` for every entry whose **clear
+    /// disc covers `center`** (`dist2(entry, center) <= clear2`) — a
+    /// superset of [`StratifiedGrid::for_each_reaching`], since the
+    /// bound is at least `range²`, found by the same tier scans, since
+    /// it is at most the scan radius².
+    pub fn for_each_in_clear_disc<F: FnMut(u32, Point, f64, f64)>(&self, center: &Point, mut f: F) {
+        self.for_each_reverse(center, |id, pos, e| {
+            if pos.dist2(center) <= e.clear2 {
+                f(id, pos, e.range, e.clear2);
+            }
+        });
+    }
+
+    /// Scans each non-empty tier at its scan radius around `center`.
+    #[inline]
+    fn for_each_reverse<F: FnMut(u32, Point, &Entry)>(&self, center: &Point, mut f: F) {
         for tier in &self.tiers {
             if tier.grid.is_empty() {
                 continue;
             }
             let radius = tier.scan_radius();
             tier.grid.for_each_within(center, radius, |id, pos| {
-                let (range, _) = self.entries[id as usize].expect("listed id is present");
-                if pos.within(center, range) {
-                    f(id, pos, range);
-                }
+                f(
+                    id,
+                    pos,
+                    self.entries[id as usize]
+                        .as_ref()
+                        .expect("listed id is present"),
+                );
             });
         }
     }
@@ -336,12 +446,12 @@ impl StratifiedGrid {
     /// id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Point, f64)> + '_ {
         self.entries.iter().enumerate().filter_map(|(i, e)| {
-            e.map(|(range, t)| {
-                let pos = self.tiers[t as usize]
+            e.map(|e| {
+                let pos = self.tiers[e.tier as usize]
                     .grid
                     .position(i as u32)
                     .expect("entry listed in its tier");
-                (i as u32, pos, range)
+                (i as u32, pos, e.range)
             })
         })
     }
@@ -492,7 +602,7 @@ mod tests {
         #[test]
         fn matches_flat_grid_and_brute_force_after_churn(
             ops in proptest::collection::vec(
-                (0u32..24, 0.0..200.0f64, 0.0..200.0f64, 0.01..150.0f64, 0u8..4),
+                (0u32..24, 0.0..200.0f64, 0.0..200.0f64, 0.01..150.0f64, 0u8..5),
                 0..100,
             ),
             qx in 0.0..200.0f64, qy in 0.0..200.0f64,
@@ -520,6 +630,11 @@ mod tests {
                             e.pos = p;
                         }
                     }
+                    3 => {
+                        // Any bound: the index clamps it.
+                        let ok = strat.set_clear_bound(id, range * range * x / 50.0);
+                        prop_assert_eq!(ok, model.contains_key(&id));
+                    }
                     _ => {
                         let ok = strat.set_range(id, range);
                         prop_assert_eq!(ok, model.contains_key(&id));
@@ -539,6 +654,33 @@ mod tests {
             // Reverse query: stratified matches brute force.
             prop_assert_eq!(strat.reaching(&c), brute_reaching(&entries, &c));
             prop_assert_eq!(strat.len(), model.len());
+            // The forward query's clear bound lies at or below every
+            // entry beyond the radius.
+            let mut seen = Vec::new();
+            let clear2 = strat.for_each_within_clear(&c, r, |id, _| seen.push(id));
+            seen.sort_unstable();
+            prop_assert_eq!(seen, brute_within(&entries, &c, r));
+            for (id, e) in &entries {
+                let d2 = e.pos.dist2(&c);
+                prop_assert!(d2 <= r * r || d2 >= clear2, "{} at {} under bound {}", id, d2, clear2);
+            }
+            // Stored bounds stay within [range², scan radius²], and the
+            // clear-disc query reports exactly the entries inside them.
+            let mut clear: Vec<u32> = entries
+                .iter()
+                .filter(|(id, e)| {
+                    let b = strat.clear_bound(*id).unwrap();
+                    let scan = strat.scan_radius_of(*id).unwrap();
+                    assert!(e.range * e.range <= b && b <= scan * scan);
+                    e.pos.dist2(&c) <= b
+                })
+                .map(|&(id, _)| id)
+                .collect();
+            clear.sort_unstable();
+            let mut found = Vec::new();
+            strat.for_each_in_clear_disc(&c, |id, _, _, _| found.push(id));
+            found.sort_unstable();
+            prop_assert_eq!(found, clear);
             // The derived bound really bounds every present range.
             let true_max = entries.iter().map(|(_, e)| e.range).fold(0.0, f64::max);
             prop_assert!(strat.range_bound() >= true_max);

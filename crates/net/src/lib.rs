@@ -186,6 +186,9 @@ pub struct Network {
     /// edge diff. The new lists are built in `delta` itself.
     old_out: Vec<NodeId>,
     old_in: Vec<NodeId>,
+    /// Nodes whose clear bound a rewire lowers, with the new bound:
+    /// collected during the reverse query, written after it.
+    lowered: Vec<(u32, f64)>,
     /// The last topology step's delta, refilled in place by every step
     /// so steady-state event application performs zero heap
     /// allocations.
@@ -221,6 +224,7 @@ impl Network {
             obstacles: SegmentGrid::new(cell_size_hint),
             old_out: Vec::new(),
             old_in: Vec::new(),
+            lowered: Vec::new(),
             delta: TopologyDelta::default(),
         }
     }
@@ -391,7 +395,10 @@ impl Network {
     /// with the same line-of-sight filter as the event path, and the
     /// in-sets are its transpose ([`DiGraph::fill_edgeless`]). There
     /// is no reverse-reach query, since every in-edge is some other
-    /// node's out-edge. Snapshot restore builds through this.
+    /// node's out-edge. Each node's clear bound comes from its forward
+    /// query over the whole set, so it may differ from the bound the
+    /// inserts leave; only costs depend on it. Snapshot restore builds
+    /// through this.
     ///
     /// # Panics
     /// Panics if the network holds a node or the ids are not strictly
@@ -420,11 +427,12 @@ impl Network {
         } = self;
         graph.fill_edgeless(|id, out| {
             let cfg = configs[id.index()].expect("present node");
-            grid.for_each_within(&cfg.pos, cfg.range, |other, opos| {
+            let clear2 = grid.for_each_within_clear(&cfg.pos, cfg.range, |other, opos| {
                 if other != id.0 && !obstacles.blocked(&cfg.pos, &opos) {
                     out.push(NodeId(other));
                 }
             });
+            grid.set_clear_bound(id.0, clear2);
         });
     }
 
@@ -484,7 +492,9 @@ impl Network {
     /// strategies recode from the delta without diffing conflict sets.
     ///
     /// A range that does not grow only filters the current out-edges by
-    /// distance; a growing one re-queries the spatial index.
+    /// distance. A grow whose `range²` stays below the node's clear
+    /// bound adds no edge and skips the index too; only a grow past it
+    /// queries the spatial index.
     ///
     /// # Panics
     /// Panics if `id` is absent or the range is invalid.
@@ -512,34 +522,36 @@ impl Network {
             graph,
             grid,
             obstacles,
-            old_out,
             delta,
             ..
         } = self;
         delta.reset(DeltaKind::SetRange, id);
-        // Recompute out-edges from scratch, on reusable buffers.
-        old_out.clear();
-        old_out.extend_from_slice(graph.out_neighbors(id));
-        for &v in old_out.iter() {
-            graph.remove_edge(id, v);
-        }
-        let out = &mut delta.out_after;
-        grid.for_each_within(&pos, range, |other, opos| {
-            if other != id.0 && !obstacles.blocked(&pos, &opos) {
-                out.push(NodeId(other));
+        let clear2 = grid.clear_bound(id.0).expect("indexed node");
+        // Strict: a node at exactly the bound is an edge at `range²`.
+        if range * range < clear2 {
+            minim_obs::counter!("net.set_range.clear", 1);
+            delta.out_after.extend_from_slice(graph.out_neighbors(id));
+        } else {
+            // A grow keeps every out-edge, so only the new ones go in.
+            let out = &mut delta.out_after;
+            let clear2 = grid.for_each_within_clear(&pos, range, |other, opos| {
+                if other != id.0 && !obstacles.blocked(&pos, &opos) {
+                    out.push(NodeId(other));
+                }
+            });
+            grid.set_clear_bound(id.0, clear2);
+            out.sort_unstable();
+            let TopologyDelta { added, .. } = delta;
+            diff_sorted(
+                graph.out_neighbors(id),
+                out,
+                |v| unreachable!("a grow lost the out-edge to {v}"),
+                |v| added.push((id, v)),
+            );
+            for &(_, v) in added.iter() {
+                graph.add_edge(id, v);
             }
-        });
-        for &v in out.iter() {
-            graph.add_edge(id, v);
         }
-        out.sort_unstable();
-        let TopologyDelta { added, removed, .. } = delta;
-        diff_sorted(
-            old_out,
-            out,
-            |v| removed.push((id, v)),
-            |v| added.push((id, v)),
-        );
         delta.in_after.extend_from_slice(graph.in_neighbors(id));
         delta.seal();
     }
@@ -549,28 +561,36 @@ impl Network {
     /// did not change, so the new out-set is the current one filtered
     /// by the spatial query's exact predicate `dist2 <= range²` — no
     /// query of the index. Records the same delta the query would:
-    /// nothing added, the lost edges ascending.
+    /// nothing added, the lost edges ascending. The clear bound drops
+    /// to the nearest lost neighbor.
     fn shrink_out_edges(&mut self, id: NodeId, pos: Point, range: f64) {
         let Network {
             graph,
             configs,
+            grid,
             old_out,
             delta,
             ..
         } = self;
         delta.reset(DeltaKind::SetRange, id);
         let r2 = range * range;
+        let mut clear2 = grid.clear_bound(id.0).expect("indexed node");
         old_out.clear();
         old_out.extend_from_slice(graph.out_neighbors(id));
         for &v in old_out.iter() {
-            let vpos = configs[v.index()].expect("out-neighbor is present").pos;
-            if vpos.dist2(&pos) <= r2 {
+            let d2 = configs[v.index()]
+                .expect("out-neighbor is present")
+                .pos
+                .dist2(&pos);
+            if d2 <= r2 {
                 delta.out_after.push(v);
             } else {
                 graph.remove_edge(id, v);
                 delta.removed.push((id, v));
+                clear2 = clear2.min(d2);
             }
         }
+        grid.set_clear_bound(id.0, clear2);
         delta.in_after.extend_from_slice(graph.in_neighbors(id));
         delta.seal();
     }
@@ -578,6 +598,11 @@ impl Network {
     /// Recomputes **all** edges incident to `id` (both directions) from
     /// the geometry and records the exact edge delta. Used on insert,
     /// move, and obstacle installation.
+    ///
+    /// Sets `id`'s clear bound from its out-query and lowers the bound
+    /// of every node whose clear disc now holds `id` beyond its range,
+    /// so the bounds stay valid as nodes join and move. A leave, or a
+    /// move away, only makes other nodes' bounds more conservative.
     ///
     /// The delta's `out_after`/`in_after` lists are the query's
     /// candidate buffers, so a warm network rewires without heap
@@ -590,6 +615,7 @@ impl Network {
             obstacles,
             old_out,
             old_in,
+            lowered,
             delta,
             ..
         } = self;
@@ -607,7 +633,7 @@ impl Network {
             ..
         } = delta;
         // Out-edges: nodes within our range and line of sight.
-        grid.for_each_within(&cfg.pos, cfg.range, |other, opos| {
+        let clear2 = grid.for_each_within_clear(&cfg.pos, cfg.range, |other, opos| {
             if other != id.0 && !obstacles.blocked(&cfg.pos, &opos) {
                 out.push(NodeId(other));
             }
@@ -617,13 +643,27 @@ impl Network {
         }
         // In-edges: nodes whose own range covers us — the stratified
         // reverse-reach query scans each occupied tier at that tier's
-        // range cap (instead of one scan at the global maximum), and
-        // already filters by each candidate's actual range.
-        grid.for_each_reaching(&cfg.pos, |other, opos, _| {
-            if other != id.0 && !obstacles.blocked(&opos, &cfg.pos) {
+        // range cap (instead of one scan at the global maximum). It
+        // reports every node whose clear disc covers us; those whose
+        // range does not get their bound lowered to us instead.
+        lowered.clear();
+        grid.for_each_in_clear_disc(&cfg.pos, |other, opos, range, other_clear2| {
+            if other == id.0 {
+                return;
+            }
+            let d2 = opos.dist2(&cfg.pos);
+            if d2 > range * range {
+                if d2 < other_clear2 {
+                    lowered.push((other, d2));
+                }
+            } else if !obstacles.blocked(&opos, &cfg.pos) {
                 inn.push(NodeId(other));
             }
         });
+        grid.set_clear_bound(id.0, clear2);
+        for &(other, d2) in lowered.iter() {
+            grid.set_clear_bound(other, d2);
+        }
         for &u in inn.iter() {
             graph.add_edge(u, id);
         }
@@ -691,26 +731,49 @@ impl Network {
     }
 
     /// Rebuilds the full graph from scratch (O(n · neighborhood)) and
-    /// asserts it matches the incrementally maintained one. Debug aid
-    /// used by tests and failure injection.
+    /// asserts it matches the incrementally maintained one, and that
+    /// every clear bound holds: it lies within `[range², scan radius²]`
+    /// of the node's tier, and no unblocked node beyond the range is
+    /// closer. Debug aid used by tests and failure injection.
     pub fn check_topology(&self) {
         for u in self.iter_nodes() {
             let cu = self.configs[u.index()].expect("present node");
+            let clear2 = self.grid.clear_bound(u.0).expect("indexed node");
+            let scan = self.grid.scan_radius_of(u.0).expect("indexed node");
+            assert!(
+                cu.range * cu.range <= clear2 && clear2 <= scan * scan,
+                "clear bound² {clear2} of {u} outside [{}², {scan}²]",
+                cu.range
+            );
             for v in self.iter_nodes() {
                 if u == v {
                     continue;
                 }
                 let cv = self.configs[v.index()].expect("present node");
-                let expect =
-                    cu.pos.within(&cv.pos, cu.range) && !self.line_blocked(&cu.pos, &cv.pos);
+                let d2 = cu.pos.dist2(&cv.pos);
+                let reach = cu.pos.within(&cv.pos, cu.range);
+                let blocked = (reach || d2 < clear2) && self.line_blocked(&cu.pos, &cv.pos);
                 assert_eq!(
                     self.graph.has_edge(u, v),
-                    expect,
+                    reach && !blocked,
                     "topology drift on {u} → {v}"
+                );
+                assert!(
+                    reach || blocked || d2 >= clear2,
+                    "{v} at dist² {d2} lies beyond the range of {u} but inside its clear bound² {clear2}"
                 );
             }
         }
         self.graph.check_invariants();
+    }
+
+    /// The clear bound of `id`, squared, if present: no unblocked node
+    /// beyond its range lies closer, so a range change inside
+    /// `[farthest out-neighbor, bound)` moves no edge. It depends on
+    /// how the network was built (inserts and [`Network::load_nodes`]
+    /// can disagree) and only ever decides how much work a step costs.
+    pub fn clear_bound(&self, id: NodeId) -> Option<f64> {
+        self.grid.clear_bound(id.0)
     }
 
     /// Whether this network runs on the flat (single-tier, monotone
@@ -936,6 +999,34 @@ mod tests {
         net.set_range(b, 1.0);
         assert!(!net.graph().has_edge(b, a));
         assert!(net.graph().has_edge(a, b));
+        net.check_topology();
+    }
+
+    #[test]
+    fn clear_bound_follows_joins_grows_and_shrinks() {
+        let mut net = Network::new(25.0);
+        let a = net.join(NodeConfig::new(Point::new(0.0, 0.0), 10.0));
+        let b = net.join(NodeConfig::new(Point::new(20.0, 0.0), 1.0));
+        // b's join lowered a's bound to b's distance.
+        assert_eq!(net.clear_bound(a), Some(400.0));
+        // A grow below it records an empty delta.
+        net.set_range(a, 19.0);
+        let d = net.delta();
+        assert_eq!(d.kind(), DeltaKind::SetRange);
+        assert!(d.is_edge_noop());
+        assert!(d.out_after.is_empty() && d.in_after.is_empty());
+        // A node joining inside the clear disc lowers it again.
+        let c = net.join(NodeConfig::new(Point::new(0.0, 19.5), 1.0));
+        assert_eq!(net.clear_bound(a), Some(19.5 * 19.5));
+        // A grow to exactly a node's distance adds the edge.
+        net.set_range(a, 19.5);
+        assert_eq!(net.delta().added, vec![(a, c)]);
+        net.set_range(a, 20.0);
+        assert_eq!(net.delta().added, vec![(a, b)]);
+        // A shrink lowers the bound to the nearest lost neighbor.
+        net.set_range(a, 5.0);
+        assert_eq!(net.delta().removed, vec![(a, b), (a, c)]);
+        assert_eq!(net.clear_bound(a), Some(19.5 * 19.5));
         net.check_topology();
     }
 

@@ -6,9 +6,10 @@
 //! [`minim_net::TopologyDelta`].
 //! [`ValidationMode::Delta`] checks CA1/CA2 after each event with
 //! `conflict::validate_delta` on just the delta's affected
-//! neighborhood, `O(Δ)` per event.
+//! neighborhood, `O(Δ)` per event, and skips events that only removed
+//! constraints ([`minim_core::needs_validation`]).
 
-use minim_core::{run_event, RecodingStrategy, Writes};
+use minim_core::{needs_validation, run_event, RecodingStrategy, Writes};
 use minim_net::event::{apply_topology, Event};
 use minim_net::workload::MovementWorkload;
 use minim_net::Network;
@@ -54,11 +55,15 @@ pub fn run_events_validated(
     let mut recodings = 0;
     let mut edge_churn = 0;
     for e in events {
-        if mode == ValidationMode::Delta {
-            minim_obs::counter!("sim.validate.delta", 1);
-        }
         match run_event(net, e, None, Writes::Plan(&*strategy), mode) {
             Ok(done) => {
+                if mode == ValidationMode::Delta {
+                    if needs_validation(net.delta(), &done.outcome) {
+                        minim_obs::counter!("sim.validate.delta", 1);
+                    } else {
+                        minim_obs::counter!("sim.validate.skipped", 1);
+                    }
+                }
                 recodings += done.outcome.recodings();
                 edge_churn += net.delta().edge_churn();
             }

@@ -32,9 +32,16 @@
 //! color writes encode into a reused frame buffer, as `Engine::apply`
 //! does, with no allocation.
 //!
-//! The last phase pins snapshot restore. `decode_snapshot` builds the
+//! Phase 7 pins snapshot restore. `decode_snapshot` builds the
 //! network in one pass that sizes every adjacency list once, so its
 //! allocation count is bounded per node and does not grow with degree.
+//!
+//! Phase 8 pins the power corrections that move no edge, run the way a
+//! power session's corrections are: through `run_events_validated` in
+//! delta mode on a Minim-colored network. A grow below the node's clear
+//! bound skips the index, and a shrink that keeps every neighbor only
+//! filters; neither adds an edge or recodes, so a release build skips
+//! their validation too, and a warm correction allocates nothing.
 //!
 //! The check uses a counting global allocator (this integration test
 //! is its own binary, so the allocator sees only this file's tests;
@@ -50,6 +57,7 @@ use minim_power::{PowerLadder, PowerLoopConfig, PowerSession};
 use minim_serve::codec::{decode_snapshot, encode_record, encode_snapshot};
 use minim_serve::journal::FRAME_HEADER;
 use minim_serve::{seal_frame, Engine, EngineOptions, MemFs};
+use minim_sim::runner::{run_events_validated, ValidationMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -455,4 +463,66 @@ fn steady_state_rewire_allocates_nothing() {
         "snapshot restore: {sparse} allocations at {sparse_edges} edges, \
          {dense} at {dense_edges} edges, {RESTORED} nodes"
     );
+
+    // --- Phase 8: power corrections that move no edge. ---
+    // Every node of a Minim-colored arena that has room grows halfway
+    // into its clear disc and shrinks back to its old range, which keeps
+    // every neighbor (the old range covers them all).
+    let mut arena = Network::new(25.0);
+    let mut minim = Minim::default();
+    for i in 0..144u32 {
+        let pos = Point::new(f64::from(i % 12) * 6.0, f64::from(i / 12) * 6.0);
+        let range = 12.0 + f64::from(i * 7 % 9);
+        minim.apply(
+            &mut arena,
+            &Event::Join {
+                cfg: NodeConfig::new(pos, range),
+            },
+        );
+    }
+    let mut corrections = Vec::new();
+    for node in arena.iter_nodes() {
+        let range = arena.config(node).expect("present").range;
+        let clear = arena.clear_bound(node).expect("present").sqrt();
+        if clear <= range {
+            continue;
+        }
+        corrections.push(Event::SetRange {
+            node,
+            range: (range + clear) / 2.0,
+        });
+        corrections.push(Event::SetRange { node, range });
+    }
+    assert!(
+        corrections.len() >= 100,
+        "{} corrections",
+        corrections.len()
+    );
+    let edges = arena.graph().edge_count();
+    for _ in 0..12 {
+        run_events_validated(&mut minim, &mut arena, &corrections, ValidationMode::Delta);
+    }
+
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..25 {
+        let phase =
+            run_events_validated(&mut minim, &mut arena, &corrections, ValidationMode::Delta);
+        assert_eq!((phase.recodings, phase.edge_churn), (0, 0));
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+
+    assert_eq!(arena.graph().edge_count(), edges);
+    arena.check_topology();
+    assert!(arena.validate().is_ok());
+    // Debug builds validate every event, which allocates its seeds.
+    if !cfg!(debug_assertions) {
+        assert_eq!(
+            after - before,
+            0,
+            "warm no-edge corrections must be allocation-free, saw {} \
+             allocations over 25 rounds of {}",
+            after - before,
+            corrections.len()
+        );
+    }
 }

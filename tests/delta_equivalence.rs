@@ -504,13 +504,26 @@ fn redoing_recorded_writes_reproduces_the_live_run() {
     }
 }
 
+/// A point at a distance drawn from `(r, √clear2)` around `at`: beyond
+/// a node's range, inside its clear disc.
+fn in_clear_disc(rng: &mut StdRng, at: Point, r: f64, clear2: f64) -> Point {
+    let d = r + (clear2.sqrt() - r) * rng.gen_range(0.05..0.95);
+    at.displaced(rng.gen_range(0.0..std::f64::consts::TAU), d)
+}
+
 proptest! {
     /// `set_range` on random networks, with and without walls: shrinks
-    /// (down to 0), equal ranges and grows. After each call the delta
-    /// and `u`'s out-edges must match a brute-force out-set (every
-    /// other node with `dist2 <= r²` and an unblocked sight line):
-    /// added and removed exactly the set difference, ascending, nothing
-    /// added unless the range grew, in-edges untouched.
+    /// (down to 0), equal ranges, grows below the clear bound and grows
+    /// past it. Between range steps, joins and moves land in `u`'s
+    /// clear disc beyond its range, and now and then `u` moves to a
+    /// 1/16 lattice point and a node joins at a 3-4-5 offset exactly
+    /// at its bound, then `u` grows to exactly that distance (an edge,
+    /// unless a wall blocks it). After each call the delta and `u`'s
+    /// out-edges must match a brute-force out-set (every other node
+    /// with `dist2 <= r²` and an unblocked sight line): added and
+    /// removed exactly the set difference, ascending, nothing added
+    /// unless the range grew, in-edges untouched; and every clear bound
+    /// must hold (`check_topology`).
     #[test]
     fn set_range_matches_brute_force_out_sets(
         seed in 0u64..1_000,
@@ -544,10 +557,46 @@ proptest! {
             let k = rng.gen_range(0..net.node_count());
             let u = net.iter_nodes().nth(k).expect("k < count");
             let old = net.config(u).expect("present").range;
-            let range = match rng.gen_range(0u32..5) {
-                0 => old,
-                1 => 0.0,
-                2 => old * 1.5 + 1.0,
+            let mut exact = None;
+            match rng.gen_range(0u32..5) {
+                0 | 1 => {
+                    let cu = net.config(u).expect("present");
+                    let clear2 = net.clear_bound(u).expect("present");
+                    let p = in_clear_disc(&mut rng, cu.pos, old, clear2);
+                    let other = net.iter_nodes().nth(rng.gen_range(0..net.node_count()));
+                    match other {
+                        Some(v) if v != u && rng.gen_range(0u32..2) == 0 => net.move_node(v, p),
+                        _ => {
+                            net.join(NodeConfig::new(p, rng.gen_range(5.0..60.0)));
+                        }
+                    }
+                }
+                2 => {
+                    let cu = net.config(u).expect("present");
+                    let snap = |v: f64| (v * 16.0).round() / 16.0;
+                    let lattice = Point::new(snap(cu.pos.x), snap(cu.pos.y));
+                    net.move_node(u, lattice);
+                    let s = (old / 5.0 * 16.0).floor() / 16.0 + 1.0 / 16.0;
+                    let w = lattice.translated(3.0 * s, 4.0 * s);
+                    let d2 = w.dist2(&lattice);
+                    prop_assert_eq!(d2, (5.0 * s) * (5.0 * s));
+                    let inside = d2 < net.clear_bound(u).expect("present");
+                    net.join(NodeConfig::new(w, 1.0));
+                    if inside {
+                        prop_assert_eq!(net.clear_bound(u), Some(d2), "the join sits at the bound");
+                    }
+                    exact = Some(5.0 * s);
+                }
+                _ => {}
+            }
+            net.check_topology();
+            let clear2 = net.clear_bound(u).expect("present");
+            let range = match (exact, rng.gen_range(0u32..6)) {
+                (Some(r), _) => r,
+                (None, 0) => old,
+                (None, 1) => 0.0,
+                (None, 2) => old * 1.5 + 1.0,
+                (None, 3) => old + (clear2.sqrt() - old) * rng.gen_range(0.0..1.0),
                 _ => old * rng.gen_range(0.0..1.0),
             };
             let out_before = net.graph().out_neighbors(u).to_vec();

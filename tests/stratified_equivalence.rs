@@ -22,8 +22,10 @@
 //! It also pins the one-pass build that snapshot restore uses:
 //! `Network::load_nodes` must leave exactly the network that
 //! `insert_node` in id order leaves, in both index modes, and the two
-//! must stay equal under churn. The release build runs more cases (CI
-//! runs this file in release).
+//! must stay equal under churn. The two builds set different clear
+//! bounds, and a stream of moves and range changes must still give
+//! equal deltas. The release build runs more cases (CI runs this file
+//! in release).
 
 use minim::core::StrategyKind;
 use minim::geom::{Point, Rect, Segment};
@@ -376,4 +378,82 @@ fn bulk_load_equals_incremental_inserts() {
         }
     }
     assert!(boundary_edges > 0 && colocated > 0 && lighthouses > 0);
+}
+
+/// Inserts set each clear bound from the nodes present at the time and
+/// lower it as later nodes land; `load_nodes` sets it from one query
+/// over the whole set. So the two builds hold different bounds, and no
+/// output may depend on them: the same stream of moves and range
+/// changes (grows inside and past the bound, shrinks, jumps across
+/// tiers) must give equal deltas and digests after every event.
+#[test]
+fn bulk_and_insert_bounds_give_equal_range_and_move_deltas() {
+    let mut differing = 0;
+    for seed in 0..cases(64) {
+        let (walls, nodes) = node_set(seed);
+        for flat in [false, true] {
+            let label = format!("seed {seed} flat {flat}");
+            let fresh = || {
+                let mut net = if flat {
+                    Network::new_flat(25.0)
+                } else {
+                    Network::new(25.0)
+                };
+                for &w in &walls {
+                    net.add_obstacle(w);
+                }
+                net
+            };
+            let mut bulk = fresh();
+            bulk.load_nodes(&nodes);
+            let mut inc = fresh();
+            for &(id, cfg) in &nodes {
+                inc.insert_node(id, cfg);
+            }
+            differing += inc
+                .iter_nodes()
+                .filter(|&id| bulk.clear_bound(id) != inc.clear_bound(id))
+                .count();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xc1ea);
+            for step in 0..60 {
+                let node = inc
+                    .iter_nodes()
+                    .nth(rng.gen_range(0..inc.node_count()))
+                    .expect("nodes present");
+                let cfg = inc.config(node).expect("present");
+                let event = match rng.gen_range(0u32..4) {
+                    0 => Event::Move {
+                        node,
+                        to: cfg.pos.displaced(
+                            rng.gen_range(0.0..std::f64::consts::TAU),
+                            rng.gen_range(0.0..30.0),
+                        ),
+                    },
+                    1 => Event::SetRange {
+                        node,
+                        range: cfg.range * rng.gen_range(1.0..1.3),
+                    },
+                    2 => Event::SetRange {
+                        node,
+                        range: cfg.range * rng.gen_range(0.7..1.0),
+                    },
+                    _ => Event::SetRange {
+                        node,
+                        range: mixed_range(&mut rng),
+                    },
+                };
+                apply_topology(&mut bulk, &event);
+                apply_topology(&mut inc, &event);
+                assert_eq!(bulk.delta(), inc.delta(), "{label}: delta at step {step}");
+                assert_eq!(
+                    bulk.state_digest(),
+                    inc.state_digest(),
+                    "{label}: digest at step {step}"
+                );
+            }
+            bulk.check_topology();
+            inc.check_topology();
+        }
+    }
+    assert!(differing > 0, "the two builds must hold different bounds");
 }
