@@ -447,51 +447,21 @@ impl SpatialGrid {
     ///
     /// The center entry itself is reported too if it is indexed and in
     /// range; callers that want "other nodes" filter by id.
-    pub fn for_each_within<F: FnMut(u32, Point)>(&self, center: &Point, radius: f64, f: F) {
-        if radius >= 0.0 {
-            self.scan(center, radius, f);
-        }
-    }
-
-    /// [`SpatialGrid::for_each_within`] that also returns a lower bound
-    /// on `dist2` from `center` to every entry farther than `radius`:
-    /// the nearest scanned entry beyond `radius`, or the squared
-    /// inscribed radius of the scanned cell rectangle (every unscanned
-    /// entry lies outside it), whichever is smaller. The scan visits
-    /// the same cells in the same order.
-    pub fn for_each_within_clear<F: FnMut(u32, Point)>(
-        &self,
-        center: &Point,
-        radius: f64,
-        f: F,
-    ) -> f64 {
-        if radius < 0.0 {
-            return 0.0;
-        }
-        let (beyond2, (min_cx, max_cx, min_cy, max_cy)) = self.scan(center, radius, f);
-        let cell = self.cell;
-        let inscribed = (center.x - f64::from(min_cx) * cell)
-            .min(f64::from(max_cx + 1) * cell - center.x)
-            .min(center.y - f64::from(min_cy) * cell)
-            .min(f64::from(max_cy + 1) * cell - center.y);
-        // Cell edges are rounded products and a point's cell a rounded
-        // quotient: a slack far above their error keeps the bound low.
-        let slack = 1e-9 * (center.x.abs() + center.y.abs() + radius + cell);
-        let inscribed = (inscribed - slack).max(0.0);
-        beyond2.min(inscribed * inscribed)
-    }
-
-    /// The scan under both forward queries: reports the entries within
-    /// `radius` (boundary inclusive) and returns the smallest `dist2`
-    /// of the scanned entries beyond it, with the scanned cell range
-    /// `(min_cx, max_cx, min_cy, max_cy)`.
-    #[inline]
-    fn scan<F: FnMut(u32, Point)>(
+    ///
+    /// Returns a lower bound on `dist2` from `center` to every entry
+    /// farther than `radius`: the nearest scanned entry beyond
+    /// `radius`, or the squared inscribed radius of the scanned cell
+    /// rectangle (every unscanned entry lies outside it), whichever is
+    /// smaller. Callers that need no bound ignore it.
+    pub fn for_each_within<F: FnMut(u32, Point)>(
         &self,
         center: &Point,
         radius: f64,
         mut f: F,
-    ) -> (f64, (i32, i32, i32, i32)) {
+    ) -> f64 {
+        if radius.is_nan() || radius < 0.0 {
+            return 0.0;
+        }
         let r2 = radius * radius;
         let min_cx = cell_coord(center.x - radius, self.cell);
         let max_cx = cell_coord(center.x + radius, self.cell);
@@ -519,7 +489,16 @@ impl SpatialGrid {
                 report(ids, &mut f);
             }
         }
-        (beyond2, (min_cx, max_cx, min_cy, max_cy))
+        let cell = self.cell;
+        let inscribed = (center.x - f64::from(min_cx) * cell)
+            .min(f64::from(max_cx + 1) * cell - center.x)
+            .min(center.y - f64::from(min_cy) * cell)
+            .min(f64::from(max_cy + 1) * cell - center.y);
+        // Cell edges are rounded products and a point's cell a rounded
+        // quotient: a slack far above their error keeps the bound low.
+        let slack = 1e-9 * (center.x.abs() + center.y.abs() + radius + cell);
+        let inscribed = (inscribed - slack).max(0.0);
+        beyond2.min(inscribed * inscribed)
     }
 
     /// Collects the ids within `radius` of `center` (boundary

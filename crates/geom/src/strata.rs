@@ -31,8 +31,8 @@
 //! that finds every entry whose range covers a point also finds every
 //! entry whose *clear disc* covers it
 //! ([`StratifiedGrid::for_each_in_clear_disc`]); the tiers stay keyed
-//! by range. [`StratifiedGrid::for_each_within_clear`] is the forward
-//! query that also computes a bound: the nearest scanned point beyond
+//! by range. [`StratifiedGrid::for_each_within`], the forward query,
+//! also returns a bound: the nearest scanned point beyond
 //! the radius, or the inscribed radius of the scanned cells, whichever
 //! is smaller. Keeping the bound valid as other entries move is the
 //! caller's job; `minim-net` lowers it from its reverse query.
@@ -353,19 +353,12 @@ impl StratifiedGrid {
     /// Calls `f(id, pos)` for every entry within distance `radius` of
     /// `center` (boundary inclusive) — the forward query, summed over
     /// all non-empty tiers. Order is unspecified.
-    pub fn for_each_within<F: FnMut(u32, Point)>(&self, center: &Point, radius: f64, mut f: F) {
-        for tier in &self.tiers {
-            if !tier.grid.is_empty() {
-                tier.grid.for_each_within(center, radius, &mut f);
-            }
-        }
-    }
-
-    /// [`StratifiedGrid::for_each_within`] that also returns a lower
-    /// bound on `dist2` from `center` to every entry farther than
-    /// `radius` (see [`SpatialGrid::for_each_within_clear`]): the
-    /// smallest over the non-empty tiers, infinite when all are empty.
-    pub fn for_each_within_clear<F: FnMut(u32, Point)>(
+    ///
+    /// Returns a lower bound on `dist2` from `center` to every entry
+    /// farther than `radius` (see [`SpatialGrid::for_each_within`]):
+    /// the smallest over the non-empty tiers, infinite when all are
+    /// empty.
+    pub fn for_each_within<F: FnMut(u32, Point)>(
         &self,
         center: &Point,
         radius: f64,
@@ -374,7 +367,7 @@ impl StratifiedGrid {
         let mut clear2 = f64::INFINITY;
         for tier in &self.tiers {
             if !tier.grid.is_empty() {
-                clear2 = clear2.min(tier.grid.for_each_within_clear(center, radius, &mut f));
+                clear2 = clear2.min(tier.grid.for_each_within(center, radius, &mut f));
             }
         }
         clear2
@@ -657,7 +650,7 @@ mod tests {
             // The forward query's clear bound lies at or below every
             // entry beyond the radius.
             let mut seen = Vec::new();
-            let clear2 = strat.for_each_within_clear(&c, r, |id, _| seen.push(id));
+            let clear2 = strat.for_each_within(&c, r, |id, _| seen.push(id));
             seen.sort_unstable();
             prop_assert_eq!(seen, brute_within(&entries, &c, r));
             for (id, e) in &entries {

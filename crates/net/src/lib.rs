@@ -427,7 +427,7 @@ impl Network {
         } = self;
         graph.fill_edgeless(|id, out| {
             let cfg = configs[id.index()].expect("present node");
-            let clear2 = grid.for_each_within_clear(&cfg.pos, cfg.range, |other, opos| {
+            let clear2 = grid.for_each_within(&cfg.pos, cfg.range, |other, opos| {
                 if other != id.0 && !obstacles.blocked(&cfg.pos, &opos) {
                     out.push(NodeId(other));
                 }
@@ -534,7 +534,7 @@ impl Network {
         } else {
             // A grow keeps every out-edge, so only the new ones go in.
             let out = &mut delta.out_after;
-            let clear2 = grid.for_each_within_clear(&pos, range, |other, opos| {
+            let clear2 = grid.for_each_within(&pos, range, |other, opos| {
                 if other != id.0 && !obstacles.blocked(&pos, &opos) {
                     out.push(NodeId(other));
                 }
@@ -633,7 +633,7 @@ impl Network {
             ..
         } = delta;
         // Out-edges: nodes within our range and line of sight.
-        let clear2 = grid.for_each_within_clear(&cfg.pos, cfg.range, |other, opos| {
+        let clear2 = grid.for_each_within(&cfg.pos, cfg.range, |other, opos| {
             if other != id.0 && !obstacles.blocked(&cfg.pos, &opos) {
                 out.push(NodeId(other));
             }

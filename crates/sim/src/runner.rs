@@ -7,7 +7,11 @@
 //! [`ValidationMode::Delta`] checks CA1/CA2 after each event with
 //! `conflict::validate_delta` on just the delta's affected
 //! neighborhood, `O(Δ)` per event, and skips events that only removed
-//! constraints ([`minim_core::needs_validation`]).
+//! constraints ([`minim_core::needs_validation`]). In that mode the
+//! counter `sim.validate.delta` counts events whose check ran and
+//! passed (a refused event panics before it is counted), and
+//! `sim.validate.skipped` counts events that skipped it, which only
+//! release builds do: debug builds check every event.
 
 use minim_core::{needs_validation, run_event, RecodingStrategy, Writes};
 use minim_net::event::{apply_topology, Event};
